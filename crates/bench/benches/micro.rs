@@ -9,6 +9,8 @@
 //! the per-iteration wall time is reported. Run with
 //! `cargo bench -p revive-bench`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -202,13 +204,39 @@ fn bench_fabric_send() {
     });
 }
 
+/// A payload the size of the machine's event type (`Ev`, 112 bytes), so
+/// the queue cases move what the real event loop moves.
+type EvSized = [u64; 14];
+
+/// Schedules 256 events over a ~1 µs span, then drains them. The queue
+/// lives across calls, as the machine's one queue lives across a run, so
+/// steady-state bucket storage is recycled rather than re-allocated.
 fn bench_event_queue() {
+    let mut q = EventQueue::<EvSized>::new();
     bench("sim/event_queue_push_pop", 256, || {
-        let mut q = EventQueue::<u64>::new();
+        let base = q.now().0;
         for i in 0..256u64 {
-            q.schedule(Ns(i * 13 % 997), i);
+            q.schedule(Ns(base + i * 13 % 997), [i; 14]);
         }
         while let Some(ev) = q.pop() {
+            black_box(ev);
+        }
+    });
+}
+
+/// The same loop on a plain `BinaryHeap` ordered by `(time, seq)` — the
+/// reference the calendar queue has to beat to earn its code.
+fn bench_binary_heap() {
+    let mut h = BinaryHeap::<Reverse<(u64, u64, EvSized)>>::new();
+    let mut now = 0u64;
+    let mut seq = 0u64;
+    bench("sim/binary_heap_push_pop", 256, || {
+        for i in 0..256u64 {
+            h.push(Reverse((now + i * 13 % 997, seq, [i; 14])));
+            seq += 1;
+        }
+        while let Some(Reverse(ev)) = h.pop() {
+            now = ev.0;
             black_box(ev);
         }
     });
@@ -226,4 +254,5 @@ fn main() {
     bench_torus_route();
     bench_fabric_send();
     bench_event_queue();
+    bench_binary_heap();
 }

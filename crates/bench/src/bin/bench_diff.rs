@@ -96,8 +96,6 @@ fn main() {
             let opts = Opts {
                 quick: baseline.quick,
                 seed: args.seed,
-                sim_threads: args.sim_threads,
-                ..Opts::default()
             };
             banner(
                 "bench_diff — measuring a fresh candidate sweep",

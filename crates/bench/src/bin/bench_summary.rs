@@ -39,8 +39,6 @@ fn main() {
         "sim ns/op",
         "wall ms",
         "kops/s",
-        "thr",
-        "par%",
     ]);
     for e in &summary.entries {
         table.row([
@@ -50,8 +48,6 @@ fn main() {
             format!("{:.2}", e.sim_ns_per_op()),
             format!("{:.0}", e.wall_ms),
             format!("{:.0}", e.kops_per_wall_sec()),
-            format!("{}", e.sim_threads),
-            format!("{:.0}", e.par_window_frac * 100.0),
         ]);
     }
     table.print();

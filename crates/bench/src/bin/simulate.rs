@@ -7,9 +7,8 @@
 //!          [--group N] [--mirrored-frac F] [--interval-us N] [--ops N]
 //!          [--nodes N] [--seed N] [--inject node-loss:K | --inject transient]
 //!          [--inject-spec FILE | --inject-seed N]
-//!          [--lbit-cache N] [--sim-threads N] [--verbose]
+//!          [--lbit-cache N] [--verbose]
 //!          [--json PATH] [--trace-jsonl PATH] [--trace-chrome PATH]
-//!          [--engine-prof] [--engine-trace PATH]
 //! ```
 //!
 //! Examples:
@@ -36,13 +35,6 @@
 //! summary). `--trace-chrome` writes a Chrome `trace_event` file — load it
 //! at `chrome://tracing` or <https://ui.perfetto.dev>. Any of the three
 //! output flags switches full observability on (tracing + sampling).
-//!
-//! `--engine-prof` profiles the *simulator* rather than the simulated
-//! machine (DESIGN.md §15): the run prints a host-side attribution summary,
-//! the `--json` artifact gains the `engine` section, and `--engine-trace`
-//! (implies `--engine-prof`) writes a Chrome trace of host execution — one
-//! track for windows, one per directory lane. Sim-side output bytes are
-//! unchanged.
 
 use revive_machine::campaign::{self, CampaignConfig, Scenario};
 use revive_machine::{
@@ -68,13 +60,10 @@ struct Args {
     inject_spec: Option<String>,
     inject_seed: Option<u64>,
     lbit_cache: Option<usize>,
-    sim_threads: Option<usize>,
     verbose: bool,
     json: Option<String>,
     trace_jsonl: Option<String>,
     trace_chrome: Option<String>,
-    engine_prof: bool,
-    engine_trace: Option<String>,
 }
 
 fn usage() -> ! {
@@ -83,9 +72,8 @@ fn usage() -> ! {
          \t[--mode parity|mirroring|mixed|double-parity|replication|off]\n\
          \t[--group N] [--replicas K] [--mirrored-frac F] [--interval-us N] [--ops N] [--nodes N]\n\
          \t[--seed N] [--inject node-loss:K|transient] [--inject-spec FILE]\n\
-         \t[--inject-seed N] [--lbit-cache N] [--sim-threads N] [--verbose]\n\
+         \t[--inject-seed N] [--lbit-cache N] [--verbose]\n\
          \t[--json PATH] [--trace-jsonl PATH] [--trace-chrome PATH]\n\
-         \t[--engine-prof] [--engine-trace PATH]\n\
          apps: {}\n\
          synthetics: {}",
         AppId::ALL.map(|a| a.name()).join(", "),
@@ -109,13 +97,10 @@ fn parse_args() -> Args {
         inject_spec: None,
         inject_seed: None,
         lbit_cache: None,
-        sim_threads: None,
         verbose: false,
         json: None,
         trace_jsonl: None,
         trace_chrome: None,
-        engine_prof: false,
-        engine_trace: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -157,23 +142,10 @@ fn parse_args() -> Args {
             "--lbit-cache" => {
                 args.lbit_cache = Some(value(&mut it).parse().unwrap_or_else(|_| usage()))
             }
-            "--sim-threads" => {
-                let n: usize = value(&mut it).parse().unwrap_or_else(|_| usage());
-                if n == 0 {
-                    eprintln!("--sim-threads must be >= 1");
-                    usage()
-                }
-                args.sim_threads = Some(n);
-            }
             "--verbose" => args.verbose = true,
             "--json" => args.json = Some(value(&mut it)),
             "--trace-jsonl" => args.trace_jsonl = Some(value(&mut it)),
             "--trace-chrome" => args.trace_chrome = Some(value(&mut it)),
-            "--engine-prof" => args.engine_prof = true,
-            "--engine-trace" => {
-                args.engine_trace = Some(value(&mut it));
-                args.engine_prof = true;
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -264,13 +236,6 @@ fn main() {
     if a.json.is_some() || a.trace_jsonl.is_some() || a.trace_chrome.is_some() {
         cfg.obs = ObsConfig::full();
     }
-    // Execution strategy only — results are byte-identical at any value, so
-    // this is safe to apply even on top of a replayed inject-spec scenario.
-    if let Some(n) = a.sim_threads {
-        cfg.sim_threads = n;
-    }
-    // Likewise host-side only: profiling never changes sim-side bytes.
-    cfg.engine_prof = a.engine_prof;
 
     let runner = match Runner::new(cfg) {
         Ok(r) => r,
@@ -356,45 +321,6 @@ fn main() {
     }
     if let Some(path) = a.trace_chrome.as_deref() {
         write_or_die(path, result.trace.to_chrome_trace(&result.spans));
-    }
-    if let Some(engine) = &result.engine {
-        println!("--- engine self-profile (host-side; DESIGN.md §15) ---");
-        println!(
-            "sim threads     : {} (host cores: {})",
-            engine.sim_threads, engine.host_cores
-        );
-        println!(
-            "windows         : {} ({:.1}% parallel, {} serial, {} serial steps)",
-            engine.windows,
-            100.0 * engine.par_window_frac(),
-            engine.serial_windows,
-            engine.serial_steps
-        );
-        println!(
-            "dominant serial : {}",
-            engine.dominant_serial_reason().map_or("none", |r| r.name())
-        );
-        println!("lane skew       : {:.2}", engine.lane_skew());
-        let total = engine.phase_total_ns().max(1) as f64;
-        let pct: Vec<String> = revive_sim::prof::EnginePhase::ALL
-            .iter()
-            .map(|p| {
-                format!(
-                    "{} {:.0}%",
-                    p.name(),
-                    100.0 * engine.phase_ns[p.index()] as f64 / total
-                )
-            })
-            .collect();
-        println!("phase wall      : {}", pct.join(", "));
-    }
-    if let Some(path) = a.engine_trace.as_deref() {
-        // Host execution trace: the TraceBuffer is empty by construction —
-        // only the host spans (window + per-lane tracks) are rendered.
-        write_or_die(
-            path,
-            revive_sim::trace::TraceBuffer::disabled().to_chrome_trace(&result.host_spans),
-        );
     }
     if !result.outcomes.is_empty() {
         println!("--- fault outcomes ---");

@@ -2,7 +2,7 @@
 //! under checkpointing and live faults.
 //!
 //! ```text
-//! slo [--quick] [--jobs N] [--seed S] [--sim-threads N] [--no-cache]
+//! slo [--quick] [--jobs N] [--seed S] [--no-cache]
 //! ```
 //!
 //! The paper evaluates ReVive on batch workloads, where the ~100 ms
@@ -124,10 +124,6 @@ impl Point {
         if let Some(seed) = opts.seed {
             cfg.seed = seed;
         }
-        if let Some(n) = opts.sim_threads {
-            cfg.sim_threads = n;
-        }
-        cfg.engine_prof = opts.engine_prof;
         cfg
     }
 

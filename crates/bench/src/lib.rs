@@ -28,13 +28,6 @@ pub struct Opts {
     pub quick: bool,
     /// Experiment-seed override (`--seed`).
     pub seed: Option<u64>,
-    /// Event-loop shards inside each simulation (`--sim-threads`; `None`
-    /// defers to `REVIVE_SIM_THREADS`, default serial). Execution strategy
-    /// only — artifacts are byte-identical at any value.
-    pub sim_threads: Option<usize>,
-    /// Host-side engine self-profiling (`--engine-prof`): runs record the
-    /// `engine` artifact section. Never changes sim-side bytes.
-    pub engine_prof: bool,
 }
 
 impl Opts {
@@ -45,14 +38,7 @@ impl Opts {
     pub fn from_env() -> Opts {
         let quick = std::env::args().any(|a| a == "--quick")
             || std::env::var("REVIVE_QUICK").is_ok_and(|v| v != "0");
-        let engine_prof = std::env::args().any(|a| a == "--engine-prof")
-            || std::env::var("REVIVE_ENGINE_PROF").is_ok_and(|v| v != "0");
-        Opts {
-            quick,
-            seed: None,
-            sim_threads: None,
-            engine_prof,
-        }
+        Opts { quick, seed: None }
     }
 
     /// The options carried by the shared harness arguments.
@@ -60,8 +46,6 @@ impl Opts {
         Opts {
             quick: args.quick,
             seed: args.seed,
-            sim_threads: args.sim_threads,
-            engine_prof: args.engine_prof,
         }
     }
 
@@ -158,10 +142,6 @@ pub fn experiment_config(workload: WorkloadSpec, fig: FigConfig, opts: Opts) -> 
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
-    if let Some(n) = opts.sim_threads {
-        cfg.sim_threads = n;
-    }
-    cfg.engine_prof = opts.engine_prof;
     cfg
 }
 

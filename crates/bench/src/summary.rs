@@ -15,7 +15,6 @@
 
 use revive_harness::{Args, Sweep, SweepJob};
 use revive_machine::{parse_json, Json, WorkloadSpec};
-use revive_sim::prof::EnginePhase;
 use revive_workloads::AppId;
 
 use crate::{experiment_config, FigConfig, Opts};
@@ -23,11 +22,13 @@ use crate::{experiment_config, FigConfig, Opts};
 /// Schema identifier of the summary document.
 pub const SUMMARY_SCHEMA: &str = "revive-bench-summary";
 
-/// Current summary document version. Version 2 added the engine
-/// self-profile columns (`sim_threads`, `par_window_frac`, `phase_ns`)
-/// and the top-level `host_cores`; version-1 documents still parse, with
-/// those fields defaulted (`sim_threads` 1, the rest zero).
-pub const SUMMARY_VERSION: u64 = 2;
+/// Current summary document version. Version 2 added the top-level
+/// `host_cores` and three engine self-profile columns per entry (thread
+/// count, parallel-window fraction, per-phase wall time); version 3
+/// dropped those columns with the sharded engine they described. Older
+/// documents still parse: a missing `host_cores` reads as 0, and keys
+/// the parser does not know are ignored.
+pub const SUMMARY_VERSION: u64 = 3;
 
 /// One (app, config) measurement.
 #[derive(Clone, Debug, PartialEq)]
@@ -44,15 +45,6 @@ pub struct SummaryEntry {
     pub sim_time_ns: u64,
     /// Harness wall time for this run (host-dependent).
     pub wall_ms: f64,
-    /// Event-loop shards this run used (execution strategy; 1 = serial).
-    pub sim_threads: u64,
-    /// Fraction of engine windows that ran on the parallel surface.
-    /// Deterministic *given* `sim_threads` — the diff holds it to zero
-    /// tolerance only when both sides ran at the same thread count.
-    pub par_window_frac: f64,
-    /// Host wall nanoseconds per engine phase ([`EnginePhase`] order).
-    /// Host-dependent; recorded for attribution, never gated.
-    pub phase_ns: [u64; EnginePhase::COUNT],
 }
 
 impl SummaryEntry {
@@ -92,16 +84,10 @@ pub fn render_json(s: &Summary) -> String {
     o.push_str("  \"entries\": [\n");
     for (i, e) in s.entries.iter().enumerate() {
         let wall_s = (e.wall_ms / 1e3).max(1e-9);
-        let phases = EnginePhase::ALL
-            .iter()
-            .map(|p| format!("\"{}\": {}", p.name(), e.phase_ns[p.index()]))
-            .collect::<Vec<_>>()
-            .join(", ");
         o.push_str(&format!(
             "    {{\"app\": \"{}\", \"config\": \"{}\", \"ops\": {}, \"events\": {}, \
              \"sim_time_ns\": {}, \"sim_ns_per_op\": {:.3}, \"wall_ms\": {:.1}, \
-             \"kops_per_wall_sec\": {:.1}, \"kevents_per_wall_sec\": {:.1}, \
-             \"sim_threads\": {}, \"par_window_frac\": {:.6}, \"phase_ns\": {{{}}}}}{}\n",
+             \"kops_per_wall_sec\": {:.1}, \"kevents_per_wall_sec\": {:.1}}}{}\n",
             e.app,
             e.config,
             e.ops,
@@ -111,9 +97,6 @@ pub fn render_json(s: &Summary) -> String {
             e.wall_ms,
             e.kops_per_wall_sec(),
             e.events as f64 / wall_s / 1e3,
-            e.sim_threads,
-            e.par_window_frac,
-            phases,
             if i + 1 < s.entries.len() { "," } else { "" },
         ));
     }
@@ -135,8 +118,8 @@ pub fn parse_summary(text: &str) -> Result<Summary, String> {
         Some(Json::Bool(b)) => *b,
         _ => return Err("'quick' missing or not a bool".into()),
     };
-    // Version-2 fields are optional everywhere: a version-1 baseline must
-    // keep parsing (and diffing) against version-2 candidates.
+    // `host_cores` is optional: a version-1 baseline must keep parsing
+    // (and diffing) against newer candidates.
     let host_cores = doc.get("host_cores").and_then(Json::as_num).unwrap_or(0.0) as u64;
     let mut entries = Vec::new();
     for e in doc
@@ -155,13 +138,6 @@ pub fn parse_summary(text: &str) -> Result<Summary, String> {
                 .and_then(Json::as_num)
                 .ok_or_else(|| format!("entry.{key} missing or not a number"))
         };
-        let mut phase_ns = [0u64; EnginePhase::COUNT];
-        if let Some(phases) = e.get("phase_ns") {
-            for p in EnginePhase::ALL {
-                phase_ns[p.index()] =
-                    phases.get(p.name()).and_then(Json::as_num).unwrap_or(0.0) as u64;
-            }
-        }
         entries.push(SummaryEntry {
             app: s("app")?,
             config: s("config")?,
@@ -169,12 +145,6 @@ pub fn parse_summary(text: &str) -> Result<Summary, String> {
             events: n("events")? as u64,
             sim_time_ns: n("sim_time_ns")? as u64,
             wall_ms: n("wall_ms")?,
-            sim_threads: e.get("sim_threads").and_then(Json::as_num).unwrap_or(1.0) as u64,
-            par_window_frac: e
-                .get("par_window_frac")
-                .and_then(Json::as_num)
-                .unwrap_or(0.0),
-            phase_ns,
         });
     }
     Ok(Summary {
@@ -186,17 +156,13 @@ pub fn parse_summary(text: &str) -> Result<Summary, String> {
 
 /// Runs the Figure 8 sweep and returns a complete [`Summary`], one entry
 /// per (app, config) pair in sweep order. The cache is disabled: the wall
-/// columns must measure runs that actually happened on this host. Engine
-/// self-profiling is always on here — the summary's attribution columns
-/// (`par_window_frac`, `phase_ns`) come from the `engine` report, and the
-/// sim-side metrics are unaffected by profiling by construction.
+/// columns must measure runs that actually happened on this host.
 pub fn run_summary_sweep(args: &Args, opts: Opts) -> Summary {
     let mut pairs = Vec::new();
     let mut jobs = Vec::new();
     for app in AppId::ALL {
         for fig in [FigConfig::Baseline, FigConfig::Cp] {
-            let mut cfg = experiment_config(WorkloadSpec::Splash(app), fig, opts);
-            cfg.engine_prof = true;
+            let cfg = experiment_config(WorkloadSpec::Splash(app), fig, opts);
             jobs.push(SweepJob::new(format!("{}_{}", app.name(), fig.name()), cfg));
             pairs.push((app.name(), fig.name()));
         }
@@ -207,19 +173,13 @@ pub fn run_summary_sweep(args: &Args, opts: Opts) -> Summary {
     let entries = pairs
         .into_iter()
         .zip(&outcomes)
-        .map(|((app, config), o)| {
-            let engine = o.result.engine.as_ref();
-            SummaryEntry {
-                app: app.to_string(),
-                config: config.to_string(),
-                ops: o.result.metrics.traffic.cpu_ops,
-                events: o.result.events,
-                sim_time_ns: o.result.sim_time.0,
-                wall_ms: o.wall_ms,
-                sim_threads: engine.map_or(1, |e| e.sim_threads),
-                par_window_frac: engine.map_or(0.0, |e| e.par_window_frac()),
-                phase_ns: engine.map_or([0; EnginePhase::COUNT], |e| e.phase_ns),
-            }
+        .map(|((app, config), o)| SummaryEntry {
+            app: app.to_string(),
+            config: config.to_string(),
+            ops: o.result.metrics.traffic.cpu_ops,
+            events: o.result.events,
+            sim_time_ns: o.result.sim_time.0,
+            wall_ms: o.wall_ms,
         })
         .collect();
     Summary {
@@ -342,22 +302,6 @@ pub fn diff(
                 });
             }
         }
-        // The parallel-window fraction is deterministic *given* the thread
-        // count, so it gets the sim tolerance — but only when both sides
-        // ran at the same `sim_threads` (a serial run is legitimately 0).
-        // `phase_ns` is host wall time: recorded, never gated.
-        if b.sim_threads == c.sim_threads {
-            let r = rel(b.par_window_frac, c.par_window_frac);
-            if r.abs() > tol.sim {
-                regressions.push(Regression {
-                    entry: entry.clone(),
-                    metric: "par_window_frac".to_string(),
-                    baseline: b.par_window_frac,
-                    candidate: c.par_window_frac,
-                    rel: r,
-                });
-            }
-        }
         // Wall-clock throughput: only slowdowns count, only beyond the
         // wall tolerance.
         if tol.check_wall {
@@ -389,9 +333,6 @@ mod tests {
             events: ops * 3,
             sim_time_ns: sim,
             wall_ms: wall,
-            sim_threads: 1,
-            par_window_frac: 0.0,
-            phase_ns: [0; EnginePhase::COUNT],
         }
     }
 
@@ -405,13 +346,10 @@ mod tests {
 
     #[test]
     fn render_parse_round_trips() {
-        let mut s = summary(vec![
+        let s = summary(vec![
             entry("fft", "Base", 1000, 50_000, 12.0),
             entry("fft", "Cp10ms", 1000, 61_000, 14.5),
         ]);
-        s.entries[1].sim_threads = 4;
-        s.entries[1].par_window_frac = 0.625;
-        s.entries[1].phase_ns = [100, 2_000, 30, 400];
         let parsed = parse_summary(&render_json(&s)).unwrap();
         assert_eq!(parsed, s);
     }
@@ -426,9 +364,25 @@ mod tests {
         );
         let parsed = parse_summary(&v1).unwrap();
         assert_eq!(parsed.host_cores, 0);
-        assert_eq!(parsed.entries[0].sim_threads, 1);
-        assert_eq!(parsed.entries[0].par_window_frac, 0.0);
-        assert_eq!(parsed.entries[0].phase_ns, [0; EnginePhase::COUNT]);
+        assert_eq!(parsed.entries[0].events, 3000);
+    }
+
+    #[test]
+    fn unknown_entry_keys_are_ignored() {
+        // Version-2 documents carry per-entry columns version 3 dropped;
+        // they must keep parsing as baselines.
+        let v2 = format!(
+            "{{\n  \"schema\": \"{SUMMARY_SCHEMA}\",\n  \"version\": 2,\n  \"quick\": false,\n  \
+             \"host_cores\": 2,\n  \"entries\": [\n    {{\"app\": \"fft\", \"config\": \"Base\", \
+             \"ops\": 1000, \"events\": 3000, \"sim_time_ns\": 50000, \"wall_ms\": 12.0, \
+             \"dropped_count\": 1, \"dropped_phases\": {{\"schedule\": 5}}}}\n  ]\n}}\n"
+        );
+        let parsed = parse_summary(&v2).unwrap();
+        let want = Summary {
+            host_cores: 2,
+            ..summary(vec![entry("fft", "Base", 1000, 50_000, 12.0)])
+        };
+        assert_eq!(parsed, want);
     }
 
     #[test]
@@ -474,36 +428,6 @@ mod tests {
             ..Tolerances::default()
         };
         assert!(diff(&base, &slow, &no_wall).unwrap().is_empty());
-    }
-
-    #[test]
-    fn par_window_frac_gated_only_at_matching_thread_counts() {
-        let mut b = entry("fft", "Base", 1000, 50_000, 12.0);
-        b.sim_threads = 4;
-        b.par_window_frac = 0.6;
-        let base = summary(vec![b.clone()]);
-        // Same thread count, fraction moved: a scheduling-behavior change
-        // the zero tolerance must catch.
-        let mut c = b.clone();
-        c.par_window_frac = 0.4;
-        let found = diff(&base, &summary(vec![c]), &Tolerances::default()).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].metric, "par_window_frac");
-        // Different thread count: a serial candidate is legitimately 0.
-        let mut serial = b.clone();
-        serial.sim_threads = 1;
-        serial.par_window_frac = 0.0;
-        assert!(diff(&base, &summary(vec![serial]), &Tolerances::default())
-            .unwrap()
-            .is_empty());
-        // Host phase timings never gate.
-        let mut slow_phases = b;
-        slow_phases.phase_ns = [u64::MAX / 8; EnginePhase::COUNT];
-        assert!(
-            diff(&base, &summary(vec![slow_phases]), &Tolerances::default())
-                .unwrap()
-                .is_empty()
-        );
     }
 
     #[test]

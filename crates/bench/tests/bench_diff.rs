@@ -14,9 +14,6 @@ fn entry(app: &str, config: &str, ops: u64, sim: u64, wall: f64) -> SummaryEntry
         events: ops * 3,
         sim_time_ns: sim,
         wall_ms: wall,
-        sim_threads: 1,
-        par_window_frac: 0.0,
-        phase_ns: [0; 4],
     }
 }
 

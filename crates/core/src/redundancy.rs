@@ -653,9 +653,8 @@ impl RedundancyBackend for ReplicationMap {
 // The dispatching backend value
 // ---------------------------------------------------------------------------
 
-/// The machine's active redundancy backend. `Copy` so the sharded engine
-/// can hand it to worker lanes by value, exactly as it does the
-/// [`ParityMap`] today.
+/// The machine's active redundancy backend. `Copy`, like [`ParityMap`],
+/// so the machine and each directory hook can hold it by value.
 #[derive(Clone, Copy, Debug)]
 pub enum Redundancy {
     /// The paper's N+1 XOR parity (plus mirroring / mixed layouts).

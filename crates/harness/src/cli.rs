@@ -10,8 +10,6 @@
 //! | `--jobs N`        | `REVIVE_JOBS=N`        | worker threads; default `min(cores, jobs)`|
 //! | `--no-cache`      | `REVIVE_NO_CACHE=1`    | ignore cached artifacts, always re-run    |
 //! | `--seed S`        | —                      | override the experiment seed              |
-//! | `--sim-threads N` | `REVIVE_SIM_THREADS=N` | event-loop shards *inside* one simulation (execution strategy only; results are byte-identical at any value) |
-//! | `--engine-prof`   | `REVIVE_ENGINE_PROF=1` | host-side engine self-profiling: artifacts gain the host-dependent `engine` section, the cache is bypassed (DESIGN.md §15) |
 //!
 //! Flags the parser does not recognize land in [`Args::rest`] for the
 //! binary's own parsing (`--mirroring`, `--seeds`, positional paths, …).
@@ -27,15 +25,6 @@ pub struct Args {
     pub no_cache: bool,
     /// Experiment seed override.
     pub seed: Option<u64>,
-    /// Event-loop shards inside each single simulation (`None` = serial).
-    /// Orthogonal to `--jobs`: `--jobs` parallelizes *across* runs of a
-    /// sweep, `--sim-threads` parallelizes *within* one run. Never changes
-    /// results — artifacts are byte-identical at any value.
-    pub sim_threads: Option<usize>,
-    /// Host-side engine self-profiling: every run records the `engine`
-    /// artifact section, and sweeps bypass the result cache (a cache hit
-    /// has no host execution to profile). Never changes sim-side bytes.
-    pub engine_prof: bool,
     /// Arguments the shared parser did not consume, in order.
     pub rest: Vec<String>,
 }
@@ -61,11 +50,6 @@ impl Args {
                 .and_then(|v| v.parse().ok()),
             no_cache: env_flag("REVIVE_NO_CACHE"),
             seed: None,
-            sim_threads: std::env::var("REVIVE_SIM_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1),
-            engine_prof: env_flag("REVIVE_ENGINE_PROF"),
             rest: Vec::new(),
         };
         let mut it = argv.into_iter();
@@ -83,18 +67,10 @@ impl Args {
                 args.quick = true;
             } else if arg == "--no-cache" {
                 args.no_cache = true;
-            } else if arg == "--engine-prof" {
-                args.engine_prof = true;
             } else if let Some(v) = take("--jobs", &arg) {
                 args.jobs = Some(v.parse().unwrap_or_else(|_| bad("--jobs", &v)));
             } else if let Some(v) = take("--seed", &arg) {
                 args.seed = Some(v.parse().unwrap_or_else(|_| bad("--seed", &v)));
-            } else if let Some(v) = take("--sim-threads", &arg) {
-                let n: usize = v.parse().unwrap_or_else(|_| bad("--sim-threads", &v));
-                if n == 0 {
-                    bad("--sim-threads", &v);
-                }
-                args.sim_threads = Some(n);
             } else {
                 args.rest.push(arg);
             }
@@ -127,12 +103,6 @@ impl Args {
         if let Some(s) = self.seed {
             out.push(format!("--seed={s}"));
         }
-        if let Some(n) = self.sim_threads {
-            out.push(format!("--sim-threads={n}"));
-        }
-        if self.engine_prof {
-            out.push("--engine-prof".to_string());
-        }
         out
     }
 }
@@ -152,28 +122,16 @@ mod tests {
 
     #[test]
     fn parses_shared_flags_in_both_forms() {
-        let a = parse(&[
-            "--quick",
-            "--jobs",
-            "4",
-            "--no-cache",
-            "--seed=7",
-            "--sim-threads=2",
-            "--engine-prof",
-        ]);
+        let a = parse(&["--quick", "--jobs", "4", "--no-cache", "--seed=7"]);
         assert!(a.quick);
         assert_eq!(a.jobs, Some(4));
         assert!(a.no_cache);
         assert_eq!(a.seed, Some(7));
-        assert_eq!(a.sim_threads, Some(2));
-        assert!(a.engine_prof);
         assert!(a.rest.is_empty());
 
-        let b = parse(&["--jobs=2", "--seed", "9", "--sim-threads", "4"]);
+        let b = parse(&["--jobs=2", "--seed", "9"]);
         assert_eq!(b.jobs, Some(2));
         assert_eq!(b.seed, Some(9));
-        assert_eq!(b.sim_threads, Some(4));
-        assert!(!b.engine_prof);
     }
 
     #[test]
@@ -200,19 +158,10 @@ mod tests {
 
     #[test]
     fn passthrough_round_trips() {
-        let a = parse(&[
-            "--quick",
-            "--jobs=3",
-            "--no-cache",
-            "--seed=11",
-            "--sim-threads=2",
-            "--engine-prof",
-        ]);
+        let a = parse(&["--quick", "--jobs=3", "--no-cache", "--seed=11"]);
         let again = Args::from_argv(a.passthrough());
         assert!(again.quick && again.no_cache);
         assert_eq!(again.jobs, Some(3));
         assert_eq!(again.seed, Some(11));
-        assert_eq!(again.sim_threads, Some(2));
-        assert!(again.engine_prof);
     }
 }

@@ -93,7 +93,6 @@ pub struct Sweep {
     dir: Option<PathBuf>,
     jobs: Option<usize>,
     no_cache: bool,
-    engine_prof: bool,
     quiet: bool,
 }
 
@@ -113,10 +112,7 @@ impl Sweep {
         Sweep {
             dir,
             jobs: args.jobs,
-            // --engine-prof implies --no-cache: a cache hit has no host
-            // execution to profile, so every job must actually run.
-            no_cache: args.no_cache || args.engine_prof,
-            engine_prof: args.engine_prof,
+            no_cache: args.no_cache,
             quiet: false,
         }
     }
@@ -157,14 +153,9 @@ impl Sweep {
         };
         let progress = &progress;
         let no_cache = self.no_cache;
-        let engine_prof = self.engine_prof;
         let pool_jobs: Vec<Job<SweepOutcome, _>> = jobs
             .into_iter()
-            .map(|mut job| {
-                // Host-side observability only: `RunMeta::from_config`
-                // canonicalizes this flag out, so the artifact's
-                // config_hash — and every sim-side byte — is unchanged.
-                job.cfg.engine_prof |= engine_prof;
+            .map(|job| {
                 let path = self
                     .dir
                     .as_ref()

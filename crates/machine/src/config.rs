@@ -197,7 +197,7 @@ pub enum ReviveMode {
     /// RAID-6-style P+Q double parity over GF(256): each group of
     /// `group_data_pages` data pages carries two redundancy pages (P and Q)
     /// and survives *any two* simultaneous node losses per group
-    /// (DESIGN.md §16).
+    /// (DESIGN.md §15).
     DoubleParity {
         /// Data pages per double-parity group (the chunk spans G+2 nodes).
         group_data_pages: usize,
@@ -205,7 +205,7 @@ pub enum ReviveMode {
     /// ReStore-style k-replication: every data page is mirrored whole to
     /// `replicas` deterministic peer nodes, surviving up to `replicas`
     /// simultaneous losses per group at `replicas`/(`replicas`+1) storage
-    /// overhead (DESIGN.md §16).
+    /// overhead (DESIGN.md §15).
     Replication {
         /// Full copies kept besides the primary (k ≥ 1; k = 1 lays out
         /// identically to [`ReviveMode::Mirroring`]).
@@ -493,27 +493,6 @@ pub struct ExperimentConfig {
     /// interval elapses before the error is noticed) lives here as a named
     /// knob instead of a magic number.
     pub detection_fraction: f64,
-    /// Worker threads for the sharded event engine (1 = fully serial).
-    /// Execution strategy only, never semantics: results and artifacts are
-    /// byte-identical at any value, and the artifact's `config_hash`
-    /// canonicalizes this field out. Defaults from `REVIVE_SIM_THREADS`.
-    pub sim_threads: usize,
-    /// Host-side engine self-profiling (DESIGN.md §15). Execution
-    /// observability only, never semantics: the simulated run is
-    /// byte-identical with it on or off, and the artifact's `config_hash`
-    /// canonicalizes this field out. Off by default; when off, no host
-    /// clocks are read.
-    pub engine_prof: bool,
-}
-
-/// The default `sim_threads`: the `REVIVE_SIM_THREADS` environment variable
-/// if set to a positive integer, else 1 (serial).
-pub fn sim_threads_from_env() -> usize {
-    std::env::var("REVIVE_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
 }
 
 impl ExperimentConfig {
@@ -545,8 +524,6 @@ impl ExperimentConfig {
             shadow_checkpoints: true,
             obs: ObsConfig::off(),
             detection_fraction: ExperimentConfig::DEFAULT_DETECTION_FRACTION,
-            sim_threads: sim_threads_from_env(),
-            engine_prof: false,
         }
     }
 
@@ -563,8 +540,6 @@ impl ExperimentConfig {
             shadow_checkpoints: false,
             obs: ObsConfig::off(),
             detection_fraction: ExperimentConfig::DEFAULT_DETECTION_FRACTION,
-            sim_threads: sim_threads_from_env(),
-            engine_prof: false,
         }
     }
 }

@@ -16,8 +16,6 @@
 //! * [`campaign`] — the seed-driven adversarial fault-campaign engine:
 //!   scenario generation, oracle-checked execution, outcome classification,
 //!   and greedy shrinking to minimal repros.
-//! * [`engine_prof`] — host-side self-profiling of the sharded engine:
-//!   window telemetry, serial-fallback attribution, phase wall-clock.
 //! * [`metrics`] — the Figure 9/10 traffic classes and derived summaries.
 //! * [`sampling`] — per-epoch time series (log occupancy, traffic rates,
 //!   utilization gauges).
@@ -44,7 +42,6 @@
 pub mod campaign;
 pub mod config;
 pub mod differential;
-pub mod engine_prof;
 pub mod metrics;
 pub mod page_table;
 pub mod report;
@@ -62,7 +59,6 @@ pub use config::{
     WorkloadSpec,
 };
 pub use differential::{differential_run, injected_vs_golden, AuditReport, DifferentialReport};
-pub use engine_prof::{EngineReport, SerialReason};
 pub use metrics::{Metrics, ServingReport, ServingWindow, SloLedger, Summary, TrafficClass};
 pub use page_table::PageTable;
 pub use report::{

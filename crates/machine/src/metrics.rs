@@ -107,23 +107,6 @@ impl Metrics {
         self.retry_latency[class.index()].record(latency.0);
     }
 
-    /// Folds another accumulator into this one. Every field is a sum or a
-    /// bucketed count, so absorbing per-worker scratch metrics after a
-    /// sharded window yields byte-identical totals to serial interleaved
-    /// recording.
-    pub fn absorb(&mut self, other: &Metrics) {
-        for i in 0..5 {
-            self.net_bytes[i] += other.net_bytes[i];
-            self.net_msgs[i] += other.net_msgs[i];
-            self.mem_accesses[i] += other.mem_accesses[i];
-            self.retry_msgs[i] += other.retry_msgs[i];
-            self.net_latency[i].merge(&other.net_latency[i]);
-            self.retry_latency[i].merge(&other.retry_latency[i]);
-        }
-        self.instructions += other.instructions;
-        self.cpu_ops += other.cpu_ops;
-    }
-
     /// Total watchdog retries across classes.
     pub fn retry_msgs_total(&self) -> u64 {
         self.retry_msgs.iter().sum()

@@ -110,14 +110,6 @@ impl PageTable {
         Ok(Addr(page.base().0 + vaddr % PAGE_SIZE as u64))
     }
 
-    /// Translates without allocating: `None` when the page has never been
-    /// touched. The sharded engine's workers use this read-only peek while
-    /// the page table is frozen for a parallel window.
-    pub fn try_translate(&self, vaddr: u64) -> Option<Addr> {
-        let page = self.lookup(vaddr / PAGE_SIZE as u64)?;
-        Some(Addr(page.base().0 + vaddr % PAGE_SIZE as u64))
-    }
-
     fn allocate(&mut self, toucher: NodeId) -> Result<PageAddr, MachineError> {
         if let Some(p) = self.free[toucher.index()].pop() {
             self.allocated.push(p);
@@ -230,12 +222,12 @@ mod tests {
     fn sparse_addresses_spill_and_still_map() {
         let mut t = table();
         let sparse = (super::DENSE_VPAGES + 7) * PAGE_SIZE as u64 + 9;
-        assert_eq!(t.try_translate(sparse), None);
+        assert_eq!(t.mapped(), 0);
         let a = t.translate(sparse, NodeId(1)).unwrap();
-        assert_eq!(t.try_translate(sparse), Some(a));
+        assert_eq!(t.translate(sparse, NodeId(0)), Ok(a));
         assert_eq!(t.mapped(), 1);
         let dense = t.translate(100, NodeId(0)).unwrap();
-        assert_eq!(t.try_translate(100), Some(dense));
+        assert_eq!(t.translate(100, NodeId(1)), Ok(dense));
         assert_eq!(t.mapped(), 2);
         let m = t.mappings();
         assert_eq!(m.len(), 2);

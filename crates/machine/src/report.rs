@@ -16,20 +16,16 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use revive_sim::prof::EnginePhase;
 use revive_sim::stats::Histogram;
 use revive_sim::time::Ns;
 use revive_sim::trace::escape_json;
 
 use crate::config::ExperimentConfig;
-use crate::engine_prof::SerialReason;
 use crate::metrics::{ServingReport, ServingWindow, SloLedger, TrafficClass};
 use crate::runner::{ErrorKind, FaultOutcome, InjectionPlan, RecoveryOutcome, RunResult};
 
 /// Identity of a run, embedded in its artifact. Wall-clock facts are
-/// deliberately excluded: artifacts must be byte-identical across reruns —
-/// with one documented exception, the host-dependent `engine` self-profile
-/// section present only on `engine_prof` runs (DESIGN.md §15).
+/// deliberately excluded: artifacts must be byte-identical across reruns.
 #[derive(Clone, Debug)]
 pub struct RunMeta {
     /// Free-form label (e.g. `"fig8/fft/Cp"`).
@@ -82,16 +78,7 @@ impl RunMeta {
             // The Debug rendering covers every field of the config tree, so
             // any change — cache geometry, log fraction, L-bit design,
             // observability — changes the hash and invalidates the cache.
-            // `sim_threads` and `engine_prof` are canonicalized out first:
-            // both select an execution strategy with byte-identical
-            // sim-side results, so artifacts (and the result cache) must
-            // agree across thread counts and profiling state.
-            config_hash: {
-                let mut canon = *cfg;
-                canon.sim_threads = 1;
-                canon.engine_prof = false;
-                content_hash(&format!("{canon:?}"))
-            },
+            config_hash: content_hash(&format!("{cfg:?}")),
             campaign_seed: None,
             injections: Vec::new(),
         }
@@ -129,13 +116,14 @@ pub const ARTIFACT_SCHEMA: &str = "revive-run-artifact";
 /// (`result.retries`, `retry_latency_ns`) and the four fault-fabric trace
 /// kinds (msg_drop / watchdog_timeout / retry / reroute) in
 /// `trace.counts`; version 5 added the `retry_backoff_capped` trace kind;
-/// version 6 added the optional host-dependent `engine` self-profile
-/// section (present only for `engine_prof` runs, DESIGN.md §15); version 7
+/// version 6 added an optional host-dependent `engine` self-profile
+/// section, since removed with the sharded engine it profiled (the
+/// validator ignores the key in older artifacts); version 7
 /// added the mandatory `redundancy` section (backend name, loss budget,
-/// storage overhead — the cost/availability axes of DESIGN.md §16);
+/// storage overhead — the cost/availability axes of DESIGN.md §15);
 /// version 8 added the optional `serving` section (request-latency
 /// distribution and SLO ledger, present only for open-loop serving runs,
-/// DESIGN.md §17) and the per-epoch `requests` completion counter.
+/// DESIGN.md §16) and the per-epoch `requests` completion counter.
 /// Earlier versions still validate.
 pub const ARTIFACT_VERSION: u64 = 8;
 
@@ -511,62 +499,6 @@ pub fn render_artifact(meta: &RunMeta, r: &RunResult) -> String {
             );
         }
         o.push_str("]},\n");
-    }
-
-    // -- engine self-profile (version 6; only for engine_prof runs) --
-    // The one deliberately host-dependent section: phase_ns is wall clock
-    // and host_cores is the machine it ran on. Sim-side byte-identity
-    // comparisons strip this line (DESIGN.md §15).
-    if let Some(e) = &r.engine {
-        let _ = write!(
-            o,
-            "\"engine\":{{\"sim_threads\":{},\"host_cores\":{},\"windows\":{},\"par_windows\":{},\"serial_windows\":{},\"serial_steps\":{},\"par_window_frac\":{},",
-            e.sim_threads,
-            e.host_cores,
-            e.windows,
-            e.par_windows,
-            e.serial_windows,
-            e.serial_steps,
-            f64_json(e.par_window_frac()),
-        );
-        o.push_str("\"serial_reasons\":{");
-        for (i, reason) in SerialReason::ALL.into_iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(
-                o,
-                "\"{}\":{}",
-                reason.name(),
-                e.serial_reasons[reason.index()]
-            );
-        }
-        let _ = write!(
-            o,
-            "}},\"window_width_ns\":{},\"window_events\":{},\"par_events\":{},\"lane_events\":{},\"lane_busy_ns\":{},\"lane_skew\":{},",
-            e.window_width_ns,
-            e.window_events,
-            e.par_events,
-            u64_array(&e.lane_events),
-            u64_array(&e.lane_busy_ns),
-            f64_json(e.lane_skew()),
-        );
-        o.push_str("\"phase_ns\":{");
-        for (i, phase) in EnginePhase::ALL.into_iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            let _ = write!(o, "\"{}\":{}", phase.name(), e.phase_ns[phase.index()]);
-        }
-        let _ = writeln!(
-            o,
-            "}},\"queue\":{{\"near_scheduled\":{},\"far_scheduled\":{},\"far_pops\":{},\"peak_len\":{}}},\"spans_dropped\":{}}},",
-            e.queue.near_scheduled,
-            e.queue.far_scheduled,
-            e.queue.far_pops,
-            e.queue.peak_len,
-            e.spans_dropped,
-        );
     }
 
     // -- event-trace summary --
@@ -1102,54 +1034,6 @@ pub fn validate_artifact(text: &str) -> Result<(), String> {
             }
         }
     }
-    // The engine self-profile (version 6) is optional at every version —
-    // it exists only for profiled runs — but must be well-formed when
-    // present.
-    if let Some(engine) = doc.get("engine") {
-        for key in [
-            "sim_threads",
-            "host_cores",
-            "windows",
-            "par_windows",
-            "serial_windows",
-            "serial_steps",
-            "par_window_frac",
-            "window_width_ns",
-            "window_events",
-            "par_events",
-            "lane_skew",
-            "spans_dropped",
-        ] {
-            if engine.get(key).and_then(Json::as_num).is_none() {
-                return Err(format!("engine.{key} missing or not a number"));
-            }
-        }
-        let reasons = engine
-            .get("serial_reasons")
-            .ok_or("engine.serial_reasons missing")?;
-        for reason in SerialReason::ALL {
-            if reasons.get(reason.name()).and_then(Json::as_num).is_none() {
-                return Err(format!("engine.serial_reasons.{} missing", reason.name()));
-            }
-        }
-        let phases = engine.get("phase_ns").ok_or("engine.phase_ns missing")?;
-        for phase in EnginePhase::ALL {
-            if phases.get(phase.name()).and_then(Json::as_num).is_none() {
-                return Err(format!("engine.phase_ns.{} missing", phase.name()));
-            }
-        }
-        for key in ["lane_events", "lane_busy_ns"] {
-            if engine.get(key).and_then(Json::as_arr).is_none() {
-                return Err(format!("engine.{key} missing or not an array"));
-            }
-        }
-        let queue = engine.get("queue").ok_or("engine.queue missing")?;
-        for key in ["near_scheduled", "far_scheduled", "far_pops", "peak_len"] {
-            if queue.get(key).and_then(Json::as_num).is_none() {
-                return Err(format!("engine.queue.{key} missing or not a number"));
-            }
-        }
-    }
     let trace = need("trace")?;
     let counts = trace
         .get("counts")
@@ -1429,9 +1313,6 @@ pub fn artifact_config_hash(doc: &Json) -> Option<&str> {
 /// durations rebuilt from the recorded spans). Latency histograms, the
 /// checkpoint timelines, epochs, and the event trace are left empty —
 /// binaries that render those (fig6/fig7, trace tooling) bypass the cache.
-/// The `engine` self-profile is also left `None`: it describes the host
-/// execution that produced the artifact, which a cache hit by definition
-/// did not repeat (profiled sweeps bypass the cache, DESIGN.md §15).
 ///
 /// # Errors
 ///
@@ -1709,8 +1590,8 @@ mod tests {
             .replace("\"version\":8,", "\"version\":4,")
             .replace(",\"retry_backoff_capped\":0", "");
         validate_artifact(&v4).unwrap();
-        // A v5 artifact predates the engine section, which is optional
-        // anyway: the plain downgrade validates as-is.
+        // A v5 artifact differs from v6 only by the optional engine
+        // section: the plain downgrade validates as-is.
         let v5 = text.replace("\"version\":8,", "\"version\":5,");
         validate_artifact(&v5).unwrap();
         // A v6 artifact predates the redundancy section.
@@ -1748,75 +1629,6 @@ mod tests {
         assert!(validate_artifact(&no_hash).is_err());
         let bad_hash = text.replace("0123456789abcdef", "not-hex!!");
         assert!(validate_artifact(&bad_hash).is_err());
-    }
-
-    #[test]
-    fn engine_section_renders_one_line_and_validates() {
-        use crate::engine_prof::EngineReport;
-
-        let r = RunResult {
-            engine: Some(EngineReport {
-                sim_threads: 4,
-                host_cores: 8,
-                windows: 10,
-                par_windows: 7,
-                serial_windows: 3,
-                serial_steps: 5,
-                serial_reasons: [1, 0, 0, 2, 5, 3],
-                window_width_ns: 4096,
-                window_events: 120,
-                par_events: 90,
-                lane_events: vec![30, 30, 30, 0],
-                lane_busy_ns: vec![900, 600, 300, 0],
-                phase_ns: [100, 200, 50, 75],
-                queue: revive_sim::QueueStats {
-                    near_scheduled: 1000,
-                    far_scheduled: 12,
-                    far_pops: 12,
-                    peak_len: 40,
-                },
-                spans_dropped: 0,
-            }),
-            ..RunResult::default()
-        };
-        let text = render_artifact(&test_meta(), &r);
-        validate_artifact(&text).unwrap();
-        // Exactly one line carries the whole section, so sim-side byte
-        // comparisons can strip it with a line filter.
-        let engine_lines: Vec<&str> = text
-            .lines()
-            .filter(|l| l.starts_with("\"engine\":"))
-            .collect();
-        assert_eq!(engine_lines.len(), 1);
-        let doc = parse_json(&text).unwrap();
-        let engine = doc.get("engine").unwrap();
-        assert_eq!(engine.get("par_windows").unwrap().as_num(), Some(7.0));
-        assert_eq!(
-            engine
-                .get("serial_reasons")
-                .unwrap()
-                .get("global_event_leads")
-                .unwrap()
-                .as_num(),
-            Some(5.0)
-        );
-        assert_eq!(
-            engine
-                .get("phase_ns")
-                .unwrap()
-                .get("parallel_surface")
-                .unwrap()
-                .as_num(),
-            Some(200.0)
-        );
-        // A malformed engine section must be rejected even though the
-        // section itself is optional.
-        let broken = text.replace("\"par_window_frac\":0.7,", "");
-        assert!(validate_artifact(&broken).is_err());
-        // Profiling off ⇒ no engine section at all, and still valid.
-        let off = render_artifact(&test_meta(), &RunResult::default());
-        validate_artifact(&off).unwrap();
-        assert!(!off.contains("\"engine\":"));
     }
 
     #[test]

@@ -19,7 +19,6 @@ use revive_net::topology::Torus;
 
 use crate::config::{ExperimentConfig, MachineError, ReviveMode};
 use crate::differential::AuditReport;
-use crate::engine_prof::EngineReport;
 use crate::metrics::Summary;
 use crate::sampling::EpochSample;
 use crate::system::{LiveFault, System};
@@ -463,20 +462,6 @@ pub struct RunResult {
     /// End-of-run fabric delivery counters (reset by recovery Phase 1, so
     /// for injection runs this covers only the post-recovery epoch).
     pub fabric: revive_net::FabricStats,
-    /// Event windows the sharded engine ran on worker threads. Execution
-    /// diagnostics: varies with `sim_threads` and host core count, so it
-    /// appears only in the artifact's host-dependent `engine` section
-    /// (present with `engine_prof`); every sim-side section stays
-    /// byte-identical at any thread count.
-    pub par_windows: u64,
-    /// Host-side engine profile (DESIGN.md §15). `None` unless
-    /// `cfg.engine_prof`; rendered as the artifact's `engine` section —
-    /// the one deliberately host-dependent section.
-    pub engine: Option<EngineReport>,
-    /// Host-execution spans for the engine Chrome trace (empty unless
-    /// `cfg.engine_prof`): track 0 holds window spans, track `n + 1` lane
-    /// `n`'s parallel-surface spans.
-    pub host_spans: Vec<Span>,
     /// Per-request latency and SLO accounting (`None` for batch
     /// workloads; `Some` ⇔ the workload is `WorkloadSpec::Serving`).
     pub serving: Option<crate::metrics::ServingReport>,
@@ -1110,38 +1095,12 @@ impl Runner {
             .iter()
             .filter_map(|o| o.recovered().copied())
             .collect();
-        let engine = sys.eprof.as_deref().map(|e| EngineReport {
-            sim_threads: sys.cfg.sim_threads as u64,
-            host_cores: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(1),
-            windows: e.windows,
-            par_windows: sys.par_windows,
-            serial_windows: e.serial_windows,
-            serial_steps: e.serial_steps,
-            serial_reasons: e.serial_reasons,
-            window_width_ns: e.window_width_ns,
-            window_events: e.window_events,
-            par_events: e.par_events,
-            lane_events: e.lane_events.clone(),
-            lane_busy_ns: e.lane_busy_ns.clone(),
-            phase_ns: *e.prof.phase_ns(),
-            queue: sys.queue_stats(),
-            spans_dropped: e.spans_dropped,
-        });
         RunResult {
             sim_time,
             metrics: summary,
             ckpt: sys.ck_stats.clone(),
             checkpoints: sys.ckpt_counter,
             events: sys.events_processed(),
-            par_windows: sys.par_windows,
-            engine,
-            host_spans: sys
-                .eprof
-                .as_deref()
-                .map(|e| e.spans.clone())
-                .unwrap_or_default(),
             recovery: recoveries.last().copied(),
             recoveries,
             outcomes,

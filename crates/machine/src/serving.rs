@@ -20,7 +20,7 @@
 //! uncovered ones on rollback ([`ServingTracker::drop_uncovered`]). A
 //! commit write parked for MSHR retry *at* a snapshot is the one op that
 //! can span a checkpoint un-executed, so "covered" is position < snapshot,
-//! or position == snapshot without a parked retry (DESIGN.md §17).
+//! or position == snapshot without a parked retry (DESIGN.md §16).
 
 use std::collections::BTreeMap;
 

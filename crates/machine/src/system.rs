@@ -39,7 +39,6 @@ use revive_mem::main_memory::NodeMemory;
 use revive_net::fabric::Fabric;
 use revive_net::topology::{Direction, LinkId, Torus};
 use revive_sim::engine::EventQueue;
-use revive_sim::prof::{EnginePhase, PhaseTimer};
 use revive_sim::resource::Resource;
 use revive_sim::time::Ns;
 use revive_sim::trace::{CkptPhaseEvent, Span, TraceBuffer, TraceEvent};
@@ -48,7 +47,6 @@ use revive_workloads::Workload;
 
 use crate::config::{ExperimentConfig, MachineError, ReviveMode, WorkloadSpec};
 use crate::differential::AuditReport;
-use crate::engine_prof::{EngineProfState, SerialReason};
 use crate::metrics::{Metrics, ServingReport, TrafficClass};
 use crate::page_table::PageTable;
 use crate::runner::CommitPoint;
@@ -246,169 +244,6 @@ impl MemPort for NodePort<'_> {
     }
 }
 
-/// One directory-lane event speculated by the sharded engine: a directory
-/// input or a parity application, keyed by the destination (home) node.
-struct DirItem {
-    /// Position in the window's effect table.
-    idx: usize,
-    t: Ns,
-    src: NodeId,
-    dst: NodeId,
-    class: TrafficClass,
-    work: DirWork,
-}
-
-enum DirWork {
-    Dir(DirIn),
-    Par { update: ParityUpdate, mirror: bool },
-}
-
-/// The deferred outputs of one speculated directory-lane event. Workers
-/// only mutate their own node's state; everything with global order —
-/// sends (seq allocation), traces, the early-checkpoint probe — is
-/// captured here and replayed serially in `(time, seq)` order.
-enum DirEffect {
-    Dir {
-        dst: NodeId,
-        class: TrafficClass,
-        /// `CoherenceStart` to record at the event time: requester node,
-        /// line, exclusive.
-        start_trace: Option<(u16, u64, bool)>,
-        /// `CoherenceEnd` line to record at `t_done` (transaction settled).
-        end_line: Option<LineAddr>,
-        outs: Vec<CohSend>,
-        hook_msgs: Vec<OutMsg>,
-        t_done: Ns,
-        t_reply: Ns,
-    },
-    Par {
-        dst: NodeId,
-        src: NodeId,
-        /// Acknowledgement to send back at the computed DRAM cursor.
-        ack: Option<(Ns, ParityAck)>,
-    },
-}
-
-/// One window entry in apply order: either an event replayed through the
-/// ordinary dispatcher, or an index into the speculated effect table.
-enum Slot {
-    Serial(Ev),
-    Dir(usize),
-}
-
-/// Executes one directory-lane event against its node — the worker-thread
-/// body. Mirrors the state-mutating prefix of [`System::dir_in`] /
-/// [`System::apply_parity`] exactly; DRAM timing, directory pipeline
-/// occupancy, and log/parity state evolve as in a serial run because each
-/// lane's items arrive in `(time, seq)` order.
-fn run_dir_item(
-    node: &mut Node,
-    item: DirItem,
-    scratch: &mut Metrics,
-    map: AddressMap,
-    redundancy: Option<Redundancy>,
-    dir_latency: Ns,
-    trace_on: bool,
-) -> (usize, DirEffect) {
-    match item.work {
-        DirWork::Dir(din) => {
-            let start_trace = if trace_on {
-                if let DirIn::Req { from, line, req } = &din {
-                    Some((
-                        from.index() as u16,
-                        line.0,
-                        !matches!(req, revive_coherence::msg::CacheReq::Read),
-                    ))
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
-            let din_line = if trace_on { Some(din.line()) } else { None };
-            let t1 = node.dir_pipe.acquire(item.t, dir_latency);
-            let mut outs = Vec::new();
-            let mut hook_msgs = Vec::new();
-            let (t_done, t_reply) = {
-                let Node {
-                    ctrl: _,
-                    dir,
-                    hook,
-                    mem,
-                    dram,
-                    dir_pipe: _,
-                    log_pages,
-                } = node;
-                let mut port = NodePort {
-                    mem,
-                    dram,
-                    map,
-                    redundancy,
-                    log_pages,
-                    metrics: scratch,
-                    node: item.dst,
-                    cursor: t1,
-                    reply_at: None,
-                    ctx_class: item.class,
-                };
-                let mut null = NullHook;
-                match hook.as_mut() {
-                    Some(h) => dir.handle_into(din, &mut port, h, &mut outs),
-                    None => dir.handle_into(din, &mut port, &mut null, &mut outs),
-                }
-                if let Some(h) = hook.as_mut() {
-                    h.take_outbox_into(&mut hook_msgs);
-                }
-                let reply_at = port.reply_at.unwrap_or(port.cursor);
-                (port.cursor, reply_at)
-            };
-            let end_line = din_line.filter(|&l| !node.dir.is_busy(l));
-            (
-                item.idx,
-                DirEffect::Dir {
-                    dst: item.dst,
-                    class: item.class,
-                    start_trace,
-                    end_line,
-                    outs,
-                    hook_msgs,
-                    t_done,
-                    t_reply,
-                },
-            )
-        }
-        DirWork::Par { update, mirror } => {
-            let mut cursor = item.t;
-            for (pline, delta) in &update.deltas {
-                debug_assert_eq!(map.home_of_line(*pline), item.dst);
-                let local = map.local_line_index(*pline);
-                if mirror {
-                    cursor = node.dram.access(cursor, local, DramOp::Write);
-                    scratch.mem(TrafficClass::Par);
-                    node.mem.write_line(local, *delta);
-                } else {
-                    cursor = node.dram.access(cursor, local, DramOp::Read);
-                    cursor = node.dram.access(cursor, local, DramOp::Write);
-                    scratch.mem(TrafficClass::Par);
-                    scratch.mem(TrafficClass::Par);
-                    node.mem.xor_line(local, *delta);
-                }
-            }
-            let ack = update
-                .ack_to_line
-                .map(|line| (cursor, ParityAck { ack_to_line: line }));
-            (
-                item.idx,
-                DirEffect::Par {
-                    dst: item.dst,
-                    src: item.src,
-                    ack,
-                },
-            )
-        }
-    }
-}
-
 /// A memory snapshot captured at a checkpoint commit (validation mode).
 pub(crate) struct Shadow {
     /// The checkpoint interval the snapshot belongs to.
@@ -482,14 +317,6 @@ pub struct System {
     /// the flush phase while the runner drains the detection window; an
     /// empty queue then is expected, not a deadlock.
     pub(crate) suppress_deadlock_panic: bool,
-    /// Windows the sharded engine executed on worker threads. Execution
-    /// diagnostics: rendered only into the artifact's host-dependent
-    /// `engine` section (with `--engine-prof`), never into sim-side
-    /// sections, where it would break cross-thread-count byte identity.
-    pub(crate) par_windows: u64,
-    /// Host-side engine self-profiling (DESIGN.md §15); `None` ⇔
-    /// `cfg.engine_prof` off, in which case no host clock is ever read.
-    pub(crate) eprof: Option<Box<EngineProfState>>,
     /// A live fabric fault to fire at the injection point instead of
     /// freezing the machine (see [`LiveFault`]).
     pub(crate) pending_live: Option<LiveFault>,
@@ -522,9 +349,6 @@ pub struct System {
     scratch_par: Vec<OutMsg>,
     /// Request-lifecycle tracking; `Some` ⇔ the workload is
     /// [`WorkloadSpec::Serving`]. Batch runs pay one branch per op.
-    /// All tracker updates happen in the serial apply phase (`Ev::Cpu`
-    /// and cache deliveries never speculate), so serving accounting is
-    /// byte-identical at any `sim_threads` setting.
     serving: Option<ServingTracker>,
 }
 
@@ -534,11 +358,17 @@ impl System {
     /// # Errors
     ///
     /// Returns [`MachineError::BadConfig`] for inconsistent configurations
-    /// (non-square node counts, parity groups not dividing the node count,
-    /// log fraction leaving no allocatable memory, …).
+    /// (zero or non-square node counts, empty parity groups, parity groups
+    /// not dividing the node count, log fraction leaving no allocatable
+    /// memory, …).
     pub fn new(cfg: ExperimentConfig) -> Result<System, MachineError> {
         let m = &cfg.machine;
         let nodes = m.nodes;
+        if nodes == 0 {
+            return Err(MachineError::BadConfig(
+                "machine needs at least one node".into(),
+            ));
+        }
         let side = (nodes as f64).sqrt().round() as usize;
         if side * side != nodes {
             return Err(MachineError::BadConfig(format!(
@@ -555,6 +385,11 @@ impl System {
                 group_data_pages: g,
                 ..
             } => {
+                if g == 0 {
+                    return Err(MachineError::BadConfig(
+                        "parity group needs at least one data page".into(),
+                    ));
+                }
                 if !nodes.is_multiple_of(g + 1) {
                     return Err(MachineError::BadConfig(format!(
                         "parity chunk {} does not divide node count {nodes}",
@@ -586,6 +421,11 @@ impl System {
             ReviveMode::DoubleParity {
                 group_data_pages: g,
             } => {
+                if g == 0 {
+                    return Err(MachineError::BadConfig(
+                        "double-parity group needs at least one data page".into(),
+                    ));
+                }
                 if !nodes.is_multiple_of(g + 2) {
                     return Err(MachineError::BadConfig(format!(
                         "double-parity chunk {} does not divide node count {nodes}",
@@ -736,10 +576,6 @@ impl System {
             inject_in_commit_of: None,
             inject_time: None,
             suppress_deadlock_panic: false,
-            par_windows: 0,
-            eprof: cfg
-                .engine_prof
-                .then(|| Box::new(EngineProfState::new(nodes))),
             pending_live: None,
             live_mode: false,
             strikes: HashMap::new(),
@@ -990,20 +826,8 @@ impl System {
     }
 
     /// Runs until `deadline` (exclusive), budget exhaustion, or injection.
-    ///
-    /// With `cfg.sim_threads > 1` the sharded engine executes windows of
-    /// directory-side events on worker threads; results, traces, and
-    /// artifacts are byte-identical to the serial engine (DESIGN.md §14).
     pub fn run_until(&mut self, deadline: Ns) {
-        if self.cfg.sim_threads > 1 {
-            self.run_until_sharded(deadline);
-        } else {
-            while !self.halted {
-                if !self.step_one(deadline) {
-                    return;
-                }
-            }
-        }
+        while !self.halted && self.step_one(deadline) {}
     }
 
     /// Pops and dispatches one event before `deadline`. Returns false when
@@ -1069,8 +893,7 @@ impl System {
         }
     }
 
-    /// Routes one popped event to its handler — the single dispatcher both
-    /// the serial and sharded loops share.
+    /// Routes one popped event to its handler.
     fn dispatch(&mut self, ev: Ev, t: Ns) {
         match ev {
             Ev::Cpu(c) => self.cpu_step(c, t),
@@ -1092,531 +915,6 @@ impl System {
                 first_drop,
             } => self.retry_msg(msg, attempt, first_drop, t),
             Ev::WatchdogCheck => self.watchdog_check(t),
-        }
-    }
-
-    // ---------------- sharded engine (sim_threads > 1) ----------------
-    //
-    // The sharded loop pops a *window* of events whose speculative execution
-    // provably cannot be invalidated by anything the window itself
-    // schedules, runs the directory-side events (directory inputs, parity
-    // applications — the expensive path) on worker threads partitioned by
-    // owning node, then replays every deferred effect serially in exact
-    // `(time, seq)` order. Sends, traces, seq allocation, and metrics all
-    // happen in the serial apply phase (or commute), so results are
-    // byte-identical to the serial engine at any thread count.
-
-    /// Fewest directory events in a window worth spawning workers for.
-    const PAR_MIN_EVENTS: usize = 8;
-
-    /// Starts an engine-phase timer; empty (records nothing, reads no
-    /// clock) when profiling is off.
-    #[inline]
-    fn prof_begin(&self) -> PhaseTimer {
-        match &self.eprof {
-            Some(e) => e.prof.begin(),
-            None => PhaseTimer::off(),
-        }
-    }
-
-    /// Ends an engine-phase timer against the accumulator.
-    #[inline]
-    fn prof_end(&mut self, phase: EnginePhase, timer: PhaseTimer) {
-        if let Some(e) = self.eprof.as_mut() {
-            e.prof.end(phase, timer);
-        }
-    }
-
-    /// Charges one serial fallback — a single step (`step = true`) or a
-    /// whole serial window — to `reason`.
-    #[inline]
-    fn prof_serial(&mut self, reason: SerialReason, step: bool) {
-        if let Some(e) = self.eprof.as_mut() {
-            e.count_serial(reason);
-            if step {
-                e.serial_steps += 1;
-            } else {
-                e.serial_windows += 1;
-            }
-        }
-    }
-
-    /// The [`SerialReason`] behind a `must_run_serial()` state, picked in
-    /// the priority order the enum documents. Only called when
-    /// [`System::must_run_serial`] is true.
-    fn serial_reason(&self) -> SerialReason {
-        if self.ck_phase != CkPhase::Running || self.early_pending {
-            SerialReason::CheckpointPhase
-        } else if self.live_mode || self.pending_live.is_some() || !self.fabric.fault().is_clean() {
-            SerialReason::LiveFault
-        } else {
-            SerialReason::PendingTrace
-        }
-    }
-
-    /// Lifetime scheduling counters of the central event queue.
-    pub fn queue_stats(&self) -> revive_sim::QueueStats {
-        self.queue.stats()
-    }
-
-    /// True while any state forces fully serial stepping: checkpoint
-    /// orchestration in flight, live fabric faults (or one armed), a
-    /// pending early checkpoint, or the `REVIVE_TRACE_LINE` debug tap
-    /// (whose stderr output is ordered by execution).
-    fn must_run_serial(&self) -> bool {
-        self.ck_phase != CkPhase::Running
-            || self.live_mode
-            || self.pending_live.is_some()
-            || !self.fabric.fault().is_clean()
-            || self.early_pending
-            || trace_line().is_some()
-    }
-
-    /// Whether speculating `items` directory events on `lane` is safely
-    /// clear of the log's early-checkpoint trigger: near the threshold the
-    /// serial engine probes utilization *between* events, so the window
-    /// must fall back to serial execution there to keep the trigger point
-    /// (and CpInf log recycling) bit-exact.
-    fn lane_log_far_from_trigger(&self, lane: usize, items: usize) -> bool {
-        match &self.nodes[lane].hook {
-            None => true,
-            Some(h) => {
-                let cap = h.log.capacity_bytes();
-                // 4 KiB per event massively over-bounds one directory
-                // transaction's log growth (one line-granular record).
-                cap > 0
-                    && h.log.utilization() + (items as f64 * 4096.0) / (cap as f64)
-                        < self.cfg.revive.ckpt.early_trigger_utilization
-            }
-        }
-    }
-
-    /// The sharded main loop. Window safety argument (DESIGN.md §14): an
-    /// event executing at time `t` cannot inject a new delivery before
-    /// `t + min_deliver_latency` (CPU accesses and cache reactions send at
-    /// ≥ `t`, arriving ≥ the local-send floor later), and a directory event
-    /// cannot before `t + dir_latency + floor` (its outputs leave after the
-    /// pipeline). Zero-delay reschedules (CPU wake-ups) exist but carry
-    /// fresh seqs, so they order *after* every window entry at the same
-    /// time; the apply loop interleaves them by `(time, seq)`.
-    fn run_until_sharded(&mut self, deadline: Ns) {
-        let quick = self.fabric.min_deliver_latency();
-        let dir_m = self.cfg.machine.dir_latency + quick;
-        let cross = self.fabric.min_cross_latency();
-        while !self.halted {
-            if self.must_run_serial() {
-                if self.eprof.is_some() {
-                    let reason = self.serial_reason();
-                    self.prof_serial(reason, true);
-                }
-                if !self.step_one(deadline) {
-                    return;
-                }
-                continue;
-            }
-            let timer = self.prof_begin();
-            let Some(t0) = self.queue.peek_time() else {
-                self.prof_end(EnginePhase::Schedule, timer);
-                self.check_drained();
-                return;
-            };
-            if t0 >= deadline {
-                self.prof_end(EnginePhase::Schedule, timer);
-                return;
-            }
-            let span = Ns(t0.0.saturating_add(cross.0)).min(deadline);
-            let mut batch: VecDeque<(Ns, u64, Ev)> = self.queue.pop_window(span).into();
-            // Trim to the hazard-free prefix: each kept event shrinks the
-            // window to the earliest instant its execution could schedule
-            // a new directory-lane delivery; global events close it.
-            let mut end = span;
-            let mut keep = 0;
-            for (t, _, ev) in &batch {
-                if *t >= end {
-                    break;
-                }
-                let margin = match ev {
-                    Ev::Cpu(_) => quick,
-                    Ev::Deliver(m) => match &m.payload {
-                        Payload::ToDir(_) | Payload::ParAck(_) => dir_m,
-                        Payload::ToCache(_) | Payload::Par { .. } => quick,
-                    },
-                    // Global event: close the window right here.
-                    _ => break,
-                };
-                end = end.min(*t + margin);
-                keep += 1;
-            }
-            while batch.len() > keep {
-                let (t, seq, ev) = batch.pop_back().expect("len > keep");
-                self.queue.schedule_preseq(t, seq, ev);
-            }
-            self.prof_end(EnginePhase::Schedule, timer);
-            if keep == 0 {
-                // A global event leads: step it through the serial path.
-                self.prof_serial(SerialReason::GlobalEventLeads, true);
-                if !self.step_one(deadline) {
-                    return;
-                }
-                continue;
-            }
-            if let Some(e) = self.eprof.as_mut() {
-                e.windows += 1;
-                e.window_width_ns += end.0.saturating_sub(t0.0);
-                e.window_events += batch.len() as u64;
-            }
-            self.run_window(batch);
-        }
-    }
-
-    /// Executes one hazard-free window: directory-lane events (keyed by
-    /// destination node) go to workers when there is enough spread,
-    /// everything else — and every deferred effect — replays serially.
-    fn run_window(&mut self, batch: VecDeque<(Ns, u64, Ev)>) {
-        let mut per_lane: Vec<u32> = vec![0; self.nodes.len()];
-        let mut dir_events = 0usize;
-        for (_, _, ev) in &batch {
-            if let Ev::Deliver(m) = ev {
-                if matches!(
-                    m.payload,
-                    Payload::ToDir(_) | Payload::Par { .. } | Payload::ParAck(_)
-                ) {
-                    per_lane[m.dst.index()] += 1;
-                    dir_events += 1;
-                }
-            }
-        }
-        let lanes: Vec<usize> = (0..per_lane.len()).filter(|&l| per_lane[l] > 0).collect();
-        let workers = self.cfg.sim_threads.min(lanes.len());
-        let qualifies = workers >= 2
-            && dir_events >= Self::PAR_MIN_EVENTS
-            && lanes
-                .iter()
-                .all(|&l| self.lane_log_far_from_trigger(l, per_lane[l] as usize));
-        if qualifies {
-            self.par_windows += 1;
-            if let Some(e) = self.eprof.as_mut() {
-                e.par_events += dir_events as u64;
-            }
-            self.run_window_parallel(batch, &lanes, workers, dir_events);
-        } else {
-            // Attribution mirrors the qualification test: enough spread but
-            // a lane too close to its log trigger, or simply too little
-            // work to be worth spawning for.
-            let reason = if workers >= 2 && dir_events >= Self::PAR_MIN_EVENTS {
-                SerialReason::LogNearTrigger
-            } else {
-                SerialReason::BatchTooSmall
-            };
-            self.prof_serial(reason, false);
-            let timer = self.prof_begin();
-            self.run_window_serial(batch);
-            self.prof_end(EnginePhase::SerialReplay, timer);
-        }
-    }
-
-    /// Replays a popped window through the ordinary dispatcher,
-    /// interleaving events the window itself schedules (zero-delay CPU
-    /// wake-ups) in exact `(time, seq)` order.
-    fn run_window_serial(&mut self, mut batch: VecDeque<(Ns, u64, Ev)>) {
-        while !self.halted && !batch.is_empty() {
-            let (t, seq) = {
-                let front = batch.front().expect("non-empty");
-                (front.0, front.1)
-            };
-            while self.queue.peek_time_seq().is_some_and(|k| k < (t, seq)) {
-                let (t2, ev2) = self.queue.pop().expect("peeked non-empty");
-                self.dispatch(ev2, t2);
-                if self.halted {
-                    break;
-                }
-            }
-            if self.halted {
-                break;
-            }
-            let (t, _, ev) = batch.pop_front().expect("non-empty");
-            self.queue.replay_pop(t);
-            self.dispatch(ev, t);
-        }
-        // Halts cannot fire inside a window (global events close windows
-        // first), but stay safe: park any unexecuted remainder.
-        while let Some((t, seq, ev)) = batch.pop_back() {
-            self.queue.schedule_preseq(t, seq, ev);
-        }
-    }
-
-    /// The parallel window path: speculate directory-lane work on scoped
-    /// worker threads (each node's directory, DRAM, hook, and log are
-    /// touched by exactly one worker), then apply all effects serially.
-    fn run_window_parallel(
-        &mut self,
-        batch: VecDeque<(Ns, u64, Ev)>,
-        lanes: &[usize],
-        workers: usize,
-        dir_events: usize,
-    ) {
-        // Decompose into the ordered apply plan plus per-lane work lists.
-        let mut plan: Vec<(Ns, u64, Slot)> = Vec::with_capacity(batch.len());
-        let mut items: Vec<Vec<DirItem>> = (0..self.nodes.len()).map(|_| Vec::new()).collect();
-        let mut idx = 0usize;
-        for (t, seq, ev) in batch {
-            let slot = match ev {
-                Ev::Deliver(msg)
-                    if matches!(
-                        msg.payload,
-                        Payload::ToDir(_) | Payload::Par { .. } | Payload::ParAck(_)
-                    ) =>
-                {
-                    let NetMsg {
-                        src,
-                        dst,
-                        class,
-                        payload,
-                    } = msg;
-                    let (work, class) = match payload {
-                        Payload::ToDir(m) => {
-                            let din = match m {
-                                CacheToDir::Req { line, req } => DirIn::Req {
-                                    from: src,
-                                    line,
-                                    req,
-                                },
-                                CacheToDir::WriteBack { line, data, keep } => DirIn::WriteBack {
-                                    from: src,
-                                    line,
-                                    data,
-                                    keep,
-                                },
-                                CacheToDir::FetchResp { line, data, dirty } => DirIn::FetchResp {
-                                    from: src,
-                                    line,
-                                    data,
-                                    dirty,
-                                },
-                                CacheToDir::InvalAck { line } => {
-                                    DirIn::InvalAck { from: src, line }
-                                }
-                            };
-                            (DirWork::Dir(din), class)
-                        }
-                        Payload::ParAck(ack) => (
-                            DirWork::Dir(DirIn::HookAck {
-                                line: ack.ack_to_line,
-                            }),
-                            TrafficClass::Par,
-                        ),
-                        Payload::Par { update, mirror } => {
-                            (DirWork::Par { update, mirror }, TrafficClass::Par)
-                        }
-                        Payload::ToCache(_) => unreachable!("matched above"),
-                    };
-                    items[dst.index()].push(DirItem {
-                        idx,
-                        t,
-                        src,
-                        dst,
-                        class,
-                        work,
-                    });
-                    idx += 1;
-                    Slot::Dir(idx - 1)
-                }
-                other => Slot::Serial(other),
-            };
-            plan.push((t, seq, slot));
-        }
-        debug_assert_eq!(idx, dir_events);
-
-        let mut effects: Vec<Option<DirEffect>> = Vec::new();
-        effects.resize_with(dir_events, || None);
-        let win_start = self.eprof.as_ref().map(|e| e.wall_ns());
-        let surface_timer = self.prof_begin();
-        {
-            let map = self.map;
-            let redundancy = self.redundancy;
-            let dir_latency = self.cfg.machine.dir_latency;
-            let trace_on = self.tracer.is_enabled();
-            let metrics = &mut self.metrics;
-            let effects = &mut effects;
-            // Wall origin for per-lane host spans (None ⇔ profiling off,
-            // in which case workers read no clock).
-            let wall_base = self.eprof.as_ref().map(|e| e.base);
-            let mut eprof = self.eprof.as_deref_mut();
-            // Hand each worker a disjoint set of (lane, node, work list)
-            // triples.
-            let mut groups: Vec<Vec<(usize, &mut Node, Vec<DirItem>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            let mut rest: &mut [Node] = &mut self.nodes;
-            let mut base = 0usize;
-            for (i, &lane) in lanes.iter().enumerate() {
-                let (_, tail) = rest.split_at_mut(lane - base);
-                let (one, tail) = tail.split_at_mut(1);
-                groups[i % workers].push((lane, &mut one[0], std::mem::take(&mut items[lane])));
-                rest = tail;
-                base = lane + 1;
-            }
-            std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| {
-                        s.spawn(move || {
-                            let mut scratch = Metrics::default();
-                            let mut done: Vec<(usize, DirEffect)> =
-                                Vec::with_capacity(group.iter().map(|(_, _, l)| l.len()).sum());
-                            let mut lane_spans: Vec<(u32, u64, u64)> = Vec::new();
-                            for (lane, node, list) in group {
-                                let s0 = wall_base.map(|b| b.elapsed().as_nanos() as u64);
-                                for item in list {
-                                    done.push(run_dir_item(
-                                        node,
-                                        item,
-                                        &mut scratch,
-                                        map,
-                                        redundancy,
-                                        dir_latency,
-                                        trace_on,
-                                    ));
-                                }
-                                if let (Some(s0), Some(b)) = (s0, wall_base) {
-                                    let s1 = b.elapsed().as_nanos() as u64;
-                                    lane_spans.push((lane as u32 + 1, s0, s1));
-                                }
-                            }
-                            (done, scratch, lane_spans)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    let (done, scratch, lane_spans) = h.join().expect("sharded worker panicked");
-                    // Scratch metrics are pure sums and bucket counts, so
-                    // absorbing them lane-by-lane equals serial interleaved
-                    // recording byte-for-byte.
-                    metrics.absorb(&scratch);
-                    for (i, eff) in done {
-                        effects[i] = Some(eff);
-                    }
-                    if let Some(e) = eprof.as_deref_mut() {
-                        for (track, s0, s1) in lane_spans {
-                            e.push_span(Span {
-                                name: format!("lane {}", track - 1),
-                                cat: "engine",
-                                start: Ns(s0),
-                                end: Ns(s1),
-                                track,
-                            });
-                        }
-                    }
-                }
-            });
-        }
-        self.prof_end(EnginePhase::ParallelSurface, surface_timer);
-
-        // Serial apply: every deferred effect in global `(time, seq)` order,
-        // interleaved with anything the effects themselves schedule.
-        let n_events = plan.len();
-        let apply_timer = self.prof_begin();
-        for (t, seq, slot) in plan {
-            while self.queue.peek_time_seq().is_some_and(|k| k < (t, seq)) {
-                let (t2, ev2) = self.queue.pop().expect("peeked non-empty");
-                self.dispatch(ev2, t2);
-            }
-            self.queue.replay_pop(t);
-            match slot {
-                Slot::Serial(ev) => self.dispatch(ev, t),
-                Slot::Dir(i) => {
-                    let eff = effects[i].take().expect("worker filled every slot");
-                    self.apply_dir_effect(t, eff);
-                }
-            }
-            debug_assert!(!self.halted, "halt inside a parallel window");
-        }
-        self.prof_end(EnginePhase::EffectApply, apply_timer);
-        if let Some(e) = self.eprof.as_mut() {
-            let s0 = win_start.expect("set when profiling is on");
-            let s1 = e.wall_ns();
-            e.push_span(Span {
-                name: format!("window ({n_events} ev)"),
-                cat: "engine",
-                start: Ns(s0),
-                end: Ns(s1),
-                track: 0,
-            });
-        }
-    }
-
-    /// Replays the deferred outputs of one speculated directory event:
-    /// traces, message sends (allocating seqs in serial order), and the
-    /// early-checkpoint probe — exactly the tail of `dir_in` /
-    /// `apply_parity`.
-    fn apply_dir_effect(&mut self, t: Ns, eff: DirEffect) {
-        if let Some(e) = self.eprof.as_mut() {
-            // Lane load: one event, busy until the effect's settle time.
-            let (dst, busy) = match &eff {
-                DirEffect::Dir { dst, t_done, .. } => (*dst, t_done.0.saturating_sub(t.0)),
-                DirEffect::Par { dst, ack, .. } => (
-                    *dst,
-                    ack.as_ref().map_or(0, |(at, _)| at.0.saturating_sub(t.0)),
-                ),
-            };
-            e.lane_events[dst.index()] += 1;
-            e.lane_busy_ns[dst.index()] += busy;
-        }
-        match eff {
-            DirEffect::Dir {
-                dst,
-                class,
-                start_trace,
-                end_line,
-                mut outs,
-                mut hook_msgs,
-                t_done,
-                t_reply,
-            } => {
-                if let Some((node, line, exclusive)) = start_trace {
-                    self.tracer.record(
-                        t,
-                        TraceEvent::CoherenceStart {
-                            node,
-                            line,
-                            exclusive,
-                        },
-                    );
-                }
-                for out in outs.drain(..) {
-                    let cls = match out.msg {
-                        DirToCache::WbAck { .. } => class,
-                        _ => TrafficClass::RdRdx,
-                    };
-                    self.send(t_reply, dst, out.to, cls, Payload::ToCache(out.msg));
-                }
-                for hm in hook_msgs.drain(..) {
-                    self.send(
-                        t_done,
-                        dst,
-                        hm.to,
-                        TrafficClass::Par,
-                        Payload::Par {
-                            update: hm.update,
-                            mirror: hm.mirror,
-                        },
-                    );
-                }
-                if let Some(line) = end_line {
-                    self.tracer.record(
-                        t_done,
-                        TraceEvent::CoherenceEnd {
-                            node: dst.index() as u16,
-                            line: line.0,
-                        },
-                    );
-                }
-                self.maybe_early_checkpoint(dst.index(), t_done);
-            }
-            DirEffect::Par { dst, src, ack } => {
-                if let Some((at, ack)) = ack {
-                    self.send(at, dst, src, TrafficClass::Par, Payload::ParAck(ack));
-                }
-            }
         }
     }
 

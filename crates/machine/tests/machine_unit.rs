@@ -39,6 +39,42 @@ fn parity_chunk_must_divide_nodes() {
     }
 }
 
+/// Asserts `System::new` rejects `cfg` with a `BadConfig` naming `what`.
+fn expect_bad_config(cfg: ExperimentConfig, what: &str) {
+    match System::new(cfg) {
+        Err(MachineError::BadConfig(msg)) => assert!(msg.contains(what), "{msg}"),
+        Err(other) => panic!("expected BadConfig, got {other:?}"),
+        Ok(_) => panic!("expected BadConfig, got Ok"),
+    }
+}
+
+#[test]
+fn zero_node_count_is_rejected() {
+    let mut cfg = small(AppId::Lu);
+    cfg.machine.nodes = 0;
+    expect_bad_config(cfg, "at least one node");
+}
+
+#[test]
+fn empty_parity_groups_are_rejected() {
+    for mode in [
+        ReviveMode::Parity {
+            group_data_pages: 0,
+        },
+        ReviveMode::Mixed {
+            group_data_pages: 0,
+            mirrored_fraction: 0.25,
+        },
+        ReviveMode::DoubleParity {
+            group_data_pages: 0,
+        },
+    ] {
+        let mut cfg = small(AppId::Lu);
+        cfg.revive.mode = mode;
+        expect_bad_config(cfg, "at least one data page");
+    }
+}
+
 #[test]
 fn excessive_log_fraction_is_rejected() {
     let mut cfg = small(AppId::Lu);
@@ -148,8 +184,6 @@ fn paper_machine_config_builds_and_runs() {
         shadow_checkpoints: false,
         obs: revive_machine::ObsConfig::off(),
         detection_fraction: ExperimentConfig::DEFAULT_DETECTION_FRACTION,
-        sim_threads: 1,
-        engine_prof: false,
     };
     cfg.revive.log_fraction = 0.1;
     let r = Runner::new(cfg).unwrap().run().unwrap();

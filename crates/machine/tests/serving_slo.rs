@@ -1,6 +1,5 @@
 //! Open-loop serving integration tests: the request-lifecycle tracker is
-//! part of the simulation's deterministic surface, so serving artifacts
-//! must be byte-identical across thread counts and seeds must fix the
+//! part of the simulation's deterministic surface, so seeds must fix the
 //! arrival streams exactly — and the subsystem must actually demonstrate
 //! the paper-reframing claim that checkpoint stalls and recovery inflate
 //! request tail latency rather than throughput.
@@ -40,30 +39,6 @@ fn serving(r: &RunResult) -> &ServingReport {
     r.serving
         .as_ref()
         .expect("serving run must carry a serving report")
-}
-
-#[test]
-fn serving_artifacts_are_byte_identical_across_thread_counts() {
-    let base = serving_config(poisson());
-    let render = |threads: usize| {
-        let mut cfg = base;
-        cfg.sim_threads = threads;
-        let r = run(cfg);
-        assert!(
-            serving(&r).admitted > 0,
-            "no requests admitted at sim_threads={threads}"
-        );
-        let meta = RunMeta::from_config("serving_slo", &cfg);
-        render_artifact(&meta, &r)
-    };
-    let serial = render(1);
-    for threads in [2, 4] {
-        assert_eq!(
-            serial,
-            render(threads),
-            "serving artifact diverged at sim_threads={threads}"
-        );
-    }
 }
 
 #[test]

@@ -160,25 +160,6 @@ impl Fabric {
         arrival
     }
 
-    /// The smallest delay any send can possibly have — the floor over both
-    /// local (`local_latency`) and cross-node (`base + per_hop × 1`)
-    /// deliveries. The sharded engine's conservative lookahead: no event
-    /// executing at time `t` can inject a new delivery before
-    /// `t + min_deliver_latency()`.
-    pub fn min_deliver_latency(&self) -> Ns {
-        self.config
-            .local_latency
-            .min(self.config.base_latency + self.config.per_hop)
-    }
-
-    /// The smallest cross-node delivery latency (`base + per_hop`, the
-    /// paper's `30ns + 8ns × hops` at one hop). Bounds how far ahead a
-    /// window can ever extend: anything beyond this could be invalidated by
-    /// a message sent inside the window.
-    pub fn min_cross_latency(&self) -> Ns {
-        self.config.base_latency + self.config.per_hop
-    }
-
     /// The uncontended latency between two nodes:
     /// `base + per_hop × hops` (or the local latency for self-sends).
     pub fn uncontended(&self, src: NodeId, dst: NodeId) -> Ns {

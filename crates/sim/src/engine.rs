@@ -14,7 +14,7 @@
 //! ahead. The queue exploits that split (DESIGN.md §14):
 //!
 //! * a **ring calendar** of [`RING`] one-nanosecond buckets covers the
-//!   window `[cursor, cursor + RING)`. Scheduling into the window is an
+//!   window `[now, now + RING)`. Scheduling into the window is an
 //!   append to the bucket `time % RING`; popping scans an occupancy bitmap
 //!   for the next non-empty bucket. Both are O(1)-ish and allocation-free
 //!   in steady state (bucket storage is recycled).
@@ -25,7 +25,7 @@
 //! each source is internally `(time, seq)`-sorted — ring buckets are
 //! time-homogeneous and append in seq order, the heap orders by
 //! `(time, seq)` — so `pop` is a two-way merge on the `(time, seq)` key
-//! and reproduces exactly the order the old single-heap queue produced.
+//! and reproduces exactly the order a single `(time, seq)` heap would.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -82,25 +82,6 @@ struct Bucket<E> {
     items: VecDeque<(u64, E)>,
 }
 
-/// Lifetime scheduling counters for one [`EventQueue`] (DESIGN.md §15).
-///
-/// These are plain integer increments on paths that already touch the same
-/// cache lines, so they are maintained unconditionally — the engine-prof
-/// flag only controls whether anything *reads* them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Events scheduled into the ring calendar (the near window).
-    pub near_scheduled: u64,
-    /// Events scheduled into the far heap, including every
-    /// [`EventQueue::schedule_preseq`] push-back.
-    pub far_scheduled: u64,
-    /// Pops served from the far heap rather than the ring — the
-    /// near/far migration traffic the calendar layout is meant to keep rare.
-    pub far_pops: u64,
-    /// High-water mark of pending events.
-    pub peak_len: u64,
-}
-
 /// A deterministic time-ordered event queue.
 ///
 /// Events scheduled for the same time are delivered in the order they were
@@ -125,18 +106,14 @@ pub struct EventQueue<E> {
     ring: Vec<Bucket<E>>,
     /// Occupancy bitmap over the ring: bit b set ⇔ bucket b non-empty.
     occ: [u64; WORDS],
-    /// Events at or beyond `cursor + RING`, plus any event inserted below
-    /// the window base (possible only through the sharded-engine helpers).
+    /// Events at or beyond `now + RING` when they were scheduled.
     far: BinaryHeap<Reverse<Entry<E>>>,
-    /// Base time of the ring window. Invariant: no pending ring event is
-    /// earlier than `cursor`, and every ring event is inside
-    /// `[cursor, cursor + RING)`.
-    cursor: u64,
     len: usize,
     next_seq: u64,
+    /// The simulation clock, which is also the base of the ring window.
+    /// Invariant: every ring event is inside `[now, now + RING)`.
     now: Ns,
     popped: u64,
-    stats: QueueStats,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -157,24 +134,11 @@ impl<E> EventQueue<E> {
                 .collect(),
             occ: [0; WORDS],
             far: BinaryHeap::new(),
-            cursor: 0,
             len: 0,
             next_seq: 0,
             now: Ns::ZERO,
             popped: 0,
-            stats: QueueStats::default(),
         }
-    }
-
-    /// Lifetime scheduling counters (see [`QueueStats`]).
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// Number of currently non-empty ring buckets — an instantaneous
-    /// occupancy snapshot of the calendar window.
-    pub fn ring_occupancy(&self) -> u64 {
-        self.occ.iter().map(|w| w.count_ones() as u64).sum()
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -211,21 +175,9 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(at, seq, event);
-    }
-
-    /// Schedules `event` to fire `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: Ns, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
-    fn insert(&mut self, at: Ns, seq: u64, event: E) {
         self.len += 1;
-        self.stats.peak_len = self.stats.peak_len.max(self.len as u64);
         let t = at.0;
-        if t >= self.cursor && t - self.cursor < RING as u64 {
-            self.stats.near_scheduled += 1;
+        if t - self.now.0 < RING as u64 {
             let b = (t & RING_MASK) as usize;
             let bucket = &mut self.ring[b];
             debug_assert!(bucket.items.is_empty() || bucket.time == t);
@@ -233,7 +185,6 @@ impl<E> EventQueue<E> {
             bucket.items.push_back((seq, event));
             self.occ[b >> 6] |= 1 << (b & 63);
         } else {
-            self.stats.far_scheduled += 1;
             self.far.push(Reverse(Entry {
                 time: at,
                 seq: Seq(seq),
@@ -242,12 +193,18 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Index of the earliest non-empty ring bucket (in circular-from-cursor
+    /// Schedules `event` to fire `delay` after the current clock.
+    pub fn schedule_in(&mut self, delay: Ns, event: E) {
+        let at = self.now + delay;
+        self.schedule(at, event);
+    }
+
+    /// Index of the earliest non-empty ring bucket (in circular-from-`now`
     /// order, which is time order), if any.
     fn next_ring_bucket(&self) -> Option<usize> {
-        let s = (self.cursor & RING_MASK) as usize;
+        let s = (self.now.0 & RING_MASK) as usize;
         let (sw, sb) = (s >> 6, s & 63);
-        // First word: only bits at or above the cursor position.
+        // First word: only bits at or above the clock's position.
         let w = self.occ[sw] & (!0u64 << sb);
         if w != 0 {
             return Some((sw << 6) + w.trailing_zeros() as usize);
@@ -259,7 +216,7 @@ impl<E> EventQueue<E> {
                 return Some((wi << 6) + w.trailing_zeros() as usize);
             }
         }
-        // Wrap-around tail of the first word (buckets below the cursor
+        // Wrap-around tail of the first word (buckets below the clock's
         // position, i.e. the far end of the window).
         let w = self.occ[sw] & !(!0u64 << sb);
         if w != 0 {
@@ -268,13 +225,13 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Pops the globally earliest `(time, seq)` pending event from either
-    /// the ring or the far heap, advancing `cursor` (but not the clock).
-    fn pop_next(&mut self) -> Option<(Ns, u64, E)> {
+    /// Pops the next event, advancing the clock to its time.
+    pub fn pop(&mut self) -> Option<(Ns, E)> {
         if self.len == 0 {
             return None;
         }
         self.len -= 1;
+        self.popped += 1;
         let ring_best = self.next_ring_bucket().map(|b| {
             let bucket = &self.ring[b];
             (bucket.time, bucket.items.front().expect("occ bit set").0, b)
@@ -287,28 +244,19 @@ impl<E> EventQueue<E> {
         if take_far {
             let Reverse(e) = self.far.pop().expect("len accounted for a far event");
             debug_assert!(e.time >= self.now);
-            self.stats.far_pops += 1;
-            self.cursor = e.time.0;
-            Some((e.time, e.seq.0, e.event))
+            self.now = e.time;
+            Some((e.time, e.event))
         } else {
             let (bt, _, b) = ring_best.expect("len accounted for a ring event");
             let bucket = &mut self.ring[b];
-            let (seq, event) = bucket.items.pop_front().expect("occ bit set");
+            let (_seq, event) = bucket.items.pop_front().expect("occ bit set");
             if bucket.items.is_empty() {
                 self.occ[b >> 6] &= !(1 << (b & 63));
             }
             debug_assert!(bt >= self.now.0);
-            self.cursor = bt;
-            Some((Ns(bt), seq, event))
+            self.now = Ns(bt);
+            Some((Ns(bt), event))
         }
-    }
-
-    /// Pops the next event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(Ns, E)> {
-        let (t, _seq, event) = self.pop_next()?;
-        self.now = t;
-        self.popped += 1;
-        Some((t, event))
     }
 
     /// Pops the next event only if it fires strictly before `deadline`.
@@ -337,12 +285,10 @@ impl<E> EventQueue<E> {
             return Err(Some(Ns(next_t)));
         }
         self.len -= 1;
-        self.cursor = next_t;
         self.now = Ns(next_t);
         self.popped += 1;
         if take_far {
             let Reverse(e) = self.far.pop().expect("peeked far");
-            self.stats.far_pops += 1;
             Ok((e.time, e.event))
         } else {
             let (_, _, b) = ring_best.expect("peeked ring");
@@ -359,25 +305,6 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<Ns> {
         let ring = self.next_ring_bucket().map(|b| Ns(self.ring[b].time));
         let far = self.far.peek().map(|Reverse(e)| e.time);
-        match (ring, far) {
-            (Some(r), Some(f)) => Some(r.min(f)),
-            (r, f) => r.or(f),
-        }
-    }
-
-    /// The `(time, seq)` key of the next pending event, without popping it.
-    /// The sharded engine's apply loop uses this to interleave events
-    /// scheduled *during* a window with the window's own entries in exact
-    /// serial order.
-    pub fn peek_time_seq(&self) -> Option<(Ns, u64)> {
-        let ring = self.next_ring_bucket().map(|b| {
-            let bucket = &self.ring[b];
-            (
-                Ns(bucket.time),
-                bucket.items.front().expect("occ bit set").0,
-            )
-        });
-        let far = self.far.peek().map(|Reverse(e)| (e.time, e.seq.0));
         match (ring, far) {
             (Some(r), Some(f)) => Some(r.min(f)),
             (r, f) => r.or(f),
@@ -428,58 +355,6 @@ impl<E> EventQueue<E> {
         self.len = 0;
         entries.sort_by_key(|&(t, s, _)| (t, s));
         entries.into_iter().map(|(t, _, e)| (t, e)).collect()
-    }
-
-    // ----- sharded-engine hooks (see machine::system's windowed loop) -----
-
-    /// Pops every pending event strictly before `end`, in `(time, seq)`
-    /// order, WITHOUT advancing the clock or the processed count — the
-    /// sharded engine replays them through [`EventQueue::replay_pop`] so
-    /// that clock motion and `events_processed` match a serial run exactly.
-    pub fn pop_window(&mut self, end: Ns) -> Vec<(Ns, u64, E)> {
-        let mut out = Vec::new();
-        while self.peek_time().is_some_and(|t| t < end) {
-            out.push(self.pop_next().expect("peeked non-empty"));
-        }
-        out
-    }
-
-    /// Replays the clock effect of one pop taken earlier via
-    /// [`EventQueue::pop_window`]: advances the clock to `t` and counts one
-    /// processed event.
-    pub fn replay_pop(&mut self, t: Ns) {
-        debug_assert!(t >= self.now);
-        self.now = t;
-        self.popped += 1;
-    }
-
-    /// Reserves the next sequence number without scheduling anything. The
-    /// sharded engine uses this to stamp intra-window reschedules so the
-    /// numbering matches what a serial run would have assigned.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let s = self.next_seq;
-        self.next_seq += 1;
-        s
-    }
-
-    /// Schedules `event` with a previously reserved sequence number (from
-    /// [`EventQueue::alloc_seq`]). Always lands in the far heap: a reserved
-    /// seq may be older than a bucket's tail, and the heap is the one
-    /// structure whose ordering never assumes append order.
-    pub fn schedule_preseq(&mut self, at: Ns, seq: u64, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at:?} now={:?}",
-            self.now
-        );
-        self.len += 1;
-        self.stats.peak_len = self.stats.peak_len.max(self.len as u64);
-        self.stats.far_scheduled += 1;
-        self.far.push(Reverse(Entry {
-            time: at,
-            seq: Seq(seq),
-            event,
-        }));
     }
 }
 
@@ -599,59 +474,11 @@ mod tests {
         assert_eq!(q.pop(), Some((Ns(4), ())));
     }
 
-    #[test]
-    fn pop_window_and_replay_match_serial_accounting() {
-        let mut q = EventQueue::new();
-        for i in 0..5u64 {
-            q.schedule(Ns(10 * i), i);
-        }
-        let win = q.pop_window(Ns(25));
-        assert_eq!(win.len(), 3);
-        assert_eq!(q.now(), Ns::ZERO);
-        assert_eq!(q.events_processed(), 0);
-        for &(t, _seq, _) in &win {
-            q.replay_pop(t);
-        }
-        assert_eq!(q.now(), Ns(20));
-        assert_eq!(q.events_processed(), 3);
-        assert_eq!(q.pop(), Some((Ns(30), 3)));
-    }
-
-    #[test]
-    fn queue_stats_track_near_far_and_peak() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(1), ());
-        q.schedule(Ns(2), ());
-        q.schedule(Ns(RING as u64 + 500), ()); // far
-        let s = q.stats();
-        assert_eq!(s.near_scheduled, 2);
-        assert_eq!(s.far_scheduled, 1);
-        assert_eq!(s.peak_len, 3);
-        assert_eq!(q.ring_occupancy(), 2);
-        q.pop();
-        q.pop();
-        q.pop(); // served from the far heap
-        assert_eq!(q.stats().far_pops, 1);
-        assert_eq!(q.stats().peak_len, 3);
-        assert_eq!(q.ring_occupancy(), 0);
-    }
-
-    #[test]
-    fn preseq_orders_before_later_seqs() {
-        let mut q = EventQueue::new();
-        let s = q.alloc_seq();
-        q.schedule(Ns(9), "second");
-        q.schedule_preseq(Ns(9), s, "first");
-        assert_eq!(q.pop(), Some((Ns(9), "first")));
-        assert_eq!(q.pop(), Some((Ns(9), "second")));
-    }
-
     /// An ordering oracle: the obviously-correct priority queue the
     /// calendar queue must agree with event-for-event.
     struct RefModel {
         heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, u64)>>,
         next_seq: u64,
-        now: u64,
     }
 
     impl RefModel {
@@ -659,7 +486,6 @@ mod tests {
             RefModel {
                 heap: std::collections::BinaryHeap::new(),
                 next_seq: 0,
-                now: 0,
             }
         }
 
@@ -669,27 +495,7 @@ mod tests {
         }
 
         fn pop(&mut self) -> Option<(u64, u64)> {
-            self.heap.pop().map(|std::cmp::Reverse((t, _, id))| {
-                self.now = t;
-                (t, id)
-            })
-        }
-
-        fn pop_window(&mut self, end: u64) -> Vec<(u64, u64, u64)> {
-            let mut out = Vec::new();
-            while self
-                .heap
-                .peek()
-                .is_some_and(|&std::cmp::Reverse((t, _, _))| t < end)
-            {
-                let std::cmp::Reverse((t, s, id)) = self.heap.pop().expect("peeked");
-                out.push((t, s, id));
-            }
-            out
-        }
-
-        fn push_back(&mut self, t: u64, seq: u64, id: u64) {
-            self.heap.push(std::cmp::Reverse((t, seq, id)));
+            self.heap.pop().map(|std::cmp::Reverse((t, _, id))| (t, id))
         }
     }
 
@@ -701,9 +507,8 @@ mod tests {
         state.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    /// Seeded random interleavings of every queue operation the engines
-    /// use — schedule (near and far), pop, pop_before, and the sharded
-    /// pop_window / schedule_preseq / replay_pop protocol — checked
+    /// Seeded random interleavings of every queue operation the engine
+    /// uses — schedule (near and far), pop and pop_before — checked
     /// against the reference heap for identical pop order throughout.
     #[test]
     fn random_interleavings_match_reference_heap() {
@@ -713,7 +518,7 @@ mod tests {
             let mut m = RefModel::new();
             let mut next_id = 0u64;
             for _ in 0..4_000 {
-                match rng(&mut s) % 10 {
+                match rng(&mut s) % 8 {
                     // Schedule: mostly near (ring), sometimes far (heap),
                     // with duplicate times to exercise FIFO ties.
                     0..=4 => {
@@ -730,7 +535,7 @@ mod tests {
                     5..=6 => {
                         assert_eq!(q.pop().map(|(t, id)| (t.0, id)), m.pop());
                     }
-                    7 => {
+                    _ => {
                         let deadline = q.now().0 + rng(&mut s) % 128;
                         let got = q.pop_before(Ns(deadline)).ok();
                         let want = if m
@@ -743,36 +548,6 @@ mod tests {
                             None
                         };
                         assert_eq!(got.map(|(t, id)| (t.0, id)), want);
-                    }
-                    // The sharded-engine window protocol: pop a window,
-                    // push a random suffix back with its original seqs,
-                    // replay the kept prefix.
-                    _ => {
-                        let end = q.now().0 + rng(&mut s) % 96;
-                        let win = q.pop_window(Ns(end));
-                        let want = m.pop_window(end);
-                        assert_eq!(
-                            win.iter()
-                                .map(|&(t, s, id)| (t.0, id, s))
-                                .collect::<Vec<_>>(),
-                            want.iter()
-                                .map(|&(t, s, id)| (t, id, s))
-                                .collect::<Vec<_>>(),
-                            "window contents diverged (seed {seed})"
-                        );
-                        let keep = if win.is_empty() {
-                            0
-                        } else {
-                            (rng(&mut s) % (win.len() as u64 + 1)) as usize
-                        };
-                        for &(t, seq, id) in &win[keep..] {
-                            q.schedule_preseq(t, seq, id);
-                            m.push_back(t.0, seq, id);
-                        }
-                        for &(t, _, _) in &win[..keep] {
-                            q.replay_pop(t);
-                            m.now = t.0;
-                        }
                     }
                 }
                 assert_eq!(q.len(), m.heap.len(), "length diverged (seed {seed})");

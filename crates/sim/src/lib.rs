@@ -27,7 +27,6 @@
 pub mod engine;
 pub mod fastdiv;
 pub mod hashing;
-pub mod prof;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -35,8 +34,7 @@ pub mod time;
 pub mod trace;
 pub mod types;
 
-pub use engine::{EventQueue, QueueStats};
-pub use prof::{EnginePhase, EngineProf, PhaseTimer};
+pub use engine::EventQueue;
 pub use resource::{Resource, ResourceBank};
 pub use rng::DetRng;
 pub use time::Ns;

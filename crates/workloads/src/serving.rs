@@ -16,7 +16,7 @@
 //! function of the seeded RNG stream: rebuilding the workload and replaying
 //! `next()` calls reproduces both the ops *and* the arrival schedule, which
 //! is what lets rollback recovery re-derive in-flight request state
-//! (DESIGN.md §17). The machine reads the schedule through
+//! (DESIGN.md §16). The machine reads the schedule through
 //! [`Workload::request_status`] and stalls a CPU whose next request has not
 //! arrived yet — that stall time is exactly the open-loop queueing delay.
 

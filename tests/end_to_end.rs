@@ -311,8 +311,6 @@ fn table4_calibration_structure_holds() {
             shadow_checkpoints: false,
             obs: revive::machine::ObsConfig::off(),
             detection_fraction: ExperimentConfig::DEFAULT_DETECTION_FRACTION,
-            sim_threads: 1,
-            engine_prof: false,
         };
         let r = Runner::new(cfg).unwrap().run().unwrap();
         rates.push((app, r.metrics.l2_miss_rate()));
