@@ -5,14 +5,15 @@
 //! regenerate the paper's tables and figures.
 //!
 //! Self-timed (no external harness crate — the workspace builds offline):
-//! each benchmark is warmed up, then run for a fixed iteration budget, and
-//! the per-iteration wall time is reported. Run with
+//! each benchmark is warmed up, then timed in batches whose call count
+//! doubles until one batch takes at least 50 ms, and that batch's
+//! per-operation wall time is reported. Run with
 //! `cargo bench -p revive-bench`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use revive_coherence::cache_ctrl::{Access, CacheCtrl, OpToken};
 use revive_coherence::directory::{DirCtrl, DirIn};
@@ -33,23 +34,28 @@ use revive_sim::time::Ns;
 use revive_sim::types::NodeId;
 
 /// Times `op` (which runs `batch` logical operations per call) and prints
-/// ns per logical operation.
+/// ns per logical operation. The call count doubles until one timed batch
+/// takes at least 50 ms, and that batch is reported — sizing from a single
+/// probe call undershoots whenever that call happens to be slow.
 fn bench(name: &str, batch: u64, mut op: impl FnMut()) {
     const WARMUP: u64 = 3;
-    // Calibrate the call count so each measurement takes roughly 50 ms.
+    const TARGET: Duration = Duration::from_millis(50);
     for _ in 0..WARMUP {
         op();
     }
-    let probe = Instant::now();
-    op();
-    let per_call = probe.elapsed().as_nanos().max(1);
-    let calls = (50_000_000 / per_call).clamp(1, 100_000) as u64;
-    let start = Instant::now();
-    for _ in 0..calls {
-        op();
-    }
-    let total = start.elapsed().as_nanos();
-    let per_op = total as f64 / (calls * batch) as f64;
+    let mut calls: u64 = 1;
+    let total = loop {
+        let start = Instant::now();
+        for _ in 0..calls {
+            op();
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= TARGET {
+            break elapsed;
+        }
+        calls *= 2;
+    };
+    let per_op = total.as_nanos() as f64 / (calls * batch) as f64;
     println!("{name:<34} {per_op:>12.1} ns/op   ({calls} calls x {batch})");
 }
 

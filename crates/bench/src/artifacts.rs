@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use revive_machine::{ExperimentConfig, RunMeta, RunResult};
+use revive_machine::{write_atomic, write_json, ExperimentConfig, Json, RunMeta, RunResult};
 
 static EXPERIMENT: OnceLock<String> = OnceLock::new();
 
@@ -64,4 +64,23 @@ pub fn emit_with_meta(meta: RunMeta, result: &RunResult) -> Option<PathBuf> {
     }
     let path = dir().join(format!("{}.json", revive_harness::sanitize(&meta.label)));
     revive_harness::emit_artifact(&path, &meta, result).then_some(path)
+}
+
+/// Writes a document as `<name>.json` into this binary's artifact
+/// directory, through the canonical writer and atomically. Best effort
+/// like [`emit`]: a failure warns and returns `None`.
+pub fn write_document(name: &str, doc: &Json) -> Option<PathBuf> {
+    let dir = dir();
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("warning: cannot create {}: {e}", dir.display());
+        return None;
+    }
+    let path = dir.join(format!("{name}.json"));
+    match write_atomic(&path, &write_json(doc)) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+            None
+        }
+    }
 }

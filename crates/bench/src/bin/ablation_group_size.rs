@@ -39,7 +39,7 @@ fn main() {
         for g in GROUPS {
             let mut revive = ReviveConfig::parity(interval);
             revive.mode = if g == 1 {
-                ReviveMode::Mirroring
+                ReviveMode::Replication { replicas: 1 }
             } else {
                 ReviveMode::Parity {
                     group_data_pages: g,

@@ -40,7 +40,7 @@ fn main() {
     for frac in FRACS {
         let mut revive = ReviveConfig::parity(CP_INTERVAL);
         revive.mode = if frac >= 1.0 {
-            ReviveMode::Mirroring
+            ReviveMode::Replication { replicas: 1 }
         } else if frac > 0.0 {
             ReviveMode::Mixed {
                 group_data_pages: 7,

@@ -14,9 +14,12 @@
 //! Exit codes: 0 = within tolerance, 1 = regression detected, 2 = operator
 //! error (unreadable files, malformed flags, incomparable documents).
 
-use revive_bench::summary::{diff, parse_summary, run_summary_sweep, Summary, Tolerances};
+use std::path::Path;
+
+use revive_bench::summary::{diff, run_summary_sweep, Summary, Tolerances};
 use revive_bench::{banner, Opts};
 use revive_harness::Args;
+use revive_machine::read_document;
 
 fn usage() -> ! {
     eprintln!(
@@ -33,12 +36,8 @@ fn usage() -> ! {
 }
 
 fn load(path: &str) -> Summary {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_diff: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse_summary(&text).unwrap_or_else(|e| {
-        eprintln!("bench_diff: {path} is not a bench summary: {e}");
+    read_document(Path::new(path)).unwrap_or_else(|e| {
+        eprintln!("bench_diff: {path} is not a readable bench summary: {e}");
         std::process::exit(2);
     })
 }

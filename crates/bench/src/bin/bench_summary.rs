@@ -11,9 +11,10 @@
 
 use std::path::Path;
 
-use revive_bench::summary::{render_json, run_summary_sweep};
+use revive_bench::summary::run_summary_sweep;
 use revive_bench::{banner, Opts, Table};
 use revive_harness::Args;
+use revive_machine::{write_atomic, write_json, Codec};
 
 fn main() {
     let args = Args::parse();
@@ -51,8 +52,8 @@ fn main() {
         ]);
     }
     table.print();
-    let json = render_json(&summary);
-    if let Err(e) = revive_machine::write_atomic(Path::new(&out_path), &json) {
+    let json = write_json(&summary.to_json());
+    if let Err(e) = write_atomic(Path::new(&out_path), &json) {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);
     }

@@ -25,13 +25,13 @@
 //! Seeds are independent, so the report — table, tally, chosen repros —
 //! is identical at any `--jobs` value.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use revive_bench::{banner, Opts, Table};
 use revive_core::OutcomeTally;
 use revive_harness::{run_jobs, Args, Job, Progress};
 use revive_machine::campaign::{generate, run_scenario, shrink_with, CampaignConfig, Scenario};
-use revive_machine::{RunMeta, ScenarioOutcome, ScenarioReport};
+use revive_machine::{read_document, Codec, RunMeta, ScenarioOutcome, ScenarioReport};
 use revive_sim::Ns;
 
 struct CampaignArgs {
@@ -100,30 +100,8 @@ fn emit_artifact(label: &str, report: &ScenarioReport) -> Option<PathBuf> {
     revive_bench::artifacts::emit_with_meta(meta, result)
 }
 
-/// Writes an inject-spec JSON into the artifact directory (best effort,
-/// mirroring `artifacts::emit`).
-fn write_spec(name: &str, sc: &Scenario) -> Option<PathBuf> {
-    let dir = revive_bench::artifacts::dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, sc.to_json()) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-            None
-        }
-    }
-}
-
 fn replay(path: &str) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let sc = Scenario::from_json(&text).unwrap_or_else(|e| {
+    let sc: Scenario = read_document(Path::new(path)).unwrap_or_else(|e| {
         eprintln!("bad inject spec {path}: {e}");
         std::process::exit(1);
     });
@@ -264,9 +242,11 @@ fn main() {
             },
             40,
         );
-        if let Some(path) = write_spec(&format!("unrecoverable_min_seed_{}", sc.seed), &min) {
-            let parsed = Scenario::from_json(&std::fs::read_to_string(&path).expect("spec"))
-                .expect("spec parses");
+        if let Some(path) = revive_bench::artifacts::write_document(
+            &format!("unrecoverable_min_seed_{}", sc.seed),
+            &min.to_json(),
+        ) {
+            let parsed: Scenario = read_document(&path).expect("spec parses");
             let verdict = run_scenario(&parsed);
             println!(
                 "  minimized to {} fault(s), ops {} — replay: {}",
@@ -304,7 +284,10 @@ fn main() {
                 min.ops_per_cpu,
                 verdict.outcome
             );
-            if let Some(path) = write_spec(&format!("repro_seed_{seed}"), &min) {
+            if let Some(path) = revive_bench::artifacts::write_document(
+                &format!("repro_seed_{seed}"),
+                &min.to_json(),
+            ) {
                 println!(
                     "    wrote {} (replay: campaign --replay {} | simulate --inject-spec {})",
                     path.display(),

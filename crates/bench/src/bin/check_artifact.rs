@@ -1,21 +1,34 @@
-//! Validates artifact JSON files (`simulate --json` output, bench
-//! emissions under `results/artifacts/`) against their schema — the
-//! per-run `revive-run-artifact` schema, the `revive-frontier`
-//! cost/availability document, or the `revive-slo` serving-sweep document,
-//! dispatched on the file's `schema` tag.
+//! Validates JSON documents against their schema, dispatched on the file's
+//! `schema` tag: per-run `revive-run-artifact` artifacts (`simulate --json`
+//! output, bench emissions under `results/artifacts/`), the
+//! `revive-frontier` and `revive-slo` sweep documents, the
+//! `revive-bench-summary` perf baseline, and `revive-inject-spec` scenario
+//! specs. Each kind's reader is its validator.
 //! Prints one line per file and exits nonzero on the first invalid one —
-//! CI's smoke steps pipe `simulate --json`, `frontier`, and `slo` output
-//! through this.
+//! CI's smoke steps pipe every emitted document through this.
 
+use revive_bench::documents::{FrontierDoc, SloDoc, FRONTIER_SCHEMA, SLO_SCHEMA};
+use revive_bench::summary::{Summary, SUMMARY_SCHEMA};
+use revive_machine::campaign::SPEC_SCHEMA;
 use revive_machine::{
-    parse_json, validate_artifact, validate_frontier_artifact, validate_slo_artifact, Json,
-    FRONTIER_SCHEMA, SLO_SCHEMA,
+    parse_json, parse_run_meta, parse_run_result, Codec, Json, Scenario, ARTIFACT_SCHEMA,
 };
+
+fn check(doc: &Json) -> Result<(), String> {
+    match doc.read::<String>("schema")?.as_str() {
+        ARTIFACT_SCHEMA => parse_run_meta(doc).and(parse_run_result(doc).map(drop)),
+        FRONTIER_SCHEMA => FrontierDoc::from_json(doc).map(drop),
+        SLO_SCHEMA => SloDoc::from_json(doc).map(drop),
+        SUMMARY_SCHEMA => Summary::from_json(doc).map(drop),
+        SPEC_SCHEMA => Scenario::from_json(doc).map(drop),
+        other => Err(format!("unknown schema '{other}'")),
+    }
+}
 
 fn main() {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        eprintln!("usage: check_artifact <artifact.json> [more.json ...]");
+        eprintln!("usage: check_artifact <document.json> [more.json ...]");
         std::process::exit(2);
     }
     let mut checked = 0usize;
@@ -24,22 +37,12 @@ fn main() {
             eprintln!("{path}: read failed: {e}");
             std::process::exit(1);
         });
-        let schema = parse_json(&text)
-            .ok()
-            .and_then(|doc| doc.get("schema").and_then(Json::as_str).map(String::from));
-        let verdict = if schema.as_deref() == Some(FRONTIER_SCHEMA) {
-            validate_frontier_artifact(&text)
-        } else if schema.as_deref() == Some(SLO_SCHEMA) {
-            validate_slo_artifact(&text)
-        } else {
-            validate_artifact(&text)
-        };
-        if let Err(e) = verdict {
+        if let Err(e) = parse_json(&text).and_then(|doc| check(&doc)) {
             eprintln!("{path}: INVALID: {e}");
             std::process::exit(1);
         }
         println!("{path}: ok");
         checked += 1;
     }
-    println!("{checked} artifact(s) valid");
+    println!("{checked} document(s) valid");
 }

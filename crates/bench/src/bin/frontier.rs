@@ -21,19 +21,20 @@
 //!   between rows are purely the backend's loss budget at work.
 //!
 //! The sweep emits one self-validated `revive-frontier` JSON document
-//! (schema checked by `validate_frontier_artifact` — the CI smoke job
-//! replays the same check) plus a per-run artifact for each clean run.
+//! (read back through `FrontierDoc::from_json` — the CI smoke job replays
+//! the same check with `check_artifact`) plus a per-run artifact for each
+//! clean run.
 //! Any scenario that panics or fails its oracle is a frontier FAILURE and
 //! the exit code is nonzero.
 
+use revive_bench::documents::{
+    FrontierCost, FrontierDoc, FrontierFaults, FrontierPoint, FRONTIER_SCHEMA, FRONTIER_VERSION,
+};
 use revive_bench::{banner, Opts, Table};
 use revive_core::{nines, OutcomeTally};
 use revive_harness::{run_jobs, Args, Job, Progress};
 use revive_machine::campaign::{generate, run_scenario, BackendChoice, CampaignConfig, Scenario};
-use revive_machine::{
-    validate_frontier_artifact, Runner, ScenarioOutcome, ScenarioReport, TrafficClass,
-    ARTIFACT_VERSION, FRONTIER_SCHEMA,
-};
+use revive_machine::{Codec, Runner, ScenarioOutcome, ScenarioReport, TrafficClass};
 use revive_sim::Ns;
 use revive_workloads::SyntheticKind;
 
@@ -157,17 +158,7 @@ fn seeds_for_shape(nodes: usize, count: u64, gen_cfg: &CampaignConfig) -> Vec<u6
 }
 
 /// Cost coordinates from one clean (fault-free) run.
-struct CleanCost {
-    sim_time: Ns,
-    checkpoints: u64,
-    ckpt_mean: Ns,
-    ckpt_max: Ns,
-    rdx_net_bytes: u64,
-    rdx_net_msgs: u64,
-    rdx_mem_accesses: u64,
-}
-
-fn clean_cost(point: &Point, ops_per_cpu: u64) -> CleanCost {
+fn clean_cost(point: &Point, ops_per_cpu: u64) -> FrontierCost {
     let sc = point.scenario(0, ops_per_cpu, Vec::new());
     let cfg = sc.experiment();
     let label = format!("clean_{}", point.label());
@@ -177,11 +168,11 @@ fn clean_cost(point: &Point, ops_per_cpu: u64) -> CleanCost {
         .unwrap_or_else(|e| panic!("clean run failed ({label}): {e}"));
     revive_bench::artifacts::emit(&label, &cfg, &result);
     let par = TrafficClass::Par.index();
-    CleanCost {
-        sim_time: result.sim_time,
+    FrontierCost {
+        sim_time_ns: result.sim_time.0,
         checkpoints: result.checkpoints,
-        ckpt_mean: result.ckpt.mean_duration(),
-        ckpt_max: result.ckpt.max_duration(),
+        ckpt_mean_ns: result.ckpt.mean_duration().0,
+        ckpt_max_ns: result.ckpt.max_duration().0,
         rdx_net_bytes: result.metrics.traffic.net_bytes[par],
         rdx_net_msgs: result.metrics.traffic.net_msgs[par],
         rdx_mem_accesses: result.metrics.traffic.mem_accesses[par],
@@ -191,66 +182,44 @@ fn clean_cost(point: &Point, ops_per_cpu: u64) -> CleanCost {
 /// The aggregated frontier row for one point.
 struct Row {
     point: Point,
-    clean: CleanCost,
+    clean: FrontierCost,
     tally: OutcomeTally,
     failures: Vec<ScenarioReport>,
 }
 
-fn render_frontier(seeds_per_point: u64, rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{FRONTIER_SCHEMA}\",\n"));
-    s.push_str(&format!("  \"version\": {ARTIFACT_VERSION},\n"));
-    s.push_str(&format!("  \"seeds_per_point\": {seeds_per_point},\n"));
-    s.push_str("  \"points\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let mode = row.point.scenario(0, 1, Vec::new()).mode();
-        let t = &row.tally;
-        let mean_unavailable = t.unavailable_total.0.checked_div(t.recovered).unwrap_or(0);
-        s.push_str("    {\n");
-        s.push_str(&format!(
-            "      \"backend\": \"{}\", \"mode\": \"{}\", \"nodes\": {}, \
-             \"group_data_pages\": {},\n",
-            row.point.backend.name(),
-            mode.name(),
-            row.point.nodes,
-            row.point.group_data_pages
-        ));
-        s.push_str(&format!(
-            "      \"budget\": {}, \"storage_overhead\": {},\n",
-            mode.loss_budget(),
-            mode.storage_overhead()
-        ));
-        s.push_str(&format!(
-            "      \"clean\": {{\"sim_time_ns\": {}, \"checkpoints\": {}, \
-             \"ckpt_mean_ns\": {}, \"ckpt_max_ns\": {}, \"rdx_net_bytes\": {}, \
-             \"rdx_net_msgs\": {}, \"rdx_mem_accesses\": {}}},\n",
-            row.clean.sim_time.0,
-            row.clean.checkpoints,
-            row.clean.ckpt_mean.0,
-            row.clean.ckpt_max.0,
-            row.clean.rdx_net_bytes,
-            row.clean.rdx_net_msgs,
-            row.clean.rdx_mem_accesses
-        ));
-        s.push_str(&format!(
-            "      \"faults\": {{\"scenarios\": {}, \"recovered\": {}, \
-             \"unrecoverable\": {}, \"not_fired\": {}, \"availability\": {}, \
-             \"unavailable_mean_ns\": {}}}\n",
-            t.scenarios(),
-            t.recovered,
-            t.unrecoverable,
-            t.not_fired,
-            t.availability(HORIZON),
-            mean_unavailable
-        ));
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+fn frontier_doc(seeds_per_point: u64, rows: &[Row]) -> FrontierDoc {
+    let points = rows
+        .iter()
+        .map(|row| {
+            let mode = row.point.scenario(0, 1, Vec::new()).mode();
+            let t = &row.tally;
+            FrontierPoint {
+                backend: row.point.backend.name().to_string(),
+                mode: mode.name().to_string(),
+                nodes: row.point.nodes as u64,
+                group_data_pages: row.point.group_data_pages as u64,
+                budget: mode.loss_budget() as u64,
+                storage_overhead: mode.storage_overhead(),
+                clean: row.clean.clone(),
+                faults: FrontierFaults {
+                    scenarios: t.scenarios(),
+                    recovered: t.recovered,
+                    unrecoverable: t.unrecoverable,
+                    not_fired: t.not_fired,
+                    availability: t.availability(HORIZON),
+                    unavailable_mean_ns: t
+                        .unavailable_total
+                        .0
+                        .checked_div(t.recovered)
+                        .unwrap_or(0),
+                },
+            }
+        })
+        .collect();
+    FrontierDoc {
+        seeds_per_point,
+        points,
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 fn main() {
@@ -348,7 +317,7 @@ fn main() {
             mode.loss_budget().to_string(),
             format!("{:.2}", mode.storage_overhead()),
             format!("{:.2}", row.clean.rdx_net_bytes as f64 / 1e6),
-            format!("{}", row.clean.ckpt_mean),
+            format!("{}", Ns(row.clean.ckpt_mean_ns)),
             row.tally.recovered.to_string(),
             row.tally.unrecoverable.to_string(),
             row.tally.not_fired.to_string(),
@@ -357,22 +326,15 @@ fn main() {
     }
     table.print();
 
-    let doc = render_frontier(a.seeds, &rows);
-    if let Err(e) = validate_frontier_artifact(&doc) {
+    let doc = frontier_doc(a.seeds, &rows).to_json();
+    if let Err(e) = FrontierDoc::from_json(&doc) {
         eprintln!("\nfrontier artifact failed validation: {e}");
         std::process::exit(1);
     }
-    println!("\nfrontier artifact validates ({FRONTIER_SCHEMA} v{ARTIFACT_VERSION})");
+    println!("\nfrontier artifact validates ({FRONTIER_SCHEMA} v{FRONTIER_VERSION})");
     if revive_bench::artifacts::enabled() {
-        let dir = revive_bench::artifacts::dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join("frontier.json");
-            match std::fs::write(&path, &doc) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-            }
+        if let Some(path) = revive_bench::artifacts::write_document("frontier", &doc) {
+            println!("wrote {}", path.display());
         }
     }
 

@@ -36,10 +36,13 @@
 //! at `chrome://tracing` or <https://ui.perfetto.dev>. Any of the three
 //! output flags switches full observability on (tracing + sampling).
 
+use std::path::Path;
+
 use revive_machine::campaign::{self, CampaignConfig, Scenario};
 use revive_machine::{
-    render_artifact, ErrorKind, ExperimentConfig, FaultOutcome, InjectionPlan, ObsConfig,
-    ReviveConfig, ReviveMode, RunMeta, Runner, TrafficClass, WorkloadSpec,
+    read_document, render_artifact, write_atomic, ErrorKind, ExperimentConfig, FaultOutcome,
+    InjectionPlan, ObsConfig, ReviveConfig, ReviveMode, RunMeta, Runner, TrafficClass,
+    WorkloadSpec,
 };
 use revive_sim::time::Ns;
 use revive_sim::types::NodeId;
@@ -158,11 +161,7 @@ fn parse_args() -> Args {
 
 fn load_scenario(a: &Args) -> Option<Scenario> {
     if let Some(path) = a.inject_spec.as_deref() {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        return Some(Scenario::from_json(&text).unwrap_or_else(|e| {
+        return Some(read_document(Path::new(path)).unwrap_or_else(|e| {
             eprintln!("bad inject spec {path}: {e}");
             std::process::exit(1);
         }));
@@ -188,7 +187,7 @@ fn main() {
             "parity" => ReviveMode::Parity {
                 group_data_pages: a.group,
             },
-            "mirroring" => ReviveMode::Mirroring,
+            "mirroring" => ReviveMode::Replication { replicas: 1 },
             "mixed" => ReviveMode::Mixed {
                 group_data_pages: a.group,
                 mirrored_fraction: a.mirrored_frac,
@@ -298,7 +297,7 @@ fn main() {
         println!("nack retries    : {}", result.metrics.nack_retries);
     }
     let write_or_die = |path: &str, contents: String| {
-        if let Err(e) = std::fs::write(path, contents) {
+        if let Err(e) = write_atomic(Path::new(path), &contents) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         }

@@ -23,19 +23,22 @@
 //!   injections. Every recovery's outage window lands on the in-flight
 //!   requests, and the outcome tally yields availability, MTBF, and MTTR.
 //!
-//! The sweep emits one self-validated `revive-slo` JSON document (schema
-//! checked by `validate_slo_artifact`; the CI smoke job replays the same
-//! check) plus a per-run artifact for every clean and faulted run — all
+//! The sweep emits one self-validated `revive-slo` JSON document (read
+//! back through `SloDoc::from_json`; the CI smoke job replays the same
+//! check with `check_artifact`) plus a per-run artifact for every clean and
+//! faulted run — all
 //! cache-compatible: a re-run against existing artifacts is byte-identical
 //! and skips the simulations.
 
+use revive_bench::documents::{
+    fixed, FaultAccount, ServingProfile, SloDoc, SloPoint, SLO_SCHEMA, SLO_VERSION,
+};
 use revive_bench::{banner, Opts, Table, CP_INTERVAL};
 use revive_core::{nines, OutcomeTally};
 use revive_harness::{Args, Sweep, SweepJob};
 use revive_machine::{
-    fault_schedule, validate_slo_artifact, ErrorKind, ExperimentConfig, FaultOutcome, FaultProcess,
-    InjectPhase, InjectionPlan, ReviveConfig, RunResult, ServingReport, SloSpec, WorkloadSpec,
-    ARTIFACT_VERSION, SLO_SCHEMA,
+    fault_schedule, Codec, ErrorKind, ExperimentConfig, FaultOutcome, FaultProcess, InjectPhase,
+    InjectionPlan, ReviveConfig, RunResult, ServingReport, SloSpec, WorkloadSpec,
 };
 use revive_sim::types::NodeId;
 use revive_sim::Ns;
@@ -187,28 +190,6 @@ fn serving<'a>(r: &'a RunResult, label: &str) -> &'a ServingReport {
         .unwrap_or_else(|| panic!("{label}: serving run carried no serving report"))
 }
 
-fn profile_json(r: &RunResult) -> String {
-    let s = serving(r, "profile");
-    format!(
-        "\"sim_time_ns\": {}, \"admitted\": {}, \"completed\": {}, \
-         \"goodput_rps\": {:.1}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \
-         \"p90_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"p9999_ns\": {}, \
-         \"max_ns\": {}, \"budget_burn\": {:.4}",
-        r.sim_time.0,
-        s.admitted,
-        s.completed,
-        s.goodput_per_sec(r.sim_time),
-        s.mean_ns,
-        s.p50_ns,
-        s.p90_ns,
-        s.p99_ns,
-        s.p999_ns,
-        s.p9999_ns,
-        s.max_ns,
-        s.ledger.budget_burn(),
-    )
-}
-
 /// One aggregated sweep row.
 struct Row {
     point: Point,
@@ -246,56 +227,34 @@ impl Row {
     }
 }
 
-fn render_slo(rows: &[Row]) -> String {
-    let slo = SloSpec::default_spec();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{SLO_SCHEMA}\",\n"));
-    s.push_str(&format!("  \"version\": {ARTIFACT_VERSION},\n"));
-    s.push_str(&format!(
-        "  \"slo\": {{\"target_ns\": {}, \"budget_ppm\": {}, \"window_ns\": {}}},\n",
-        slo.target_ns, slo.budget_ppm, slo.window_ns
-    ));
-    s.push_str("  \"points\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let t = &row.tally;
-        let opt_ns = |v: Option<Ns>| match v {
-            Some(n) => n.0.to_string(),
-            None => "null".into(),
-        };
-        s.push_str("    {\n");
-        s.push_str(&format!(
-            "      \"backend\": \"{}\", \"arrival\": \"{}\", \"rate_rps\": {:.1}, \
-             \"interval_ns\": {},\n",
-            row.point.backend.name(),
-            row.point.kind().name(),
-            row.point.arrival.rate_per_sec(),
-            row.point.interval.0,
-        ));
-        s.push_str(&format!(
-            "      \"clean\": {{{}}},\n",
-            profile_json(&row.clean)
-        ));
-        s.push_str(&format!(
-            "      \"faulted\": {{{}, \"faults\": {}, \"recovered\": {}, \
-             \"unrecoverable\": {}, \"availability\": {}, \"downtime_ns\": {}, \
-             \"mtbf_ns\": {}, \"mttr_ns\": {}}}\n",
-            profile_json(&row.faulted),
-            t.faults(),
-            t.recovered,
-            t.unrecoverable,
-            row.availability(),
-            row.downtime().0,
-            opt_ns(t.mtbf(row.faulted.sim_time)),
-            opt_ns(t.mttr()),
-        ));
-        s.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+fn slo_doc(rows: &[Row]) -> SloDoc {
+    let points = rows
+        .iter()
+        .map(|row| {
+            let t = &row.tally;
+            SloPoint {
+                backend: row.point.backend.name().to_string(),
+                arrival: row.point.kind().name().to_string(),
+                rate_rps: fixed(row.point.arrival.rate_per_sec(), 1),
+                interval_ns: row.point.interval.0,
+                clean: ServingProfile::from_run(&row.clean),
+                faulted: ServingProfile::from_run(&row.faulted),
+                account: FaultAccount {
+                    faults: t.faults(),
+                    recovered: t.recovered,
+                    unrecoverable: t.unrecoverable,
+                    availability: row.availability(),
+                    downtime_ns: row.downtime().0,
+                    mtbf_ns: t.mtbf(row.faulted.sim_time).map(|n| n.0),
+                    mttr_ns: t.mttr().map(|n| n.0),
+                },
+            }
+        })
+        .collect();
+    SloDoc {
+        slo: SloSpec::default_spec(),
+        points,
     }
-    s.push_str("  ]\n}\n");
-    s
 }
 
 fn main() {
@@ -391,22 +350,15 @@ fn main() {
     }
     table.print();
 
-    let doc = render_slo(&rows);
-    if let Err(e) = validate_slo_artifact(&doc) {
+    let doc = slo_doc(&rows).to_json();
+    if let Err(e) = SloDoc::from_json(&doc) {
         eprintln!("\nslo artifact failed validation: {e}");
         std::process::exit(1);
     }
-    println!("\nslo artifact validates ({SLO_SCHEMA} v{ARTIFACT_VERSION})");
+    println!("\nslo artifact validates ({SLO_SCHEMA} v{SLO_VERSION})");
     if revive_bench::artifacts::enabled() {
-        let dir = revive_bench::artifacts::dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-        } else {
-            let path = dir.join("slo.json");
-            match std::fs::write(&path, &doc) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-            }
+        if let Some(path) = revive_bench::artifacts::write_document("slo", &doc) {
+            println!("wrote {}", path.display());
         }
     }
 

@@ -14,6 +14,7 @@ use revive_sim::time::Ns;
 use revive_workloads::AppId;
 
 pub mod artifacts;
+pub mod documents;
 pub mod summary;
 
 /// The simulated checkpoint interval that stands in for the paper's Cp10ms

@@ -1,5 +1,5 @@
 //! The `revive-bench-summary` document: the perf baseline's schema, its
-//! renderer/parser, and the regression diff `bench_diff` enforces.
+//! writer and reader, and the regression diff `bench_diff` enforces.
 //!
 //! A summary records one entry per (app, config) pair of the Figure 8
 //! sweep, with two metric families deliberately kept apart:
@@ -14,20 +14,16 @@
 //!   disabled entirely (`--no-wall`) for cross-host comparisons.
 
 use revive_harness::{Args, Sweep, SweepJob};
-use revive_machine::{parse_json, Json, WorkloadSpec};
+use revive_machine::{json_record, Codec, Json, WorkloadSpec};
 use revive_workloads::AppId;
 
+use crate::documents::fixed;
 use crate::{experiment_config, FigConfig, Opts};
 
 /// Schema identifier of the summary document.
 pub const SUMMARY_SCHEMA: &str = "revive-bench-summary";
 
-/// Current summary document version. Version 2 added the top-level
-/// `host_cores` and three engine self-profile columns per entry (thread
-/// count, parallel-window fraction, per-phase wall time); version 3
-/// dropped those columns with the sharded engine they described. Older
-/// documents still parse: a missing `host_cores` reads as 0, and keys
-/// the parser does not know are ignored.
+/// The one summary version this build writes and reads.
 pub const SUMMARY_VERSION: u64 = 3;
 
 /// One (app, config) measurement.
@@ -59,99 +55,58 @@ impl SummaryEntry {
     }
 }
 
-/// A parsed summary document.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Summary {
-    /// Whether the runs used quick-mode budgets.
-    pub quick: bool,
-    /// Logical cores of the host that produced the document (0 when the
-    /// document predates version 2). Context for the wall columns, never
-    /// gated.
-    pub host_cores: u64,
-    /// Entries in sweep order.
-    pub entries: Vec<SummaryEntry>,
-}
+json_record!(document(SUMMARY_SCHEMA, SUMMARY_VERSION)
+    /// A summary document.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Summary {
+        /// Whether the runs used quick-mode budgets.
+        pub quick: bool,
+        /// Logical cores of the host that produced the document. Context
+        /// for the wall columns, never gated.
+        pub host_cores: u64,
+        /// Entries in sweep order.
+        pub entries: Vec<SummaryEntry>,
+    }
+);
 
-/// Renders the summary JSON (fixed key order; deterministic for the
-/// simulation fields).
-pub fn render_json(s: &Summary) -> String {
-    let mut o = String::new();
-    o.push_str("{\n");
-    o.push_str(&format!("  \"schema\": \"{SUMMARY_SCHEMA}\",\n"));
-    o.push_str(&format!("  \"version\": {SUMMARY_VERSION},\n"));
-    o.push_str(&format!("  \"quick\": {},\n", s.quick));
-    o.push_str(&format!("  \"host_cores\": {},\n", s.host_cores));
-    o.push_str("  \"entries\": [\n");
-    for (i, e) in s.entries.iter().enumerate() {
-        let wall_s = (e.wall_ms / 1e3).max(1e-9);
-        o.push_str(&format!(
-            "    {{\"app\": \"{}\", \"config\": \"{}\", \"ops\": {}, \"events\": {}, \
-             \"sim_time_ns\": {}, \"sim_ns_per_op\": {:.3}, \"wall_ms\": {:.1}, \
-             \"kops_per_wall_sec\": {:.1}, \"kevents_per_wall_sec\": {:.1}}}{}\n",
-            e.app,
-            e.config,
-            e.ops,
-            e.events,
-            e.sim_time_ns,
-            e.sim_ns_per_op(),
-            e.wall_ms,
-            e.kops_per_wall_sec(),
-            e.events as f64 / wall_s / 1e3,
-            if i + 1 < s.entries.len() { "," } else { "" },
-        ));
+/// An entry also records its derived columns — wall-derived ones at 0.1
+/// precision, simulated ns/op at 0.001. The reader requires them but
+/// recomputes them from the measured columns.
+impl Codec for SummaryEntry {
+    fn to_json(&self) -> Json {
+        let wall_s = (self.wall_ms / 1e3).max(1e-9);
+        Json::obj([
+            ("app", self.app.to_json()),
+            ("config", self.config.to_json()),
+            ("ops", self.ops.to_json()),
+            ("events", self.events.to_json()),
+            ("sim_time_ns", self.sim_time_ns.to_json()),
+            ("sim_ns_per_op", fixed(self.sim_ns_per_op(), 3).to_json()),
+            ("wall_ms", fixed(self.wall_ms, 1).to_json()),
+            (
+                "kops_per_wall_sec",
+                fixed(self.kops_per_wall_sec(), 1).to_json(),
+            ),
+            (
+                "kevents_per_wall_sec",
+                fixed(self.events as f64 / wall_s / 1e3, 1).to_json(),
+            ),
+        ])
     }
-    o.push_str("  ]\n}\n");
-    o
-}
 
-/// Parses a summary document.
-///
-/// # Errors
-///
-/// Returns a description of the first missing or mistyped field.
-pub fn parse_summary(text: &str) -> Result<Summary, String> {
-    let doc = parse_json(text)?;
-    if doc.get("schema").and_then(Json::as_str) != Some(SUMMARY_SCHEMA) {
-        return Err(format!("schema is not '{SUMMARY_SCHEMA}'"));
+    fn from_json(e: &Json) -> Result<SummaryEntry, String> {
+        for key in ["sim_ns_per_op", "kops_per_wall_sec", "kevents_per_wall_sec"] {
+            e.read::<f64>(key)?;
+        }
+        Ok(SummaryEntry {
+            app: e.read("app")?,
+            config: e.read("config")?,
+            ops: e.read("ops")?,
+            events: e.read("events")?,
+            sim_time_ns: e.read("sim_time_ns")?,
+            wall_ms: e.read("wall_ms")?,
+        })
     }
-    let quick = match doc.get("quick") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("'quick' missing or not a bool".into()),
-    };
-    // `host_cores` is optional: a version-1 baseline must keep parsing
-    // (and diffing) against newer candidates.
-    let host_cores = doc.get("host_cores").and_then(Json::as_num).unwrap_or(0.0) as u64;
-    let mut entries = Vec::new();
-    for e in doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("'entries' missing or not an array")?
-    {
-        let s = |key: &str| {
-            e.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("entry.{key} missing or not a string"))
-        };
-        let n = |key: &str| {
-            e.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("entry.{key} missing or not a number"))
-        };
-        entries.push(SummaryEntry {
-            app: s("app")?,
-            config: s("config")?,
-            ops: n("ops")? as u64,
-            events: n("events")? as u64,
-            sim_time_ns: n("sim_time_ns")? as u64,
-            wall_ms: n("wall_ms")?,
-        });
-    }
-    Ok(Summary {
-        quick,
-        host_cores,
-        entries,
-    })
 }
 
 /// Runs the Figure 8 sweep and returns a complete [`Summary`], one entry
@@ -344,45 +299,31 @@ mod tests {
         }
     }
 
+    fn read(text: &str) -> Result<Summary, String> {
+        Summary::from_json(&revive_machine::parse_json(text)?)
+    }
+
     #[test]
     fn render_parse_round_trips() {
         let s = summary(vec![
             entry("fft", "Base", 1000, 50_000, 12.0),
             entry("fft", "Cp10ms", 1000, 61_000, 14.5),
         ]);
-        let parsed = parse_summary(&render_json(&s)).unwrap();
-        assert_eq!(parsed, s);
+        let text = revive_machine::write_json(&s.to_json());
+        assert_eq!(read(&text), Ok(s));
     }
 
     #[test]
-    fn version_1_documents_still_parse_with_defaults() {
-        // A pre-profiling baseline: no version-2 fields anywhere.
-        let v1 = format!(
-            "{{\n  \"schema\": \"{SUMMARY_SCHEMA}\",\n  \"version\": 1,\n  \"quick\": false,\n  \
-             \"entries\": [\n    {{\"app\": \"fft\", \"config\": \"Base\", \"ops\": 1000, \
-             \"events\": 3000, \"sim_time_ns\": 50000, \"wall_ms\": 12.0}}\n  ]\n}}\n"
-        );
-        let parsed = parse_summary(&v1).unwrap();
-        assert_eq!(parsed.host_cores, 0);
-        assert_eq!(parsed.entries[0].events, 3000);
-    }
-
-    #[test]
-    fn unknown_entry_keys_are_ignored() {
-        // Version-2 documents carry per-entry columns version 3 dropped;
-        // they must keep parsing as baselines.
-        let v2 = format!(
-            "{{\n  \"schema\": \"{SUMMARY_SCHEMA}\",\n  \"version\": 2,\n  \"quick\": false,\n  \
-             \"host_cores\": 2,\n  \"entries\": [\n    {{\"app\": \"fft\", \"config\": \"Base\", \
-             \"ops\": 1000, \"events\": 3000, \"sim_time_ns\": 50000, \"wall_ms\": 12.0, \
-             \"dropped_count\": 1, \"dropped_phases\": {{\"schedule\": 5}}}}\n  ]\n}}\n"
-        );
-        let parsed = parse_summary(&v2).unwrap();
-        let want = Summary {
-            host_cores: 2,
-            ..summary(vec![entry("fft", "Base", 1000, 50_000, 12.0)])
-        };
-        assert_eq!(parsed, want);
+    fn only_the_current_version_parses() {
+        let s = summary(vec![entry("fft", "Base", 1000, 50_000, 12.0)]);
+        let text = revive_machine::write_json(&s.to_json());
+        for v in [2, 4] {
+            let other = text.replace("\"version\":3", &format!("\"version\":{v}"));
+            assert!(read(&other).unwrap_err().contains("version"));
+        }
+        // `host_cores` is mandatory.
+        let no_cores = text.replace("\"host_cores\":8,\n", "");
+        assert!(read(&no_cores).is_err());
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use revive_bench::summary::{render_json, Summary, SummaryEntry};
+use revive_bench::summary::{Summary, SummaryEntry};
+use revive_machine::{write_json, Codec};
 
 fn entry(app: &str, config: &str, ops: u64, sim: u64, wall: f64) -> SummaryEntry {
     SummaryEntry {
@@ -26,7 +27,7 @@ fn fixture(tag: &str, entries: &[SummaryEntry]) -> PathBuf {
         host_cores: 8,
         entries: entries.to_vec(),
     };
-    std::fs::write(&path, render_json(&summary)).expect("write fixture");
+    std::fs::write(&path, write_json(&summary.to_json())).expect("write fixture");
     path
 }
 

@@ -17,20 +17,24 @@
 //! probes the artifact path the job would write; the run is skipped only
 //! when the existing artifact
 //!
-//! 1. validates against the artifact schema (`validate_artifact`), and
-//! 2. records the same `config_hash` the pending run would, and
-//! 3. parses back into a usable `RunResult`.
+//! 1. parses, and its identity reads back (`parse_run_meta`) with the same
+//!    `config_hash` the pending run would record, and
+//! 2. its measured sections read back (`parse_run_result`) — the reader
+//!    is the schema check, so this is the artifact validating.
 //!
-//! Anything less — a stale hash from an edited simulator, a truncated
-//! file, a pre-v3 artifact with no hash — falls through to a real run that
-//! rewrites the artifact. Cache hits do not rewrite the file, so cached
-//! and fresh sweeps leave byte-identical artifacts behind. `--no-cache`
-//! (or `REVIVE_NO_CACHE=1`) disables the probe entirely.
+//! The file is parsed once. Anything less — a stale hash from an edited
+//! simulator, a truncated file, an artifact at another schema version —
+//! falls through to a real run that rewrites the artifact. Cache hits do
+//! not rewrite the file, so cached and fresh sweeps leave byte-identical
+//! artifacts behind. `--no-cache` (or `REVIVE_NO_CACHE=1`) disables the
+//! probe entirely.
 
 use std::path::{Path, PathBuf};
 
-use revive_machine::report;
-use revive_machine::{run_experiment, ExperimentConfig, InjectionPlan, RunMeta, RunResult};
+use revive_machine::{
+    parse_json, parse_run_meta, parse_run_result, render_artifact, run_experiment,
+    validate_artifact, write_atomic, ExperimentConfig, InjectionPlan, RunMeta, RunResult,
+};
 
 use crate::cli::Args;
 use crate::pool::{run_jobs, Job, JobError, Progress};
@@ -226,23 +230,22 @@ pub fn sanitize(label: &str) -> String {
 /// result (module docs). Any failure means "run it".
 fn cached_result(path: &Path, meta: &RunMeta) -> Option<RunResult> {
     let text = std::fs::read_to_string(path).ok()?;
-    report::validate_artifact(&text).ok()?;
-    let doc = report::parse_json(&text).ok()?;
-    if report::artifact_config_hash(&doc)? != meta.config_hash_hex() {
+    let doc = parse_json(&text).ok()?;
+    if parse_run_meta(&doc).ok()?.config_hash != meta.config_hash {
         return None;
     }
-    report::parse_run_result(&doc).ok()
+    parse_run_result(&doc).ok()
 }
 
 /// Renders, validates, and atomically writes one artifact. Failures warn
 /// and continue: the tables on stdout are the primary output, and a
 /// read-only results directory must not kill a sweep.
 pub fn emit_artifact(path: &Path, meta: &RunMeta, result: &RunResult) -> bool {
-    let text = report::render_artifact(meta, result);
+    let text = render_artifact(meta, result);
     debug_assert!(
-        report::validate_artifact(&text).is_ok(),
+        validate_artifact(&text).is_ok(),
         "emitted artifact failed validation: {:?}",
-        report::validate_artifact(&text)
+        validate_artifact(&text)
     );
     if let Some(parent) = path.parent() {
         if let Err(e) = std::fs::create_dir_all(parent) {
@@ -250,7 +253,7 @@ pub fn emit_artifact(path: &Path, meta: &RunMeta, result: &RunResult) -> bool {
             return false;
         }
     }
-    match report::write_atomic(path, &text) {
+    match write_atomic(path, &text) {
         Ok(()) => true,
         Err(e) => {
             eprintln!("warning: cannot write {}: {e}", path.display());

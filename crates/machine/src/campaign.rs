@@ -22,15 +22,14 @@ use revive_workloads::{AppId, SyntheticKind};
 
 use crate::config::{ExperimentConfig, MachineError, ReviveMode, WorkloadSpec};
 use crate::differential::injected_vs_golden;
-use crate::report::{parse_json, Json};
+use crate::json::{Codec, Json};
 use crate::runner::{
     CommitPoint, ErrorKind, FaultOutcome, InjectPhase, InjectionPlan, NodeSet, RunResult, Runner,
 };
 
 /// Schema identifier for serialized scenarios (inject specs).
 pub const SPEC_SCHEMA: &str = "revive-inject-spec";
-/// Current inject-spec schema version. v2 added the `backend` field;
-/// v1 specs still parse (backend defaults to XOR parity).
+/// The one inject-spec schema version this build writes and reads.
 pub const SPEC_VERSION: u64 = 2;
 
 /// Which redundancy backend a scenario runs under. The choice decides the
@@ -98,52 +97,64 @@ impl Default for CampaignConfig {
     }
 }
 
-/// One scripted fault within a scenario. Timing is expressed in
-/// checkpoint-relative units so a scenario is meaningful independent of
-/// the configured interval.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultSpec {
-    /// Fire after this many checkpoints commit (counted from the previous
-    /// fault's recovery, or the run's start).
-    pub after_checkpoint: u64,
-    /// …plus this fraction of a checkpoint interval (ignored by the
-    /// commit-window/commit-edge phases).
-    pub interval_fraction: f64,
-    /// Detection latency as a fraction of the checkpoint interval.
-    pub detection_fraction: f64,
-    /// The error class.
-    pub kind: ErrorKind,
-    /// Where in the checkpoint lifecycle the error strikes.
-    pub phase: InjectPhase,
-    /// A second fault striking mid-recovery (only with
-    /// [`InjectPhase::DuringRecovery`]).
-    pub second: Option<ErrorKind>,
-}
+crate::json_record!(
+    /// One scripted fault within a scenario. Timing is expressed in
+    /// checkpoint-relative units so a scenario is meaningful independent of
+    /// the configured interval.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct FaultSpec {
+        /// Fire after this many checkpoints commit (counted from the previous
+        /// fault's recovery, or the run's start).
+        pub after_checkpoint: u64,
+        /// …plus this fraction of a checkpoint interval (ignored by the
+        /// commit-window/commit-edge phases).
+        pub interval_fraction: f64,
+        /// Detection latency as a fraction of the checkpoint interval.
+        pub detection_fraction: f64,
+        /// The error class.
+        pub kind: ErrorKind,
+        /// Where in the checkpoint lifecycle the error strikes.
+        pub phase: InjectPhase,
+        /// A second fault striking mid-recovery (only with
+        /// [`InjectPhase::DuringRecovery`]).
+        pub second: Option<ErrorKind>,
+    }
+);
 
-/// A complete, self-describing fault scenario: everything needed to
-/// replay it bit-for-bit.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Scenario {
-    /// The campaign seed this scenario was generated from (kept for
-    /// provenance; replay does not re-derive from it).
-    pub seed: u64,
-    /// The workload corner (restricted to the private-region synthetics
-    /// the exact-memory oracle is valid for).
-    pub app: SyntheticKind,
-    /// Machine size (must be a perfect square for the torus).
-    pub nodes: usize,
-    /// Data pages per parity group (chunk `G+1` must divide `nodes`).
-    pub group_data_pages: usize,
-    /// The redundancy backend the machine runs under. The other backends
-    /// reuse the XOR shape's chunk: double parity takes one data page of
-    /// the group for Q (`G-1`+2 spans the same nodes), replication keeps
-    /// `G` replicas per primary.
-    pub backend: BackendChoice,
-    /// Op budget per CPU.
-    pub ops_per_cpu: u64,
-    /// The scripted faults, in injection order.
-    pub faults: Vec<FaultSpec>,
-}
+// A scenario serializes as an inject-spec document (schema
+// [`SPEC_SCHEMA`] v[`SPEC_VERSION`]).
+crate::json_record!(document(SPEC_SCHEMA, SPEC_VERSION)
+    /// A complete, self-describing fault scenario: everything needed to
+    /// replay it bit-for-bit.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Scenario {
+        /// The campaign seed this scenario was generated from (kept for
+        /// provenance; replay does not re-derive from it).
+        pub seed: u64,
+        /// The workload corner (restricted to the private-region synthetics
+        /// the exact-memory oracle is valid for).
+        pub app: SyntheticKind,
+        /// Machine size (must be a perfect square for the torus).
+        pub nodes: usize,
+        /// Data pages per parity group (chunk `G+1` must divide `nodes`).
+        pub group_data_pages: usize,
+        /// The redundancy backend the machine runs under. The other backends
+        /// reuse the XOR shape's chunk: double parity takes one data page of
+        /// the group for Q (`G-1`+2 spans the same nodes), replication keeps
+        /// `G` replicas per primary.
+        pub backend: BackendChoice,
+        /// Op budget per CPU.
+        pub ops_per_cpu: u64,
+        /// The scripted faults, in injection order.
+        pub faults: Vec<FaultSpec>,
+    }
+    check(|sc: &Scenario| {
+        if sc.faults.is_empty() {
+            return Err("a scenario needs at least one fault".to_string());
+        }
+        Ok(())
+    })
+);
 
 impl Scenario {
     /// The [`ReviveMode`] the scenario's backend + group shape map to.
@@ -195,202 +206,29 @@ impl Scenario {
             })
             .collect()
     }
+}
 
-    /// Serializes the scenario as a deterministic inject-spec JSON
-    /// document (schema [`SPEC_SCHEMA`] v[`SPEC_VERSION`]).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SPEC_SCHEMA}\",\n"));
-        s.push_str(&format!("  \"version\": {SPEC_VERSION},\n"));
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"app\": \"{}\",\n", self.app.name()));
-        s.push_str(&format!("  \"nodes\": {},\n", self.nodes));
-        s.push_str(&format!(
-            "  \"group_data_pages\": {},\n",
-            self.group_data_pages
-        ));
-        s.push_str(&format!("  \"backend\": \"{}\",\n", self.backend.name()));
-        s.push_str(&format!("  \"ops_per_cpu\": {},\n", self.ops_per_cpu));
-        s.push_str("  \"faults\": [\n");
-        for (i, f) in self.faults.iter().enumerate() {
-            let second = match &f.second {
-                Some(k) => kind_json(k),
-                None => "null".into(),
-            };
-            s.push_str(&format!(
-                "    {{\"after_checkpoint\": {}, \"interval_fraction\": {}, \
-                 \"detection_fraction\": {}, \"kind\": {}, \"phase\": \"{}\", \
-                 \"second\": {}}}{}\n",
-                f.after_checkpoint,
-                f.interval_fraction,
-                f.detection_fraction,
-                kind_json(&f.kind),
-                f.phase.name(),
-                second,
-                if i + 1 < self.faults.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+impl Codec for BackendChoice {
+    fn to_json(&self) -> Json {
+        Json::str(self.name())
     }
+    fn from_json(v: &Json) -> Result<BackendChoice, String> {
+        let name = String::from_json(v)?;
+        BackendChoice::from_name(&name).ok_or_else(|| format!("unknown backend {name:?}"))
+    }
+}
 
-    /// Parses an inject-spec JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem found.
-    pub fn from_json(text: &str) -> Result<Scenario, String> {
-        let v = parse_json(text)?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing \"schema\"")?;
-        if schema != SPEC_SCHEMA {
-            return Err(format!("not an inject spec: schema {schema:?}"));
-        }
-        let version = field_num(&v, "version")? as u64;
-        if !(1..=SPEC_VERSION).contains(&version) {
-            return Err(format!(
-                "inject-spec version {version} (this build reads 1..={SPEC_VERSION})"
-            ));
-        }
-        // v1 predates pluggable backends: those specs ran XOR parity.
-        let backend = match v.get("backend") {
-            None => BackendChoice::Xor,
-            Some(b) => {
-                let name = b.as_str().ok_or("non-string \"backend\"")?;
-                BackendChoice::from_name(name).ok_or_else(|| format!("unknown backend {name:?}"))?
-            }
-        };
-        let app_name = v
-            .get("app")
-            .and_then(Json::as_str)
-            .ok_or("missing \"app\"")?;
-        let app = SyntheticKind::ALL
+impl Codec for SyntheticKind {
+    fn to_json(&self) -> Json {
+        Json::str(self.name())
+    }
+    fn from_json(v: &Json) -> Result<SyntheticKind, String> {
+        let name = String::from_json(v)?;
+        SyntheticKind::ALL
             .into_iter()
-            .find(|k| k.name() == app_name)
-            .ok_or_else(|| format!("unknown app {app_name:?}"))?;
-        let faults = v
-            .get("faults")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"faults\" array")?
-            .iter()
-            .map(fault_from_json)
-            .collect::<Result<Vec<FaultSpec>, String>>()?;
-        if faults.is_empty() {
-            return Err("a scenario needs at least one fault".into());
-        }
-        Ok(Scenario {
-            seed: field_num(&v, "seed")? as u64,
-            app,
-            nodes: field_num(&v, "nodes")? as usize,
-            group_data_pages: field_num(&v, "group_data_pages")? as usize,
-            backend,
-            ops_per_cpu: field_num(&v, "ops_per_cpu")? as u64,
-            faults,
-        })
+            .find(|k| k.name() == name)
+            .ok_or_else(|| format!("unknown app {name:?}"))
     }
-}
-
-fn field_num(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn kind_json(kind: &ErrorKind) -> String {
-    // Link loss damages no memory (`lost_nodes()` is empty), but the spec
-    // still needs the endpoints to replay it.
-    let involved = match *kind {
-        ErrorKind::LinkLoss { a, b } => vec![a, b],
-        ref k => k.lost_nodes(),
-    };
-    let nodes: Vec<String> = involved.iter().map(|n| n.index().to_string()).collect();
-    format!(
-        "{{\"kind\": \"{}\", \"nodes\": [{}]}}",
-        kind.name(),
-        nodes.join(", ")
-    )
-}
-
-fn kind_from_json(v: &Json) -> Result<ErrorKind, String> {
-    let name = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("fault kind missing \"kind\"")?;
-    let nodes: Vec<NodeId> = v
-        .get("nodes")
-        .and_then(Json::as_arr)
-        .ok_or("fault kind missing \"nodes\"")?
-        .iter()
-        .map(|n| {
-            n.as_num()
-                .map(|x| NodeId::from(x as usize))
-                .ok_or_else(|| "non-numeric node index".to_string())
-        })
-        .collect::<Result<Vec<NodeId>, String>>()?;
-    match name {
-        "node-loss" => match nodes.as_slice() {
-            [n] => Ok(ErrorKind::NodeLoss(*n)),
-            _ => Err("node-loss takes exactly one node".into()),
-        },
-        "multi-node-loss" => {
-            if nodes.is_empty() {
-                return Err("multi-node-loss needs at least one node".into());
-            }
-            Ok(ErrorKind::MultiNodeLoss(NodeSet::from_nodes(&nodes)))
-        }
-        "cache-wipe" => Ok(ErrorKind::CacheWipe),
-        "directory-corrupt" => Ok(ErrorKind::DirectoryCorrupt),
-        "live-node-loss" => match nodes.as_slice() {
-            [n] => Ok(ErrorKind::LiveNodeLoss(*n)),
-            _ => Err("live-node-loss takes exactly one node".into()),
-        },
-        "live-multi-node-loss" => {
-            if nodes.is_empty() {
-                return Err("live-multi-node-loss needs at least one node".into());
-            }
-            Ok(ErrorKind::LiveMultiNodeLoss(NodeSet::from_nodes(&nodes)))
-        }
-        "link-loss" => match nodes.as_slice() {
-            [a, b] => Ok(ErrorKind::LinkLoss { a: *a, b: *b }),
-            _ => Err("link-loss takes exactly two (adjacent) nodes".into()),
-        },
-        other => Err(format!("unknown error kind {other:?}")),
-    }
-}
-
-fn phase_from_name(name: &str) -> Result<InjectPhase, String> {
-    match name {
-        "mid-logging" => Ok(InjectPhase::MidLogging),
-        "commit-window" => Ok(InjectPhase::CommitWindow),
-        "during-recovery" => Ok(InjectPhase::DuringRecovery),
-        "commit-after-barrier1" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterBarrier1)),
-        "commit-after-mark" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterMark)),
-        "commit-after-commit" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterCommit)),
-        other => Err(format!("unknown inject phase {other:?}")),
-    }
-}
-
-fn fault_from_json(v: &Json) -> Result<FaultSpec, String> {
-    let phase = phase_from_name(
-        v.get("phase")
-            .and_then(Json::as_str)
-            .ok_or("fault missing \"phase\"")?,
-    )?;
-    let second = match v.get("second") {
-        None | Some(Json::Null) => None,
-        Some(k) => Some(kind_from_json(k)?),
-    };
-    Ok(FaultSpec {
-        after_checkpoint: field_num(v, "after_checkpoint")? as u64,
-        interval_fraction: field_num(v, "interval_fraction")?,
-        detection_fraction: field_num(v, "detection_fraction")?,
-        kind: kind_from_json(v.get("kind").ok_or("fault missing \"kind\"")?)?,
-        phase,
-        second,
-    })
 }
 
 /// Deterministically expands `seed` into a scenario. The same seed and
@@ -898,40 +736,42 @@ mod tests {
 
     #[test]
     fn inject_spec_round_trips() {
+        use crate::json::{parse_json, write_json, Codec};
         let cfg = CampaignConfig::default();
         for seed in 0..100 {
             let sc = generate(seed, &cfg);
-            let parsed = Scenario::from_json(&sc.to_json()).expect("round trip parses");
+            let text = write_json(&sc.to_json());
+            let parsed =
+                Scenario::from_json(&parse_json(&text).unwrap()).expect("round trip parses");
             assert_eq!(parsed, sc, "seed {seed} round-trips");
         }
+        // Link loss keeps its endpoints and at-time faults keep their time.
+        let mut sc = generate(0, &cfg);
+        sc.faults[0].kind = ErrorKind::LinkLoss {
+            a: NodeId(0),
+            b: NodeId(1),
+        };
+        sc.faults[0].phase = InjectPhase::AtTime(Ns(123_456));
+        assert_eq!(Scenario::from_json(&sc.to_json()), Ok(sc));
     }
 
     #[test]
     fn from_json_rejects_garbage() {
-        assert!(Scenario::from_json("{}").is_err());
-        assert!(Scenario::from_json("{\"schema\": \"other\"}").is_err());
+        use crate::json::{parse_json, Codec};
+        let parse = |text: &str| Scenario::from_json(&parse_json(text).unwrap());
+        assert!(parse("{}").is_err());
+        assert!(parse("{\"schema\": \"other\"}").is_err());
         let sc = generate(3, &CampaignConfig::default());
-        let wrong_version = sc.to_json().replace("\"version\": 2", "\"version\": 999");
-        assert!(Scenario::from_json(&wrong_version).is_err());
-        let wrong_backend = sc
-            .to_json()
-            .replace(&format!("\"{}\"", sc.backend.name()), "\"raid60\"");
-        assert!(Scenario::from_json(&wrong_backend).is_err());
-    }
-
-    #[test]
-    fn v1_specs_parse_with_the_xor_default() {
-        // A v2 spec with the backend field stripped and the version wound
-        // back is exactly what a pre-backend build emitted.
-        let mut sc = generate(7, &CampaignConfig::default());
-        sc.backend = BackendChoice::Xor;
-        let v1 = sc
-            .to_json()
-            .replace("\"version\": 2", "\"version\": 1")
-            .replace(&format!("  \"backend\": \"{}\",\n", sc.backend.name()), "");
-        let parsed = Scenario::from_json(&v1).expect("v1 spec parses");
-        assert_eq!(parsed.backend, BackendChoice::Xor);
-        assert_eq!(parsed, sc);
+        let text = crate::json::write_json(&sc.to_json());
+        // Exactly one version is read: neither older nor newer specs.
+        for v in [1, 999] {
+            let wrong_version = text.replace("\"version\":2", &format!("\"version\":{v}"));
+            assert!(parse(&wrong_version).is_err());
+        }
+        let wrong_backend = text.replace(&format!("\"{}\"", sc.backend.name()), "\"raid60\"");
+        assert!(parse(&wrong_backend).is_err());
+        let no_backend = text.replace(&format!("\"backend\":\"{}\",\n", sc.backend.name()), "");
+        assert!(parse(&no_backend).is_err());
     }
 
     #[test]

@@ -183,8 +183,6 @@ pub enum ReviveMode {
         /// Data pages per parity group.
         group_data_pages: usize,
     },
-    /// Memory mirroring (the degenerate 1+1 group).
-    Mirroring,
     /// The paper's Section 8 extension: the hottest fraction of each node's
     /// pages is mirrored (fast updates), the rest uses N+1 parity (cheap
     /// storage). First-touch allocation fills the mirrored region first.
@@ -207,8 +205,8 @@ pub enum ReviveMode {
     /// simultaneous losses per group at `replicas`/(`replicas`+1) storage
     /// overhead (DESIGN.md §15).
     Replication {
-        /// Full copies kept besides the primary (k ≥ 1; k = 1 lays out
-        /// identically to [`ReviveMode::Mirroring`]).
+        /// Full copies kept besides the primary (k ≥ 1; k = 1 is the
+        /// paper's memory mirroring, the degenerate 1+1 group).
         replicas: usize,
     },
 }
@@ -223,7 +221,7 @@ impl ReviveMode {
                 group_data_pages, ..
             }
             | ReviveMode::DoubleParity { group_data_pages } => Some(group_data_pages),
-            ReviveMode::Mirroring | ReviveMode::Replication { .. } => Some(1),
+            ReviveMode::Replication { .. } => Some(1),
         }
     }
 
@@ -244,7 +242,7 @@ impl ReviveMode {
     pub fn loss_budget(self) -> usize {
         match self {
             ReviveMode::Off => 0,
-            ReviveMode::Parity { .. } | ReviveMode::Mirroring | ReviveMode::Mixed { .. } => 1,
+            ReviveMode::Parity { .. } | ReviveMode::Mixed { .. } => 1,
             ReviveMode::DoubleParity { .. } => 2,
             ReviveMode::Replication { replicas } => replicas,
         }
@@ -257,7 +255,6 @@ impl ReviveMode {
         match self {
             ReviveMode::Off => 0.0,
             ReviveMode::Parity { group_data_pages } => 1.0 / (group_data_pages as f64 + 1.0),
-            ReviveMode::Mirroring => 0.5,
             ReviveMode::Mixed {
                 group_data_pages,
                 mirrored_fraction,
@@ -275,7 +272,6 @@ impl ReviveMode {
         match self {
             ReviveMode::Off => "baseline",
             ReviveMode::Parity { .. } => "parity",
-            ReviveMode::Mirroring => "mirroring",
             ReviveMode::Mixed { .. } => "mixed",
             ReviveMode::DoubleParity { .. } => "double-parity",
             ReviveMode::Replication { .. } => "replication",
@@ -325,10 +321,11 @@ impl ReviveConfig {
         }
     }
 
-    /// Mirroring at the given checkpoint interval.
+    /// Memory mirroring — 1-replication, every page copied whole to one
+    /// peer — at the given checkpoint interval.
     pub fn mirroring(interval: Ns) -> ReviveConfig {
         ReviveConfig {
-            mode: ReviveMode::Mirroring,
+            mode: ReviveMode::Replication { replicas: 1 },
             ..ReviveConfig::parity(interval)
         }
     }
@@ -366,6 +363,12 @@ pub struct SloSpec {
     /// Accounting window (ns) for the per-window goodput series.
     pub window_ns: u64,
 }
+
+crate::json_record!(SloSpec {
+    target_ns,
+    budget_ppm,
+    window_ns,
+});
 
 impl SloSpec {
     /// A 1 ms target with a 0.1% budget over 1 ms windows — loose enough
@@ -569,7 +572,10 @@ mod tests {
             .group_data_pages(),
             Some(7)
         );
-        assert_eq!(ReviveMode::Mirroring.group_data_pages(), Some(1));
+        assert_eq!(
+            ReviveMode::Replication { replicas: 1 }.group_data_pages(),
+            Some(1)
+        );
         assert_eq!(
             ReviveMode::DoubleParity {
                 group_data_pages: 6
@@ -609,7 +615,10 @@ mod tests {
             .storage_overhead(),
             1.0 / 8.0
         ));
-        assert!(close(ReviveMode::Mirroring.storage_overhead(), 0.5));
+        assert!(close(
+            ReviveMode::Replication { replicas: 1 }.storage_overhead(),
+            0.5
+        ));
         assert!(close(
             ReviveMode::DoubleParity {
                 group_data_pages: 6

@@ -21,8 +21,10 @@
 //!   utilization gauges).
 //! * [`serving`] — request-lifecycle tracking and the SLO ledger for
 //!   open-loop serving runs.
-//! * [`report`] — machine-readable run artifacts (deterministic JSON) and
-//!   their validator.
+//! * [`json`] — the document layer: one JSON value type, parser, and
+//!   canonical writer shared by every document the repository emits.
+//! * [`report`] — machine-readable run artifacts and their readers (which
+//!   double as the validator).
 //! * [`page_table`] — first-touch page placement.
 //!
 //! # Example
@@ -42,6 +44,7 @@
 pub mod campaign;
 pub mod config;
 pub mod differential;
+pub mod json;
 pub mod metrics;
 pub mod page_table;
 pub mod report;
@@ -59,12 +62,12 @@ pub use config::{
     WorkloadSpec,
 };
 pub use differential::{differential_run, injected_vs_golden, AuditReport, DifferentialReport};
+pub use json::{check_header, parse_json, read_document, write_atomic, write_json, Codec, Json};
 pub use metrics::{Metrics, ServingReport, ServingWindow, SloLedger, Summary, TrafficClass};
 pub use page_table::PageTable;
 pub use report::{
-    artifact_config_hash, content_hash, parse_json, parse_run_result, render_artifact,
-    validate_artifact, validate_frontier_artifact, validate_slo_artifact, write_atomic, Json,
-    RunMeta, ARTIFACT_SCHEMA, ARTIFACT_VERSION, FRONTIER_SCHEMA, SLO_SCHEMA,
+    content_hash, parse_run_meta, parse_run_result, render_artifact, validate_artifact, RunMeta,
+    ARTIFACT_SCHEMA, ARTIFACT_VERSION,
 };
 pub use runner::{
     fault_schedule, run_experiment, CommitPoint, ErrorKind, FaultOutcome, FaultProcess,

@@ -19,6 +19,7 @@ use revive_net::topology::Torus;
 
 use crate::config::{ExperimentConfig, MachineError, ReviveMode};
 use crate::differential::AuditReport;
+use crate::json::{Codec, Json};
 use crate::metrics::Summary;
 use crate::sampling::EpochSample;
 use crate::system::{LiveFault, System};
@@ -37,7 +38,7 @@ use crate::system::{LiveFault, System};
 /// live kinds ([`ErrorKind::is_live`]) ignore the delay on the happy path:
 /// the fabric is actually severed and detection is organic (watchdog
 /// strikes, a hung commit barrier, or the heartbeat backstop).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InjectionPlan {
     /// Fire after this many checkpoints have committed.
     pub after_checkpoint: u64,
@@ -58,6 +59,15 @@ pub struct InjectionPlan {
     /// scenario).
     pub second: Option<ErrorKind>,
 }
+
+crate::json_record!(InjectionPlan {
+    kind,
+    phase,
+    after_checkpoint,
+    interval_fraction,
+    detection_delay: "detection_delay_ns",
+    second,
+});
 
 impl InjectionPlan {
     /// The paper's worst-case Section 6.3 scenario against `lost` node.
@@ -164,6 +174,37 @@ impl InjectPhase {
             InjectPhase::CommitEdge(CommitPoint::AfterMark) => "commit-after-mark",
             InjectPhase::CommitEdge(CommitPoint::AfterCommit) => "commit-after-commit",
             InjectPhase::AtTime(_) => "at-time",
+        }
+    }
+}
+
+/// A phase is recorded in run artifacts and inject specs by its name, or
+/// for [`InjectPhase::AtTime`] as an object that also carries the time.
+impl Codec for InjectPhase {
+    fn to_json(&self) -> Json {
+        match self {
+            InjectPhase::AtTime(t) => {
+                Json::obj([("name", Json::str("at-time")), ("at_ns", t.to_json())])
+            }
+            p => Json::str(p.name()),
+        }
+    }
+
+    fn from_json(v: &Json) -> Result<InjectPhase, String> {
+        if v.get("at_ns").is_some() && v.read::<String>("name")? == "at-time" {
+            return v.read("at_ns").map(InjectPhase::AtTime);
+        }
+        match v
+            .as_str()
+            .ok_or("neither a phase name nor an at-time object")?
+        {
+            "mid-logging" => Ok(InjectPhase::MidLogging),
+            "commit-window" => Ok(InjectPhase::CommitWindow),
+            "during-recovery" => Ok(InjectPhase::DuringRecovery),
+            "commit-after-barrier1" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterBarrier1)),
+            "commit-after-mark" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterMark)),
+            "commit-after-commit" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterCommit)),
+            other => Err(format!("unknown inject phase {other:?}")),
         }
     }
 }
@@ -369,6 +410,49 @@ impl ErrorKind {
                 | ErrorKind::LiveMultiNodeLoss(_)
                 | ErrorKind::LinkLoss { .. }
         )
+    }
+}
+
+/// A kind is recorded in run artifacts and inject specs as its name and
+/// the nodes it involves. Link loss damages no memory (`lost_nodes()` is
+/// empty), but a replay still needs its two endpoints.
+impl Codec for ErrorKind {
+    fn to_json(&self) -> Json {
+        let involved = match *self {
+            ErrorKind::LinkLoss { a, b } => vec![a, b],
+            ref k => k.lost_nodes(),
+        };
+        let nodes: Vec<usize> = involved.iter().map(|n| n.index()).collect();
+        Json::obj([("kind", Json::str(self.name())), ("nodes", nodes.to_json())])
+    }
+
+    fn from_json(v: &Json) -> Result<ErrorKind, String> {
+        let name: String = v.read("kind")?;
+        let nodes: Vec<NodeId> = v
+            .read::<Vec<usize>>("nodes")?
+            .into_iter()
+            .map(NodeId::from)
+            .collect();
+        let kind = match (name.as_str(), nodes.as_slice()) {
+            ("node-loss", [n]) => ErrorKind::NodeLoss(*n),
+            ("live-node-loss", [n]) => ErrorKind::LiveNodeLoss(*n),
+            ("multi-node-loss", ns) if !ns.is_empty() => {
+                ErrorKind::MultiNodeLoss(NodeSet::from_nodes(ns))
+            }
+            ("live-multi-node-loss", ns) if !ns.is_empty() => {
+                ErrorKind::LiveMultiNodeLoss(NodeSet::from_nodes(ns))
+            }
+            ("cache-wipe", []) => ErrorKind::CacheWipe,
+            ("directory-corrupt", []) => ErrorKind::DirectoryCorrupt,
+            ("link-loss", [a, b]) => ErrorKind::LinkLoss { a: *a, b: *b },
+            _ => {
+                return Err(format!(
+                    "no {name:?} error involves {} node(s)",
+                    nodes.len()
+                ))
+            }
+        };
+        Ok(kind)
     }
 }
 

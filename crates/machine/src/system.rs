@@ -410,14 +410,6 @@ impl System {
                 let mirrored = (map.pages_per_node() as f64 * frac) as u64;
                 Some(Redundancy::Xor(ParityMap::mixed(map, g, mirrored)))
             }
-            ReviveMode::Mirroring => {
-                if !nodes.is_multiple_of(2) {
-                    return Err(MachineError::BadConfig(format!(
-                        "parity chunk 2 does not divide node count {nodes}"
-                    )));
-                }
-                Some(Redundancy::Xor(ParityMap::mixed(map, 1, 0)))
-            }
             ReviveMode::DoubleParity {
                 group_data_pages: g,
             } => {

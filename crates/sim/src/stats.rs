@@ -132,17 +132,6 @@ impl Running {
             self.max
         }
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Running) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Running {
@@ -200,19 +189,6 @@ impl Histogram {
         }
         self.buckets[b] = self.buckets[b].saturating_add(1);
         self.total = self.total.saturating_add(1);
-    }
-
-    /// Merges another histogram into this one (the bucketed counterpart of
-    /// [`Running::merge`]), e.g. to fold per-node latency histograms into a
-    /// machine-wide view. Counts saturate at `u64::MAX`.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, &c) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(c);
-        }
-        self.total = self.total.saturating_add(other.total);
     }
 
     /// Total number of samples recorded.
@@ -426,19 +402,6 @@ impl TailHistogram {
         self.max = self.max.max(x);
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &TailHistogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, &c) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b = b.saturating_add(c);
-        }
-        self.total = self.total.saturating_add(other.total);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Total number of samples recorded.
     pub fn total(&self) -> u64 {
         self.total
@@ -556,22 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn running_merge() {
-        let mut a = Running::new();
-        a.record(1.0);
-        a.record(3.0);
-        let mut b = Running::new();
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), 3.0);
-        assert_eq!(a.max(), 5.0);
-        let empty = Running::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
     fn histogram_buckets() {
         let mut h = Histogram::new();
         h.record(0); // bucket 0
@@ -655,53 +602,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_aligns_buckets() {
-        let mut a = Histogram::new();
-        a.record(0);
-        a.record(3);
-        let mut b = Histogram::new();
-        b.record(3);
-        b.record(1024);
-        a.merge(&b);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.bucket_count(0), 1);
-        assert_eq!(a.bucket_count(2), 2);
-        assert_eq!(a.bucket_count(11), 1);
-        // Merging an empty histogram is a no-op.
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a.total(), before.total());
-        // Merging *into* an empty histogram copies the source.
-        let mut fresh = Histogram::new();
-        fresh.merge(&before);
-        assert_eq!(fresh.total(), before.total());
-        assert_eq!(fresh.bucket_count(11), before.bucket_count(11));
-    }
-
-    #[test]
     fn counters_saturate_at_u64_max() {
         let mut c = Counter::new();
         c.add(u64::MAX);
         c.add(1); // would overflow; must pin instead
         c.inc();
         assert_eq!(c.get(), u64::MAX);
-
-        let mut h = Histogram::new();
-        h.record(7);
-        h.record(7);
-        // Force the totals to the brink via merge, then record once more.
-        let mut big = Histogram::new();
-        big.record(7);
-        for _ in 0..63 {
-            let clone = big.clone();
-            big.merge(&clone); // doubles the counts
-        }
-        let mut sat = Histogram::new();
-        sat.merge(&big);
-        sat.merge(&big); // 2^63 + 2^63 saturates
-        sat.record(7);
-        assert_eq!(sat.total(), u64::MAX);
-        assert_eq!(sat.bucket_count(3), u64::MAX);
     }
 
     #[test]
@@ -804,13 +710,11 @@ mod tests {
     }
 
     #[test]
-    fn tail_histogram_mean_max_and_merge() {
+    fn tail_histogram_mean_and_max() {
         let mut a = TailHistogram::new();
         a.record(100);
         a.record(300);
-        let mut b = TailHistogram::new();
-        b.record(200);
-        a.merge(&b);
+        a.record(200);
         assert_eq!(a.total(), 3);
         assert_eq!(a.mean(), 200.0);
         assert_eq!(a.max(), 300);

@@ -203,14 +203,6 @@ impl TraceEvent {
         }
     }
 
-    /// How many kinds existed before the fault-fabric kinds (`msg_drop`
-    /// onward); artifacts older than schema v4 carry only these.
-    pub const LEGACY_KIND_COUNT: usize = 8;
-
-    /// How many kinds schema v4 artifacts carry (`retry_backoff_capped`
-    /// arrived at v5).
-    pub const V4_KIND_COUNT: usize = 12;
-
     /// Kind names in `kind_index` order.
     pub const KIND_NAMES: [&'static str; 13] = [
         "coh_start",
