@@ -72,12 +72,12 @@ fn bench_parity_map() {
     let parity = ParityMap::new(map, 7);
     let lines: Vec<LineAddr> = (0..1024)
         .map(|i| LineAddr(i * 37 % map.lines_per_node()))
-        .filter(|l| !parity.is_parity_page(l.page()))
+        .filter(|l| !parity.is_redundancy_page(l.page()))
         .collect();
     let mut i = 0;
-    bench("parity/line_lookup", 1, || {
+    bench("parity/expand_update", 1, || {
         i = (i + 1) % lines.len();
-        black_box(parity.parity_line_of(black_box(lines[i])));
+        black_box(parity.expand_update(black_box(lines[i]), LineData::ZERO));
     });
 }
 

@@ -28,7 +28,7 @@ fn world() -> (DirCtrl, ReviveHook, VecPort, LineAddr) {
     let map = AddressMap::new(4, 4 * PAGE_SIZE as u64);
     let parity = ParityMap::new(map, 3);
     let log_page = map.global_page(NodeId(0), 3);
-    assert!(!parity.is_parity_page(log_page));
+    assert!(!parity.is_redundancy_page(log_page));
     let log = MemLog::new(NodeId(0), log_page.lines().collect());
     let hook = ReviveHook::new(
         Redundancy::Xor(parity),

@@ -159,11 +159,6 @@ impl CkptStats {
             .max()
             .unwrap_or(Ns::ZERO)
     }
-
-    /// Total dirty lines flushed across all checkpoints.
-    pub fn total_lines_flushed(&self) -> u64 {
-        self.timelines.iter().map(|t| t.lines_flushed).sum()
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +195,6 @@ mod tests {
         assert_eq!(s.total_overhead(), Ns(400));
         assert_eq!(s.mean_duration(), Ns(200));
         assert_eq!(s.max_duration(), Ns(300));
-        assert_eq!(s.total_lines_flushed(), 30);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use revive_sim::types::NodeId;
 use crate::lbits::LBits;
 use crate::log::MemLog;
 use crate::parity::ParityUpdate;
-use crate::redundancy::{Redundancy, RedundancyBackend};
+use crate::redundancy::{Redundancy, StripeCode};
 use crate::validate::ShadowLog;
 
 /// Per-event costs as Table 1 reports them.
@@ -349,12 +349,9 @@ impl WriteHook for ReviveHook {
         } else {
             self.costs.wb_logged += 1;
         }
-        // Data parity update U = D ^ D' (Figure 4); value backends ship D'.
-        let payload = if stores {
-            new
-        } else {
-            old.expect("read in parity mode") ^ new
-        };
+        // Data parity update U = D ^ D' (Figure 4); value backends ship D'
+        // (and skipped the read).
+        let payload = StripeCode::apply_update(stores, old.unwrap_or(LineData::ZERO), new);
         acks += self.ship_deltas(Some(line), vec![(line, payload)], stores);
         acks
     }
@@ -376,7 +373,7 @@ mod tests {
         // Log on node 0: use its last data page (stripe 3 is data for node 0
         // since 3 % 4 != 0).
         let log_page = map.global_page(NodeId(0), 3);
-        assert!(!parity.is_parity_page(log_page));
+        assert!(!parity.is_redundancy_page(log_page));
         let slots: Vec<LineAddr> = log_page.lines().collect();
         let log = MemLog::new(NodeId(0), slots);
         let lbits = LBits::full(map.lines_per_node());
@@ -446,9 +443,8 @@ mod tests {
             .iter()
             .flat_map(|m| m.update.deltas.iter())
             .find(|(pl, _)| {
-                let pm = hook.redundancy().as_xor().unwrap();
-                pl.index_in_page() == data_line().index_in_page()
-                    && pl.page() == pm.parity_page_of(data_line().page())
+                let parity_page = hook.redundancy().group_of(data_line().page()).redundancy[0];
+                pl.index_in_page() == data_line().index_in_page() && pl.page() == parity_page
             })
             .expect("data parity delta present");
         assert_eq!(data_delta.1, LineData::fill(0x5A ^ 0xA5));
@@ -524,7 +520,7 @@ mod tests {
                                              // On node 0 with chunk size 2: stripes 1, 3 are data (pos 0 → even
                                              // stripes are mirror targets homed here).
         let log_page = map.global_page(NodeId(0), 3);
-        assert!(!parity.is_parity_page(log_page));
+        assert!(!parity.is_redundancy_page(log_page));
         let log = MemLog::new(NodeId(0), log_page.lines().collect());
         let mut hook = ReviveHook::new(
             Redundancy::Xor(parity),

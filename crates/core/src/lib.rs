@@ -6,7 +6,8 @@
 //! distributed parity protection, all confined to the directory controller.
 //!
 //! * [`parity`] — distributed N+1 parity groups (Figure 3), XOR update
-//!   messages (Figure 4), and mirroring as the degenerate 1+1 case.
+//!   messages (Figure 4), mirroring as the degenerate 1+1 case and the
+//!   Section 8 mixed layout.
 //! * [`log`] — the memory-resident log with validity markers and
 //!   scan-based, bookkeeping-free recovery (Sections 3.2.2, 4.2).
 //! * [`lbits`] — the Logged bits with gang-clear, including the lossy
@@ -15,10 +16,11 @@
 //!   the coherence protocol's write hook, with Table 1 cost accounting.
 //! * [`checkpoint`] — global two-phase-commit checkpoint configuration and
 //!   Figure-6 timelines.
-//! * [`redundancy`] — pluggable redundancy backends behind the
-//!   [`redundancy::RedundancyBackend`] trait: the paper's XOR parity plus
-//!   RAID-6-style P+Q double parity over GF(256) and ReStore-style
-//!   k-replication, for surviving multi-node loss.
+//! * [`redundancy`] — the one redundancy layout, a [`StripeCode`] of `G`
+//!   data and `r` rotating redundancy members per stripe: the paper's XOR
+//!   parity (`r = 1`), RAID-6-style P+Q double parity over GF(256)
+//!   (`r = 2`) and ReStore-style k-replication (`G = 1`, `r = k`), for
+//!   surviving multi-node loss.
 //! * [`recovery`] — the four-phase rollback engine (Figure 7), operating on
 //!   functional memory images for value-exact verification.
 //! * [`availability`] — the availability arithmetic of Sections 3.3.2/6.3.
@@ -37,7 +39,7 @@
 //! let parity = ParityMap::new(map, 3);
 //! // With an all-zero memory, every group XORs to zero:
 //! let some_page = map.pages_of(revive_sim::types::NodeId(0))
-//!     .find(|&p| !parity.is_parity_page(p)).unwrap();
+//!     .find(|&p| !parity.is_redundancy_page(p)).unwrap();
 //! assert_eq!(parity.check_group(some_page, |_| LineData::ZERO), None);
 //! ```
 
@@ -59,8 +61,9 @@ pub use log::{MemLog, ReplayEntry};
 pub use parity::{ParityAck, ParityMap, ParityUpdate};
 pub use recovery::{recover, RecoveryError, RecoveryInput, RecoveryReport, RecoveryTiming};
 pub use redundancy::{
-    DoubleParityMap, Redundancy, RedundancyBackend, RedundancyGroup, ReplicationMap,
+    DoubleParityMap, LayoutError, Redundancy, RedundancyBackend, RedundancyGroup, ReplicationMap,
+    StripeCode,
 };
 pub use validate::{
-    audit_parity, audit_redundancy, LogDivergence, MemoryDiff, MemoryImage, ParityAudit, ShadowLog,
+    audit_redundancy, LogDivergence, MemoryDiff, MemoryImage, ParityAudit, ShadowLog,
 };

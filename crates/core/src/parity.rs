@@ -1,63 +1,57 @@
-//! Distributed N+1 parity (Section 3.2.1 of the paper).
+//! Distributed N+1 parity (Section 3.2.1 of the paper) and its update
+//! messages.
 //!
 //! Memory pages are organized into parity groups of `G` data pages plus one
 //! parity page, each page on a *different* node, with parity pages
 //! distributed evenly across the system (Figure 3). The node count must be
-//! a multiple of the group size `G + 1` (Section 6.2), which also makes the
-//! parity-home computation a trivial modulo.
+//! a multiple of the group size `G + 1` (Section 6.2). Nodes are
+//! partitioned into *chunks* of `G + 1` consecutive nodes; for stripe `s`
+//! the page at chunk position `s mod (G + 1)` is the parity page and the
+//! other `G` are its data pages, so every node dedicates `1/(G+1)` of its
+//! memory to parity — 12.5 % for the paper's 7+1 configuration, 50 % for
+//! mirroring (`G = 1`). This is the `r = 1` row of the one
+//! [`StripeCode`], built by [`ParityMap`].
 //!
-//! Layout: nodes are partitioned into *chunks* of `G + 1` consecutive nodes.
-//! For stripe `s` (the pages at local page index `s` on every node of a
-//! chunk), the page on the node at chunk position `s mod (G + 1)` is the
-//! parity page; the other `G` pages are its data pages. Every node therefore
-//! dedicates exactly `1/(G+1)` of its memory to parity — 12.5 % for the
-//! paper's 7+1 configuration, 50 % for mirroring (`G = 1`).
-//!
-//! The invariant maintained by the ReVive hardware, and checked by this
-//! crate's tests, is: for every line offset within every group,
-//! `data₀ ^ … ^ data_{G-1} ^ parity == 0`.
+//! The invariant maintained by the ReVive hardware, and checked by
+//! [`StripeCode::check_group`], is: for every line offset within every
+//! group, `data₀ ^ … ^ data_{G-1} ^ parity == 0`.
 
-use revive_mem::addr::{AddressMap, LineAddr, PageAddr};
+use revive_mem::addr::{AddressMap, LineAddr};
 use revive_mem::line::LineData;
-use revive_sim::types::NodeId;
 
-/// The parity-group geometry of the machine.
+use crate::redundancy::StripeCode;
+
+/// Constructors for the paper's N+1 parity layouts.
 ///
 /// # Example
 ///
 /// ```
 /// use revive_core::parity::ParityMap;
-/// use revive_mem::addr::{AddressMap, PageAddr};
+/// use revive_mem::addr::AddressMap;
 ///
 /// // 16 nodes, 7+1 parity: 12.5% of memory is parity.
 /// let map = AddressMap::new(16, 64 * 4096);
 /// let parity = ParityMap::new(map, 7);
 /// assert_eq!(parity.storage_overhead(), 0.125);
 /// ```
-#[derive(Clone, Copy, Debug)]
-pub struct ParityMap {
-    map: AddressMap,
-    group_data_pages: usize,
-    /// Stripes `[0, mirrored_stripes)` use 1+1 mirroring; the rest use
-    /// `group_data_pages`+1 parity (the paper's Section 8 extension:
-    /// "mirroring support for the most frequently accessed pages and N+1
-    /// parity for all other pages").
-    mirrored_stripes: u64,
-}
+#[derive(Debug)]
+pub enum ParityMap {}
 
+// The constructor is named for its scheme and returns the one code.
+#[allow(clippy::new_ret_no_self)]
 impl ParityMap {
-    /// Creates a parity map with `group_data_pages` data pages per group
-    /// (`1` selects mirroring).
+    /// N+1 parity with `group_data_pages` data pages per group (`1`
+    /// selects mirroring, whose updates carry values).
     ///
     /// # Panics
     ///
     /// Panics if `group_data_pages` is zero or the node count is not a
     /// multiple of `group_data_pages + 1`.
-    pub fn new(map: AddressMap, group_data_pages: usize) -> ParityMap {
+    pub fn new(map: AddressMap, group_data_pages: usize) -> StripeCode {
         ParityMap::mixed(map, group_data_pages, 0)
     }
 
-    /// Creates a *mixed* layout: the lowest `mirrored_stripes` local page
+    /// The *mixed* layout: the lowest `mirrored_stripes` local page
     /// indices are mirrored (1+1), everything above uses
     /// `group_data_pages`+1 parity (the paper's Section 8 extension:
     /// "mirroring support for the most frequently accessed pages and N+1
@@ -70,240 +64,17 @@ impl ParityMap {
     /// Panics if `group_data_pages` is zero, the node count is not a
     /// multiple of both chunk sizes, or `mirrored_stripes` exceeds the
     /// node's page count.
-    pub fn mixed(map: AddressMap, group_data_pages: usize, mirrored_stripes: u64) -> ParityMap {
-        assert!(group_data_pages > 0, "parity group needs data pages");
-        let chunk = group_data_pages + 1;
-        assert!(
-            map.nodes().is_multiple_of(chunk),
-            "node count {} is not a multiple of the parity group size {}",
-            map.nodes(),
-            chunk
-        );
-        if mirrored_stripes > 0 {
-            assert!(
-                map.nodes().is_multiple_of(2),
-                "mirroring pairs nodes; node count {} is odd",
-                map.nodes()
-            );
-            assert!(
-                mirrored_stripes <= map.pages_per_node(),
-                "mirrored stripes exceed the node's pages"
-            );
-        }
-        ParityMap {
+    pub fn mixed(map: AddressMap, group_data_pages: usize, mirrored_stripes: u64) -> StripeCode {
+        StripeCode::expect_new(
             map,
             group_data_pages,
+            1,
+            group_data_pages == 1,
             mirrored_stripes,
-        }
-    }
-
-    /// The address map this parity layout covers.
-    pub fn address_map(&self) -> &AddressMap {
-        &self.map
-    }
-
-    /// Data pages per group (`G`).
-    pub fn group_data_pages(&self) -> usize {
-        self.group_data_pages
-    }
-
-    /// Nodes per chunk (`G + 1`) of the parity region.
-    pub fn chunk_size(&self) -> usize {
-        self.group_data_pages + 1
-    }
-
-    /// Nodes per chunk for a given stripe (2 in the mirrored region).
-    fn chunk_size_at(&self, stripe: u64) -> usize {
-        if stripe < self.mirrored_stripes {
-            2
-        } else {
-            self.group_data_pages + 1
-        }
-    }
-
-    /// Whether this layout is mirroring everywhere (`G = 1`).
-    pub fn is_mirroring(&self) -> bool {
-        self.group_data_pages == 1
-    }
-
-    /// Whether `page`'s stripe belongs to the mirrored region (always true
-    /// under full mirroring).
-    pub fn is_mirrored_page(&self, page: PageAddr) -> bool {
-        self.is_mirroring() || self.stripe_of(page) < self.mirrored_stripes
-    }
-
-    /// Number of mirrored stripes (0 unless the mixed layout is used).
-    pub fn mirrored_stripes(&self) -> u64 {
-        self.mirrored_stripes
-    }
-
-    /// Fraction of memory consumed by parity/mirror pages: `1/(G+1)` for a
-    /// uniform layout, the stripe-weighted blend for a mixed one.
-    pub fn storage_overhead(&self) -> f64 {
-        let total = self.map.pages_per_node() as f64;
-        let mirrored = self.mirrored_stripes as f64;
-        (mirrored / 2.0 + (total - mirrored) / self.chunk_size() as f64) / total
-    }
-
-    fn chunk_of(&self, node: NodeId, stripe: u64) -> usize {
-        node.index() / self.chunk_size_at(stripe)
-    }
-
-    fn pos_in_chunk(&self, node: NodeId, stripe: u64) -> usize {
-        node.index() % self.chunk_size_at(stripe)
-    }
-
-    /// The stripe (local page index) of a page.
-    pub fn stripe_of(&self, page: PageAddr) -> u64 {
-        self.map.local_page_index(page)
-    }
-
-    /// Whether `page` is a parity page under this layout.
-    pub fn is_parity_page(&self, page: PageAddr) -> bool {
-        let node = self.map.home_of_page(page);
-        let stripe = self.stripe_of(page);
-        stripe % self.chunk_size_at(stripe) as u64 == self.pos_in_chunk(node, stripe) as u64
-    }
-
-    /// The node holding the parity page for stripe `stripe` of the chunk
-    /// containing `node`.
-    fn parity_node(&self, node: NodeId, stripe: u64) -> NodeId {
-        let chunk = self.chunk_size_at(stripe);
-        let chunk_start = self.chunk_of(node, stripe) * chunk;
-        NodeId::from(chunk_start + (stripe % chunk as u64) as usize)
-    }
-
-    /// The parity page protecting a data page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is itself a parity page.
-    pub fn parity_page_of(&self, page: PageAddr) -> PageAddr {
-        self.try_parity_page_of(page)
-            .unwrap_or_else(|| panic!("{page} is a parity page, it has no parity of its own"))
-    }
-
-    /// Non-panicking [`ParityMap::parity_page_of`]: `None` when `page` is
-    /// itself a parity page.
-    pub fn try_parity_page_of(&self, page: PageAddr) -> Option<PageAddr> {
-        if self.is_parity_page(page) {
-            return None;
-        }
-        let node = self.map.home_of_page(page);
-        let stripe = self.stripe_of(page);
-        Some(self.map.global_page(self.parity_node(node, stripe), stripe))
-    }
-
-    /// The parity line protecting a data line (same offset within the page).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line lives in a parity page.
-    pub fn parity_line_of(&self, line: LineAddr) -> LineAddr {
-        let ppage = self.parity_page_of(line.page());
-        LineAddr(ppage.first_line().0 + line.index_in_page() as u64)
-    }
-
-    /// The `G` data pages protected by a parity page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parity` is not a parity page.
-    pub fn data_pages_of(&self, parity: PageAddr) -> Vec<PageAddr> {
-        self.try_data_pages_of(parity)
-            .unwrap_or_else(|| panic!("{parity} is not a parity page"))
-    }
-
-    /// Non-panicking [`ParityMap::data_pages_of`]: `None` when `parity` is
-    /// not a parity page.
-    pub fn try_data_pages_of(&self, parity: PageAddr) -> Option<Vec<PageAddr>> {
-        if !self.is_parity_page(parity) {
-            return None;
-        }
-        let node = self.map.home_of_page(parity);
-        let stripe = self.stripe_of(parity);
-        let chunk = self.chunk_size_at(stripe);
-        let chunk_start = self.chunk_of(node, stripe) * chunk;
-        Some(
-            (chunk_start..chunk_start + chunk)
-                .map(NodeId::from)
-                .filter(|&n| n != node)
-                .map(|n| self.map.global_page(n, stripe))
-                .collect(),
+            "parity group needs data pages",
+            "parity group size",
         )
     }
-
-    /// N+1 parity reconstructs at most one missing member per group. When
-    /// `lost` nodes fail *simultaneously*, any group with two or more member
-    /// pages on lost nodes is unrecoverable; this returns the first such
-    /// group, or `None` when the loss is within the parity budget. Groups
-    /// never span chunks, so two lost nodes overwhelm a group iff they share
-    /// a chunk at some stripe (in a mixed layout the mirrored and parity
-    /// regions chunk differently, so every stripe is checked).
-    pub fn overwhelmed_group(&self, lost: &[NodeId]) -> Option<ParityGroup> {
-        for (i, &a) in lost.iter().enumerate() {
-            for &b in &lost[i + 1..] {
-                if a == b {
-                    continue;
-                }
-                for stripe in 0..self.map.pages_per_node() {
-                    if self.chunk_of(a, stripe) == self.chunk_of(b, stripe) {
-                        return Some(self.group_of(self.map.global_page(a, stripe)));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// The full group (data pages + parity page) containing `page`.
-    pub fn group_of(&self, page: PageAddr) -> ParityGroup {
-        let parity = if self.is_parity_page(page) {
-            page
-        } else {
-            self.parity_page_of(page)
-        };
-        ParityGroup {
-            data: self.data_pages_of(parity),
-            parity,
-        }
-    }
-
-    /// Every parity group that has a member page homed on `node` — the
-    /// groups rendered inaccessible when `node` is lost (Section 3.2.4:
-    /// `M × N` megabytes of data plus `M` of parity become unavailable).
-    pub fn groups_touching(&self, node: NodeId) -> Vec<ParityGroup> {
-        self.map.pages_of(node).map(|p| self.group_of(p)).collect()
-    }
-
-    /// Checks the parity invariant for the group containing `page`, reading
-    /// lines through `read`. Returns the first violating line offset, if
-    /// any.
-    pub fn check_group<F>(&self, page: PageAddr, mut read: F) -> Option<usize>
-    where
-        F: FnMut(LineAddr) -> LineData,
-    {
-        let group = self.group_of(page);
-        for offset in 0..revive_mem::addr::LINES_PER_PAGE {
-            let mut acc = read(LineAddr(group.parity.first_line().0 + offset as u64));
-            for dp in &group.data {
-                acc ^= read(LineAddr(dp.first_line().0 + offset as u64));
-            }
-            if !acc.is_zero() {
-                return Some(offset);
-            }
-        }
-        None
-    }
-}
-
-/// One parity group: `G` data pages and their parity page.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParityGroup {
-    /// The data pages (each on a different node).
-    pub data: Vec<PageAddr>,
-    /// The parity page (on yet another node).
-    pub parity: PageAddr,
 }
 
 /// A parity-update message: XOR deltas to apply at the parity home
@@ -343,18 +114,27 @@ impl ParityAck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use revive_mem::addr::PAGE_SIZE;
+    use crate::redundancy::Redundancy;
+    use revive_mem::addr::{PageAddr, PAGE_SIZE};
+    use revive_sim::types::NodeId;
 
-    fn setup(nodes: usize, pages_per_node: u64, g: usize) -> ParityMap {
+    fn setup(nodes: usize, pages_per_node: u64, g: usize) -> StripeCode {
         let map = AddressMap::new(nodes, pages_per_node * PAGE_SIZE as u64);
         ParityMap::new(map, g)
+    }
+
+    /// The parity page of a data page's group.
+    fn parity_of(pm: &StripeCode, page: PageAddr) -> PageAddr {
+        pm.group_of(page).redundancy[0]
     }
 
     #[test]
     fn storage_overhead_matches_paper() {
         assert_eq!(setup(16, 16, 7).storage_overhead(), 0.125);
         assert_eq!(setup(16, 16, 1).storage_overhead(), 0.5);
-        assert!(setup(16, 16, 1).is_mirroring());
+        let mirror = setup(16, 16, 1);
+        let map = *mirror.address_map();
+        assert!(map.pages_of(NodeId(0)).all(|p| mirror.stores_values(p)));
     }
 
     #[test]
@@ -371,18 +151,22 @@ mod tests {
         let mut parity = 0;
         for node in NodeId::all(8) {
             for page in map.pages_of(node) {
-                if pm.is_parity_page(page) {
+                if pm.is_redundancy_page(page) {
                     parity += 1;
                     // Its data pages must all be non-parity and in distinct
                     // nodes of the same chunk.
-                    let dps = pm.data_pages_of(page);
-                    assert_eq!(dps.len(), 3);
-                    for dp in &dps {
-                        assert!(!pm.is_parity_page(*dp));
-                        assert_eq!(pm.parity_page_of(*dp), page);
+                    let g = pm.group_of(page);
+                    assert_eq!(g.redundancy, vec![page]);
+                    assert_eq!(g.data.len(), 3);
+                    for dp in &g.data {
+                        assert!(!pm.is_redundancy_page(*dp));
+                        assert_eq!(parity_of(&pm, *dp), page);
                     }
-                    let mut nodes: Vec<usize> =
-                        dps.iter().map(|p| map.home_of_page(*p).index()).collect();
+                    let mut nodes: Vec<usize> = g
+                        .data
+                        .iter()
+                        .map(|p| map.home_of_page(*p).index())
+                        .collect();
                     nodes.push(map.home_of_page(page).index());
                     nodes.sort_unstable();
                     nodes.dedup();
@@ -401,7 +185,10 @@ mod tests {
         let pm = setup(16, 64, 7);
         let map = *pm.address_map();
         for node in NodeId::all(16) {
-            let n_parity = map.pages_of(node).filter(|&p| pm.is_parity_page(p)).count();
+            let n_parity = map
+                .pages_of(node)
+                .filter(|&p| pm.is_redundancy_page(p))
+                .count();
             assert_eq!(n_parity, 8, "each node holds 1/8 of its pages as parity");
         }
     }
@@ -413,12 +200,19 @@ mod tests {
         // Find some data page and check line mapping.
         let page = map
             .pages_of(NodeId(1))
-            .find(|&p| !pm.is_parity_page(p))
+            .find(|&p| !pm.is_redundancy_page(p))
             .unwrap();
         let line = LineAddr(page.first_line().0 + 5);
-        let pline = pm.parity_line_of(line);
+        let update = pm.expand_update(line, LineData::fill(3));
+        assert_eq!(update.len(), 1);
+        let (pline, delta) = update[0];
         assert_eq!(pline.index_in_page(), 5);
-        assert_eq!(pline.page(), pm.parity_page_of(page));
+        assert_eq!(pline.page(), parity_of(&pm, page));
+        assert_eq!(
+            delta,
+            LineData::fill(3),
+            "XOR parity ships the delta unscaled"
+        );
     }
 
     #[test]
@@ -426,10 +220,10 @@ mod tests {
         let pm = setup(4, 8, 1); // chunks of 2: (0,1), (2,3)
         let map = *pm.address_map();
         for page in map.pages_of(NodeId(0)) {
-            if !pm.is_parity_page(page) {
-                let mirror = pm.parity_page_of(page);
+            if !pm.is_redundancy_page(page) {
+                let mirror = parity_of(&pm, page);
                 assert_eq!(map.home_of_page(mirror), NodeId(1));
-                assert_eq!(pm.data_pages_of(mirror), vec![page]);
+                assert_eq!(pm.group_of(mirror).data, vec![page]);
             }
         }
     }
@@ -440,18 +234,11 @@ mod tests {
         let map = *pm.address_map();
         let page = map
             .pages_of(NodeId(2))
-            .find(|&p| !pm.is_parity_page(p))
+            .find(|&p| !pm.is_redundancy_page(p))
             .unwrap();
         let g = pm.group_of(page);
         assert!(g.data.contains(&page));
-        assert_eq!(pm.group_of(g.parity), g);
-    }
-
-    #[test]
-    fn groups_touching_covers_whole_node() {
-        let pm = setup(8, 16, 3);
-        let groups = pm.groups_touching(NodeId(3));
-        assert_eq!(groups.len(), 16); // one group per local page
+        assert_eq!(pm.group_of(g.redundancy[0]), g);
     }
 
     #[test]
@@ -460,7 +247,7 @@ mod tests {
         let map = *pm.address_map();
         let page = map
             .pages_of(NodeId(0))
-            .find(|&p| !pm.is_parity_page(p))
+            .find(|&p| !pm.is_redundancy_page(p))
             .unwrap();
         // All-zero memory satisfies the invariant.
         assert_eq!(pm.check_group(page, |_| LineData::ZERO), None);
@@ -480,20 +267,17 @@ mod tests {
     fn mixed_layout_blends_modes() {
         let map = AddressMap::new(8, 16 * PAGE_SIZE as u64);
         let pm = ParityMap::mixed(map, 3, 4); // 4 mirrored stripes of 16
-        assert_eq!(pm.mirrored_stripes(), 4);
-        assert!(!pm.is_mirroring());
-        // Low stripes are mirrored: their groups have exactly one data page.
+                                              // Low stripes are mirrored: their groups have exactly one data page
+                                              // and carry values.
         let low = map.global_page(NodeId(1), 0); // stripe 0, pos 1 (chunk 2) => data
-        assert!(pm.is_mirrored_page(low));
-        assert!(!pm.is_parity_page(low));
-        let mirror = pm.parity_page_of(low);
-        assert_eq!(pm.data_pages_of(mirror), vec![low]);
+        assert!(pm.stores_values(low));
+        assert!(!pm.is_redundancy_page(low));
+        let mirror = parity_of(&pm, low);
+        assert_eq!(pm.group_of(mirror).data, vec![low]);
         // High stripes use 3+1 parity.
         let high = map.global_page(NodeId(1), 5);
-        assert!(!pm.is_mirrored_page(high));
-        if !pm.is_parity_page(high) {
-            assert_eq!(pm.data_pages_of(pm.parity_page_of(high)).len(), 3);
-        }
+        assert!(!pm.stores_values(high));
+        assert_eq!(pm.group_of(high).data.len(), 3);
         // Storage overhead interpolates between 1/2 and 1/4.
         let expected = (4.0 / 2.0 + 12.0 / 4.0) / 16.0;
         assert!((pm.storage_overhead() - expected).abs() < 1e-12);
@@ -506,7 +290,7 @@ mod tests {
         let b = ParityMap::mixed(map, 3, 0);
         for node in NodeId::all(8) {
             for page in map.pages_of(node) {
-                assert_eq!(a.is_parity_page(page), b.is_parity_page(page));
+                assert_eq!(a.is_redundancy_page(page), b.is_redundancy_page(page));
             }
         }
     }
@@ -519,24 +303,9 @@ mod tests {
     }
 
     #[test]
-    fn try_variants_refuse_instead_of_panicking() {
-        let pm = setup(8, 16, 3);
-        let map = *pm.address_map();
-        let data = map
-            .pages_of(NodeId(1))
-            .find(|&p| !pm.is_parity_page(p))
-            .unwrap();
-        let parity = pm.parity_page_of(data);
-        assert_eq!(pm.try_parity_page_of(data), Some(parity));
-        assert_eq!(pm.try_parity_page_of(parity), None);
-        assert_eq!(pm.try_data_pages_of(parity), Some(pm.data_pages_of(parity)));
-        assert_eq!(pm.try_data_pages_of(data), None);
-    }
-
-    #[test]
     fn budget_allows_cross_chunk_losses_only() {
         // 8 nodes, 3+1 parity: chunks {0..3} and {4..7}.
-        let pm = setup(8, 16, 3);
+        let pm = Redundancy::Xor(setup(8, 16, 3));
         assert_eq!(pm.overwhelmed_group(&[]), None);
         assert_eq!(pm.overwhelmed_group(&[NodeId(2)]), None);
         // Different chunks: every group loses at most one member.
@@ -544,9 +313,11 @@ mod tests {
         // Same chunk: some group loses two members.
         let g = pm.overwhelmed_group(&[NodeId(1), NodeId(2)]).unwrap();
         let map = *pm.address_map();
-        let lost_members = std::iter::once(g.parity)
-            .chain(g.data.iter().copied())
-            .filter(|&p| matches!(map.home_of_page(p), NodeId(1) | NodeId(2)))
+        let lost_members = g
+            .redundancy
+            .iter()
+            .chain(g.data.iter())
+            .filter(|&&p| matches!(map.home_of_page(p), NodeId(1) | NodeId(2)))
             .count();
         assert_eq!(lost_members, 2);
         // Duplicate entries are one loss, not two.
@@ -559,7 +330,7 @@ mod tests {
         // chunks {0..3}{4..7}. Nodes 1 and 2 share a parity-region chunk but
         // no mirror pair; nodes 0 and 1 share both.
         let map = AddressMap::new(8, 16 * PAGE_SIZE as u64);
-        let pm = ParityMap::mixed(map, 3, 4);
+        let pm = Redundancy::Xor(ParityMap::mixed(map, 3, 4));
         assert!(pm.overwhelmed_group(&[NodeId(1), NodeId(2)]).is_some());
         assert!(pm.overwhelmed_group(&[NodeId(0), NodeId(1)]).is_some());
         assert_eq!(pm.overwhelmed_group(&[NodeId(1), NodeId(6)]), None);

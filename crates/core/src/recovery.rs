@@ -32,7 +32,7 @@ use revive_sim::time::Ns;
 use revive_sim::types::NodeId;
 
 use crate::log::MemLog;
-use crate::redundancy::{Redundancy, RedundancyBackend};
+use crate::redundancy::{Redundancy, StripeCode};
 
 /// The bandwidth model for recovery timing.
 #[derive(Clone, Copy, Debug)]
@@ -53,8 +53,8 @@ impl RecoveryTiming {
     /// fetches `rebuild_fanin` remote pages (network-bound at ~3.2 bytes/ns
     /// plus DRAM row-streaming) and writes one; replaying an entry is a
     /// couple of local line accesses plus a redundancy update. The fan-in
-    /// is the backend's [`RedundancyBackend::rebuild_fanin`]: `G` for
-    /// parity schemes, 1 for replication (a straight copy).
+    /// is the code's [`StripeCode::rebuild_fanin`]: `G` for parity
+    /// schemes, 1 for replication (a straight copy).
     pub fn derive(rebuild_fanin: usize, workers: usize) -> RecoveryTiming {
         assert!(workers > 0, "recovery needs at least one worker");
         let page_bytes = 4096u64;
@@ -251,7 +251,7 @@ fn rebuild_page(
     let map = *rdx.address_map();
     let missing = |p: PageAddr| lost.contains(&map.home_of_page(p)) && !rebuilt.contains(&p);
     let mut read = |l: LineAddr| read_global(mems, &map, l);
-    let lines = rdx.rebuild_page(page, &missing, &mut read);
+    let lines = rdx.rebuild_page(page, missing, &mut read);
     for (offset, data) in lines.into_iter().enumerate() {
         write_global(
             mems,
@@ -365,16 +365,15 @@ pub fn recover(
             // the hardware would; skip (and mark stale) any redundancy page
             // that died with a lost node.
             let stores = redundancy.stores_values(page);
-            let payload = if stores { e.data } else { old ^ e.data };
+            let payload = StripeCode::apply_update(stores, old, e.data);
             for (rline, rpayload) in redundancy.expand_update(e.line, payload) {
                 let rpage = rline.page();
                 if lost.contains(&map.home_of_page(rpage)) && !rebuilt.contains(&rpage) {
                     stale_redundancy.insert(rpage);
-                } else if stores {
-                    write_global(memories, &map, rline, rpayload);
                 } else {
                     let cur = read_global(memories, &map, rline);
-                    write_global(memories, &map, rline, cur ^ rpayload);
+                    let new = StripeCode::apply_update(stores, cur, rpayload);
+                    write_global(memories, &map, rline, new);
                 }
             }
             report.entries_replayed += 1;
@@ -497,21 +496,23 @@ mod tests {
             LineAddr(page.first_line().0 + 7)
         }
 
-        /// Applies the expanded redundancy updates for a write of `payload`
-        /// provenance at `line` (delta for parity backends, value for
-        /// replicating ones).
-        fn apply_updates(&mut self, line: LineAddr, old: LineData, new: LineData) {
+        /// Lands the expanded redundancy updates of `payload` (a delta, or
+        /// a value when `stores`) shipped for `line`.
+        fn land(&mut self, line: LineAddr, payload: LineData, stores: bool) {
             let map = self.map();
-            let stores = self.rdx.stores_values(line.page());
-            let payload = if stores { new } else { old ^ new };
             for (rl, rp) in self.rdx.expand_update(line, payload) {
-                if stores {
-                    write_global(&mut self.memories, &map, rl, rp);
-                } else {
-                    let cur = read_global(&self.memories, &map, rl);
-                    write_global(&mut self.memories, &map, rl, cur ^ rp);
-                }
+                let cur = read_global(&self.memories, &map, rl);
+                let new = StripeCode::apply_update(stores, cur, rp);
+                write_global(&mut self.memories, &map, rl, new);
             }
+        }
+
+        /// Applies the redundancy updates of a write of `old` → `new` at
+        /// `line`.
+        fn apply_updates(&mut self, line: LineAddr, old: LineData, new: LineData) {
+            let stores = self.rdx.stores_values(line.page());
+            let payload = StripeCode::apply_update(stores, old, new);
+            self.land(line, payload, stores);
         }
 
         /// Simulates the hardware write path: log the old value, write the
@@ -533,14 +534,7 @@ mod tests {
             // Apply log redundancy (`deltas` already carries values when
             // the log's updates store values, deltas otherwise).
             for (slot, payload) in deltas {
-                for (rl, rp) in self.rdx.expand_update(slot, payload) {
-                    if log_stores {
-                        write_global(&mut self.memories, &map, rl, rp);
-                    } else {
-                        let cur = read_global(&self.memories, &map, rl);
-                        write_global(&mut self.memories, &map, rl, cur ^ rp);
-                    }
-                }
+                self.land(slot, payload, log_stores);
             }
             // Write data + its redundancy.
             write_global(&mut self.memories, &map, line, new);
@@ -691,7 +685,7 @@ mod tests {
         let map = w.map();
         let line = w.app_line(0);
         // Find the node holding this line's parity and kill that one.
-        let pnode = map.home_of_page(w.rdx.as_xor().unwrap().parity_page_of(line.page()));
+        let pnode = map.home_of_page(w.rdx.group_of(line.page()).redundancy[0]);
         assert_ne!(pnode, NodeId(0));
         w.logged_write(0, line, LineData::fill(0xAA));
         w.logged_write(1, line, LineData::fill(0xBB));

@@ -6,14 +6,16 @@
 //! independent oracles the differential harness in `revive-machine` checks
 //! against:
 //!
-//! * [`ShadowLog`] — a software replica of one node's [`MemLog`] bookkeeping
-//!   *and contents*, fed the same appends/markers/reclaims. Round-tripping
-//!   [`MemLog::scan`] and [`MemLog::rollback_entries`] against it catches
-//!   lost, phantom, or corrupted undo records (including in a log that was
-//!   itself reconstructed from parity after a node loss).
-//! * [`audit_parity`] — a full sweep of every parity group through
-//!   [`ParityMap::check_group`], attributing each violation to its stripe
-//!   and parity home.
+//! * [`ShadowLog`] — a software replica of one node's
+//!   [`MemLog`](crate::log::MemLog) bookkeeping *and contents*, fed the
+//!   same appends/markers/reclaims. Round-tripping
+//!   [`MemLog::scan`](crate::log::MemLog::scan) and
+//!   [`MemLog::rollback_entries`](crate::log::MemLog::rollback_entries)
+//!   against it catches lost, phantom, or corrupted undo records (including
+//!   in a log that was itself reconstructed from parity after a node loss).
+//! * [`audit_redundancy`] — a full sweep of every redundancy group through
+//!   [`StripeCode::check_group`](crate::redundancy::StripeCode::check_group),
+//!   attributing each violation to its stripe and redundancy home.
 //! * [`MemoryImage`] — a functional snapshot of memory keyed by *virtual*
 //!   page, with word-exact [`MemoryImage::diff`], used to compare a golden
 //!   (fault-free) run against an injected-and-recovered run.
@@ -27,8 +29,7 @@ use revive_mem::line::LineData;
 use revive_sim::types::NodeId;
 
 use crate::log::{RecordKind, ReplayEntry, ScannedRecord, RECORD_LINES};
-use crate::parity::ParityMap;
-use crate::redundancy::{Redundancy, RedundancyBackend};
+use crate::redundancy::Redundancy;
 
 /// One record as the shadow believes it exists in log memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -309,17 +310,6 @@ impl ParityAudit {
     }
 }
 
-/// Sweeps **every** parity group in the machine, reading lines through
-/// `read`, and reports each group whose XOR invariant fails with its stripe
-/// and parity-home node. Each group is visited exactly once (via its parity
-/// page).
-pub fn audit_parity<F>(parity: &ParityMap, read: F) -> ParityAudit
-where
-    F: FnMut(LineAddr) -> LineData,
-{
-    audit_redundancy(&Redundancy::Xor(*parity), read)
-}
-
 /// Sweeps every redundancy group of the active backend, reading lines
 /// through `read`, and reports each group whose invariant fails with its
 /// stripe and redundancy-home node. Each group is visited exactly once, via
@@ -448,6 +438,7 @@ impl MemoryImage {
 mod tests {
     use super::*;
     use crate::log::MemLog;
+    use crate::parity::ParityMap;
     use revive_coherence::port::{MemPort, VecPort};
     use revive_mem::addr::{AddressMap, PAGE_SIZE};
 
@@ -545,16 +536,16 @@ mod tests {
     #[test]
     fn parity_audit_attributes_violations() {
         let map = AddressMap::new(4, 4 * PAGE_SIZE as u64);
-        let parity = ParityMap::new(map, 3);
-        let clean = audit_parity(&parity, |_| LineData::ZERO);
+        let parity = Redundancy::Xor(ParityMap::new(map, 3));
+        let clean = audit_redundancy(&parity, |_| LineData::ZERO);
         assert!(clean.is_clean());
         assert_eq!(clean.groups_checked, 4); // one group per stripe
         let bad_line = map
             .pages_of(NodeId(1))
-            .find(|&p| !parity.is_parity_page(p))
+            .find(|&p| !parity.is_redundancy_page(p))
             .map(|p| LineAddr(p.first_line().0 + 3))
             .unwrap();
-        let audit = audit_parity(&parity, |l| {
+        let audit = audit_redundancy(&parity, |l| {
             if l == bad_line {
                 LineData::fill(1)
             } else {
@@ -564,8 +555,11 @@ mod tests {
         assert_eq!(audit.violations.len(), 1);
         let v = audit.violations[0];
         assert_eq!(v.offset, 3);
-        assert_eq!(v.parity_page, parity.parity_page_of(bad_line.page()));
-        assert_eq!(v.stripe, parity.stripe_of(bad_line.page()));
+        assert_eq!(
+            v.parity_page,
+            parity.group_of(bad_line.page()).redundancy[0]
+        );
+        assert_eq!(v.stripe, map.local_page_index(bad_line.page()));
     }
 
     #[test]

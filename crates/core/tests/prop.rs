@@ -7,6 +7,7 @@ use revive_coherence::port::MemPort;
 use revive_core::lbits::LBits;
 use revive_core::log::{MemLog, RECORD_LINES};
 use revive_core::parity::ParityMap;
+use revive_core::StripeCode;
 use revive_mem::addr::{AddressMap, LineAddr, PageAddr, PAGE_SIZE};
 use revive_mem::line::LineData;
 use revive_mem::main_memory::NodeMemory;
@@ -18,7 +19,7 @@ use revive_sim::types::NodeId;
 /// (log-before-data, parity on every memory write).
 struct MiniWorld {
     map: AddressMap,
-    parity: ParityMap,
+    parity: StripeCode,
     memories: Vec<NodeMemory>,
     logs: Vec<MemLog>,
     lbits: Vec<LBits>,
@@ -50,7 +51,7 @@ impl MiniWorld {
                 let page = (0..4u64)
                     .rev()
                     .map(|s| map.global_page(node, s))
-                    .find(|&p| !parity.is_parity_page(p))
+                    .find(|&p| !parity.is_redundancy_page(p))
                     .expect("a data page exists");
                 MemLog::new(node, page.lines().collect())
             })
@@ -79,7 +80,7 @@ impl MiniWorld {
             let log_pages: std::collections::HashSet<PageAddr> =
                 self.logs[n].slot_lines().iter().map(|l| l.page()).collect();
             for page in self.map.pages_of(node) {
-                if self.parity.is_parity_page(page) || log_pages.contains(&page) {
+                if self.parity.is_redundancy_page(page) || log_pages.contains(&page) {
                     continue;
                 }
                 out.push(LineAddr(page.first_line().0 + (n as u64 * 3) % 64));
@@ -89,10 +90,13 @@ impl MiniWorld {
         out
     }
 
-    fn apply_delta(&mut self, pline: LineAddr, delta: LineData) {
-        let home = self.map.home_of_line(pline).index();
-        let local = self.map.local_line_index(pline);
-        self.memories[home].xor_line(local, delta);
+    /// XORs the parity delta of a write to `line` into its parity line.
+    fn apply_delta(&mut self, line: LineAddr, delta: LineData) {
+        for (pline, d) in self.parity.expand_update(line, delta) {
+            let home = self.map.home_of_line(pline).index();
+            let local = self.map.local_line_index(pline);
+            self.memories[home].xor_line(local, d);
+        }
     }
 
     /// The hardware write path: first write per interval logs the old
@@ -110,14 +114,12 @@ impl MiniWorld {
                 self.logs[node].append(self.interval, line, old, true, &mut port)
             };
             for (slot, delta) in deltas {
-                let pl = self.parity.parity_line_of(slot);
-                self.apply_delta(pl, delta);
+                self.apply_delta(slot, delta);
             }
             self.lbits[node].set_logged(local);
         }
         self.memories[node].write_line(local, new);
-        let pl = self.parity.parity_line_of(line);
-        self.apply_delta(pl, old ^ new);
+        self.apply_delta(line, old ^ new);
     }
 
     fn commit_checkpoint(&mut self) {
@@ -131,8 +133,7 @@ impl MiniWorld {
                 self.logs[n].mark_checkpoint(self.interval, true, &mut port)
             };
             for (slot, delta) in deltas {
-                let pl = self.parity.parity_line_of(slot);
-                self.apply_delta(pl, delta);
+                self.apply_delta(slot, delta);
             }
             self.lbits[n].gang_clear();
             self.logs[n].reclaim_before(self.interval.saturating_sub(1));
@@ -142,7 +143,7 @@ impl MiniWorld {
     fn check_parity_everywhere(&self) -> Result<(), String> {
         for n in 0..4 {
             for page in self.map.pages_of(NodeId::from(n)) {
-                if self.parity.is_parity_page(page) {
+                if self.parity.is_redundancy_page(page) {
                     continue;
                 }
                 if let Some(off) = self.parity.check_group(page, |l| {
@@ -171,8 +172,7 @@ impl MiniWorld {
                 let local = self.map.local_line_index(e.line);
                 let old = self.memories[n].read_line(local);
                 self.memories[n].write_line(local, e.data);
-                let pl = self.parity.parity_line_of(e.line);
-                self.apply_delta(pl, old ^ e.data);
+                self.apply_delta(e.line, old ^ e.data);
             }
         }
     }
@@ -259,7 +259,7 @@ fn rollback_is_value_exact() {
             .collect();
         for n in 0..4 {
             for page in w.map.pages_of(NodeId::from(n)) {
-                if log_pages.contains(&page) || w.parity.is_parity_page(page) {
+                if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
                     continue;
                 }
                 for line in page.lines() {
@@ -307,7 +307,7 @@ fn lossy_lbits_never_break_rollback() {
             let log_pages: std::collections::HashSet<PageAddr> =
                 w.logs[n].slot_lines().iter().map(|s| s.page()).collect();
             for page in w.map.pages_of(NodeId::from(n)) {
-                if log_pages.contains(&page) || w.parity.is_parity_page(page) {
+                if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
                     continue;
                 }
                 for line in page.lines() {
@@ -354,7 +354,7 @@ fn recovery_engine_is_exact_for_any_lost_node() {
             .collect();
         for (n, memory) in w.memories.iter().enumerate() {
             for page in w.map.pages_of(NodeId::from(n)) {
-                if log_pages.contains(&page) || w.parity.is_parity_page(page) {
+                if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
                     continue;
                 }
                 for line in page.lines() {
@@ -414,7 +414,7 @@ fn torn_tail_record_is_skipped() {
             let log_pages: std::collections::HashSet<PageAddr> =
                 w.logs[n].slot_lines().iter().map(|s| s.page()).collect();
             for page in w.map.pages_of(NodeId::from(n)) {
-                if log_pages.contains(&page) || w.parity.is_parity_page(page) {
+                if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
                     continue;
                 }
                 for line in page.lines() {
@@ -429,9 +429,10 @@ fn torn_tail_record_is_skipped() {
     }
 }
 
-/// `parity_page_of` / `data_pages_of` are inverses and `is_parity_page`
-/// never misclassifies a data page — for plain parity and for mixed
-/// (mirrored-stripe) configurations alike.
+/// Every member of a group names the same group, the group's parity
+/// page is the only member `is_redundancy_page` classifies as parity, and
+/// no data page shares a node with its parity — for plain parity and for
+/// mixed (mirrored-stripe) configurations alike.
 #[test]
 fn parity_map_lookups_are_inverses() {
     let mut rng = DetRng::seed(0x1ae2);
@@ -454,36 +455,28 @@ fn parity_map_lookups_are_inverses() {
         };
         for node in 0..nodes {
             for page in map.pages_of(NodeId::from(node)) {
-                if parity.is_parity_page(page) {
-                    // The parity page's data set must map straight back.
-                    for data in parity.data_pages_of(page) {
-                        assert!(
-                            !parity.is_parity_page(data),
-                            "{data} listed as data for {page} but classified parity"
-                        );
-                        assert_eq!(
-                            parity.parity_page_of(data),
-                            page,
-                            "data page {data} does not map back to parity page {page}"
-                        );
-                    }
-                } else {
-                    // Every data page's parity page must list it.
-                    let ppage = parity.parity_page_of(page);
+                let group = parity.group_of(page);
+                assert_eq!(group.redundancy.len(), 1, "N+1 parity has one parity page");
+                let ppage = group.redundancy[0];
+                assert_eq!(
+                    parity.is_redundancy_page(page),
+                    page == ppage,
+                    "{page} misclassified against its group's parity page {ppage}"
+                );
+                for &data in &group.data {
                     assert!(
-                        parity.is_parity_page(ppage),
-                        "parity_page_of({page}) = {ppage} is not a parity page"
+                        !parity.is_redundancy_page(data),
+                        "{data} listed as data for {ppage} but classified parity"
                     );
                     assert_ne!(
                         map.home_of_page(ppage),
-                        map.home_of_page(page),
-                        "parity for {page} stored on the same node"
+                        map.home_of_page(data),
+                        "parity for {data} stored on the same node"
                     );
-                    assert!(
-                        parity.data_pages_of(ppage).contains(&page),
-                        "data_pages_of({ppage}) omits {page}"
-                    );
+                    assert_eq!(parity.group_of(data), group, "{data} names another group");
                 }
+                assert_eq!(parity.group_of(ppage), group, "{ppage} names another group");
+                assert!(group.data.contains(&page) || page == ppage);
             }
         }
     }

@@ -212,17 +212,25 @@ pub enum ReviveMode {
 }
 
 impl ReviveMode {
-    /// The redundancy group's data-page count, when ReVive is on.
-    pub fn group_data_pages(self) -> Option<usize> {
+    /// The mode's stripe code as `(G, r)`: data and redundancy members
+    /// per stripe (`None` when recovery is off). The machine builds its
+    /// layout from this; the mixed mode's mirrored stripes are 1+1 below
+    /// it.
+    pub fn stripe_shape(self) -> Option<(usize, usize)> {
         match self {
             ReviveMode::Off => None,
             ReviveMode::Parity { group_data_pages }
             | ReviveMode::Mixed {
                 group_data_pages, ..
-            }
-            | ReviveMode::DoubleParity { group_data_pages } => Some(group_data_pages),
-            ReviveMode::Replication { .. } => Some(1),
+            } => Some((group_data_pages, 1)),
+            ReviveMode::DoubleParity { group_data_pages } => Some((group_data_pages, 2)),
+            ReviveMode::Replication { replicas } => Some((1, replicas)),
         }
+    }
+
+    /// The redundancy group's data-page count, when ReVive is on.
+    pub fn group_data_pages(self) -> Option<usize> {
+        self.stripe_shape().map(|(g, _)| g)
     }
 
     /// The fraction of stripes to mirror (0 except for the mixed mode).
@@ -236,35 +244,23 @@ impl ReviveMode {
     }
 
     /// How many simultaneous node losses per redundancy group the mode's
-    /// backend can rebuild (0 when recovery is off). Mirrors
-    /// `RedundancyBackend::budget()` for call sites that have a config but
-    /// no assembled machine.
+    /// layout can rebuild (`r`; 0 when recovery is off), for call sites
+    /// that have a config but no assembled machine.
     pub fn loss_budget(self) -> usize {
-        match self {
-            ReviveMode::Off => 0,
-            ReviveMode::Parity { .. } | ReviveMode::Mixed { .. } => 1,
-            ReviveMode::DoubleParity { .. } => 2,
-            ReviveMode::Replication { replicas } => replicas,
-        }
+        self.stripe_shape().map_or(0, |(_, r)| r)
     }
 
-    /// The fraction of memory the mode spends on redundancy. Mirrors
-    /// `RedundancyBackend::storage_overhead()` for call sites that have a
-    /// config but no assembled machine.
+    /// The nominal fraction of memory the mode spends on redundancy,
+    /// `r/(G+r)` (the mixed mode blends in its mirrored fraction at 1/2),
+    /// for call sites that have a config but no assembled machine. Reports
+    /// print this nominal figure; the layout's own
+    /// `StripeCode::storage_overhead` counts whole stripes.
     pub fn storage_overhead(self) -> f64 {
-        match self {
-            ReviveMode::Off => 0.0,
-            ReviveMode::Parity { group_data_pages } => 1.0 / (group_data_pages as f64 + 1.0),
-            ReviveMode::Mixed {
-                group_data_pages,
-                mirrored_fraction,
-            } => {
-                mirrored_fraction * 0.5
-                    + (1.0 - mirrored_fraction) / (group_data_pages as f64 + 1.0)
-            }
-            ReviveMode::DoubleParity { group_data_pages } => 2.0 / (group_data_pages as f64 + 2.0),
-            ReviveMode::Replication { replicas } => replicas as f64 / (replicas as f64 + 1.0),
-        }
+        let Some((g, r)) = self.stripe_shape() else {
+            return 0.0;
+        };
+        let mirrored = self.mirrored_fraction();
+        mirrored * 0.5 + (1.0 - mirrored) * r as f64 / (g + r) as f64
     }
 
     /// Short name for reports.

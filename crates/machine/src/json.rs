@@ -5,10 +5,10 @@
 //! A type with a JSON form implements [`Codec`]: `to_json` is its writer
 //! and `from_json` its reader, and the reader *is* the validator — a value
 //! is well-formed exactly when it reads back. Plain records get both halves
-//! from one field list ([`json_record!`]), so a document's schema is stated
-//! once. Each document kind (run artifact, inject spec, frontier, SLO
-//! sweep, bench summary) carries a `schema` tag and accepts exactly one
-//! `version` ([`check_header`]).
+//! from one field list ([`json_record!`](crate::json_record)), so a
+//! document's schema is stated once. Each document kind (run artifact,
+//! inject spec, frontier, SLO sweep, bench summary) carries a `schema` tag
+//! and accepts exactly one `version` ([`check_header`]).
 //!
 //! The writer has a single fixed layout — top-level members one per line,
 //! nested values compact, no spaces — so byte-determinism follows from the

@@ -133,11 +133,6 @@ impl PageTable {
         &self.allocated
     }
 
-    /// Free pages remaining on `node`.
-    pub fn free_on(&self, node: NodeId) -> usize {
-        self.free[node.index()].len()
-    }
-
     /// Number of virtual pages mapped.
     pub fn mapped(&self) -> usize {
         self.mapped
@@ -192,7 +187,6 @@ mod tests {
         for v in 0..4u64 {
             t.translate(v * PAGE_SIZE as u64, NodeId(0)).unwrap();
         }
-        assert_eq!(t.free_on(NodeId(0)), 0);
         let a = t.translate(100 * PAGE_SIZE as u64, NodeId(0)).unwrap();
         assert_eq!(t.address_map().home_of(a), NodeId(1));
     }

@@ -6,7 +6,7 @@ use revive_core::checkpoint::CkptStats;
 use revive_core::recovery::{
     recover, RecoveryError, RecoveryInput, RecoveryReport, RecoveryTiming,
 };
-use revive_core::redundancy::RedundancyBackend;
+use revive_core::redundancy::StripeCode;
 use revive_core::validate::{LogDivergence, MemoryImage, ParityAudit};
 use revive_mem::addr::PageAddr;
 use revive_mem::line::LineData;
@@ -1245,17 +1245,14 @@ impl System {
             }
             self.nodes[home].mem.write_line(local, LineData::ZERO);
             let stores = rdx.stores_values(line.page());
-            // Value backends ship the new (zero) value; delta backends ship
-            // old ⊕ new = old.
-            let payload = if stores { LineData::ZERO } else { old };
+            let payload = StripeCode::apply_update(stores, old, LineData::ZERO);
             for (rline, rpayload) in rdx.expand_update(line, payload) {
-                let rhome = map.home_of_line(rline).index();
+                let mem = &mut self.nodes[map.home_of_line(rline).index()].mem;
                 let rlocal = map.local_line_index(rline);
-                if stores {
-                    self.nodes[rhome].mem.write_line(rlocal, rpayload);
-                } else {
-                    self.nodes[rhome].mem.xor_line(rlocal, rpayload);
-                }
+                mem.write_line(
+                    rlocal,
+                    StripeCode::apply_update(stores, mem.read_line(rlocal), rpayload),
+                );
             }
         }
         for node in &mut self.nodes {

@@ -9,7 +9,6 @@
 //! the evaluation needs.
 
 use revive_net::fabric::FabricStats;
-use revive_sim::stats::Running;
 use revive_sim::time::Ns;
 
 /// One epoch's worth of time-series data. Delta fields cover `[t - epoch,
@@ -79,7 +78,6 @@ pub struct IntervalSampler {
     epoch: Ns,
     prev: Baseline,
     samples: Vec<EpochSample>,
-    occupancy: Running,
 }
 
 /// The raw cumulative readings the machine hands the sampler each epoch.
@@ -127,7 +125,6 @@ impl IntervalSampler {
             epoch,
             prev: Baseline::default(),
             samples: Vec::new(),
-            occupancy: Running::new(),
         }
     }
 
@@ -145,7 +142,6 @@ impl IntervalSampler {
             }
             d
         };
-        self.occupancy.record(input.log_utilization_max);
         self.samples.push(EpochSample {
             t: input.t,
             net_bytes: delta(&input.net_bytes, &self.prev.net_bytes),
@@ -180,16 +176,6 @@ impl IntervalSampler {
     /// The recorded time series.
     pub fn samples(&self) -> &[EpochSample] {
         &self.samples
-    }
-
-    /// Consumes the sampler, returning the series.
-    pub fn into_samples(self) -> Vec<EpochSample> {
-        self.samples
-    }
-
-    /// Running statistics of the max-log-utilization gauge across epochs.
-    pub fn log_occupancy(&self) -> &Running {
-        &self.occupancy
     }
 }
 
@@ -240,7 +226,6 @@ mod tests {
         // Gauges are instantaneous, not deltas.
         assert_eq!(got[1].outstanding_misses, 3);
         assert_eq!(got[1].log_bytes, vec![10, 20]);
-        assert_eq!(s.log_occupancy().count(), 2);
     }
 
     #[test]

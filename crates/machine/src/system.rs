@@ -28,9 +28,9 @@ use revive_core::checkpoint::CkptTimeline;
 use revive_core::dirext::{OutMsg, ReviveHook};
 use revive_core::lbits::LBits;
 use revive_core::log::MemLog;
-use revive_core::parity::{ParityAck, ParityMap, ParityUpdate};
+use revive_core::parity::{ParityAck, ParityUpdate};
 use revive_core::recovery::RecoveryError;
-use revive_core::redundancy::{DoubleParityMap, Redundancy, RedundancyBackend, ReplicationMap};
+use revive_core::redundancy::{Redundancy, StripeCode};
 use revive_core::validate::{audit_redundancy, MemoryImage};
 use revive_mem::addr::{AddressMap, LineAddr, PageAddr};
 use revive_mem::dram::{Dram, DramOp};
@@ -376,69 +376,26 @@ impl System {
             )));
         }
         let map = AddressMap::new(nodes, m.mem_per_node);
-        let redundancy = match cfg.revive.mode {
-            ReviveMode::Off => None,
-            ReviveMode::Parity {
-                group_data_pages: g,
-            }
-            | ReviveMode::Mixed {
-                group_data_pages: g,
-                ..
-            } => {
-                if g == 0 {
-                    return Err(MachineError::BadConfig(
-                        "parity group needs at least one data page".into(),
-                    ));
-                }
-                if !nodes.is_multiple_of(g + 1) {
-                    return Err(MachineError::BadConfig(format!(
-                        "parity chunk {} does not divide node count {nodes}",
-                        g + 1
-                    )));
-                }
-                let frac = cfg.revive.mode.mirrored_fraction();
+        let mode = cfg.revive.mode;
+        let redundancy = match mode.stripe_shape() {
+            None => None,
+            Some((g, r)) => {
+                let frac = mode.mirrored_fraction();
                 if !(0.0..1.0).contains(&frac) {
                     return Err(MachineError::BadConfig(format!(
                         "mirrored fraction {frac} outside [0, 1)"
                     )));
                 }
-                if frac > 0.0 && !nodes.is_multiple_of(2) {
-                    return Err(MachineError::BadConfig(
-                        "mixed mode needs an even node count".into(),
-                    ));
-                }
                 let mirrored = (map.pages_per_node() as f64 * frac) as u64;
-                Some(Redundancy::Xor(ParityMap::mixed(map, g, mirrored)))
-            }
-            ReviveMode::DoubleParity {
-                group_data_pages: g,
-            } => {
-                if g == 0 {
-                    return Err(MachineError::BadConfig(
-                        "double-parity group needs at least one data page".into(),
-                    ));
-                }
-                if !nodes.is_multiple_of(g + 2) {
-                    return Err(MachineError::BadConfig(format!(
-                        "double-parity chunk {} does not divide node count {nodes}",
-                        g + 2
-                    )));
-                }
-                Some(Redundancy::Double(DoubleParityMap::new(map, g)))
-            }
-            ReviveMode::Replication { replicas: k } => {
-                if k == 0 {
-                    return Err(MachineError::BadConfig(
-                        "replication needs at least one replica".into(),
-                    ));
-                }
-                if !nodes.is_multiple_of(k + 1) {
-                    return Err(MachineError::BadConfig(format!(
-                        "replication chunk {} does not divide node count {nodes}",
-                        k + 1
-                    )));
-                }
-                Some(Redundancy::Replication(ReplicationMap::new(map, k)))
+                let (copies, scheme): (bool, fn(StripeCode) -> Redundancy) = match mode {
+                    ReviveMode::DoubleParity { .. } => (false, Redundancy::Double),
+                    ReviveMode::Replication { .. } => (true, Redundancy::Replication),
+                    // 1+1 parity is mirroring, whose updates carry values.
+                    _ => (g == 1, Redundancy::Xor),
+                };
+                let code = StripeCode::try_new(map, g, r, copies, mirrored)
+                    .map_err(|e| MachineError::BadConfig(format!("{}: {e}", mode.name())))?;
+                Some(scheme(code))
             }
         };
 
@@ -1542,17 +1499,19 @@ impl System {
         for (pline, delta) in &update.deltas {
             debug_assert_eq!(self.map.home_of_line(*pline), dst);
             let local = self.map.local_line_index(*pline);
-            if mirror {
-                cursor = self.nodes[n].dram.access(cursor, local, DramOp::Write);
-                self.metrics.mem(TrafficClass::Par);
-                self.nodes[n].mem.write_line(local, *delta);
-            } else {
+            // A value overwrites (one DRAM write); a delta is a
+            // read-modify-write.
+            if !mirror {
                 cursor = self.nodes[n].dram.access(cursor, local, DramOp::Read);
-                cursor = self.nodes[n].dram.access(cursor, local, DramOp::Write);
                 self.metrics.mem(TrafficClass::Par);
-                self.metrics.mem(TrafficClass::Par);
-                self.nodes[n].mem.xor_line(local, *delta);
             }
+            cursor = self.nodes[n].dram.access(cursor, local, DramOp::Write);
+            self.metrics.mem(TrafficClass::Par);
+            let mem = &mut self.nodes[n].mem;
+            mem.write_line(
+                local,
+                StripeCode::apply_update(mirror, mem.read_line(local), *delta),
+            );
         }
         if let Some(line) = update.ack_to_line {
             self.send(
@@ -1961,16 +1920,23 @@ impl System {
     /// Parity traffic for the flushed write-backs and the just-shipped
     /// checkpoint markers may still be in flight at commit, so the invariant
     /// audited is memory ⊕ pending updates: the queue is drained, pending
-    /// XOR deltas (and mirror writes, in delivery order) are folded into a
-    /// read overlay, and the events are rescheduled untouched.
+    /// updates are landed on a read overlay in delivery order, and the
+    /// events are rescheduled untouched.
     fn audit_parity_at_commit(&mut self, interval: u64) {
         if !self.cfg.shadow_checkpoints {
             return;
         }
         let Some(rdx) = self.redundancy else { return };
         let pending = self.queue.drain();
-        let mut xor_overlay: HashMap<LineAddr, LineData> = HashMap::new();
-        let mut mirror_overlay: HashMap<LineAddr, LineData> = HashMap::new();
+        let nodes = &self.nodes;
+        let map = self.map;
+        let read = |line: LineAddr| {
+            nodes[map.home_of_line(line).index()]
+                .mem
+                .read_line(map.local_line_index(line))
+        };
+        // Memory with every pending update landed, in delivery order.
+        let mut overlay: HashMap<LineAddr, LineData> = HashMap::new();
         for (_, ev) in &pending {
             // A parity update waiting in a watchdog retry is just as
             // in-flight as one in a Deliver — both must fold into the
@@ -1991,30 +1957,16 @@ impl System {
                 continue;
             };
             for (pline, delta) in &update.deltas {
-                if *mirror {
-                    mirror_overlay.insert(*pline, *delta);
-                } else {
-                    let e = xor_overlay.entry(*pline).or_insert(LineData::ZERO);
-                    *e ^= *delta;
-                }
+                let current = overlay.get(pline).copied().unwrap_or_else(|| read(*pline));
+                overlay.insert(*pline, StripeCode::apply_update(*mirror, current, *delta));
             }
         }
+        let audit = audit_redundancy(&rdx, |line| {
+            overlay.get(&line).copied().unwrap_or_else(|| read(line))
+        });
         for (at, ev) in pending {
             self.queue.schedule(at, ev);
         }
-        let nodes = &self.nodes;
-        let map = self.map;
-        let audit = audit_redundancy(&rdx, |line| {
-            let local = map.local_line_index(line);
-            let mut v = nodes[map.home_of_line(line).index()].mem.read_line(local);
-            if let Some(d) = xor_overlay.get(&line) {
-                v ^= *d;
-            }
-            if let Some(m) = mirror_overlay.get(&line) {
-                v = *m;
-            }
-            v
-        });
         self.audits.push(AuditReport {
             context: format!("commit of checkpoint {interval}"),
             parity: audit,
@@ -2107,13 +2059,13 @@ impl System {
                 continue;
             }
             let n = msg.dst.index();
+            let mem = &mut self.nodes[n].mem;
             for (pline, delta) in &update.deltas {
                 let local = self.map.local_line_index(*pline);
-                if mirror {
-                    self.nodes[n].mem.write_line(local, *delta);
-                } else {
-                    self.nodes[n].mem.xor_line(local, *delta);
-                }
+                mem.write_line(
+                    local,
+                    StripeCode::apply_update(mirror, mem.read_line(local), *delta),
+                );
             }
         }
     }

@@ -76,6 +76,25 @@ fn empty_parity_groups_are_rejected() {
 }
 
 #[test]
+fn layout_errors_keep_their_bad_config_wording() {
+    let mut cfg = small(AppId::Lu);
+    cfg.revive.mode = ReviveMode::Replication { replicas: 0 };
+    expect_bad_config(cfg, "at least one replica");
+    let mut cfg = small(AppId::Lu);
+    cfg.revive.mode = ReviveMode::DoubleParity {
+        group_data_pages: 3, // chunk 5 does not divide 4 nodes
+    };
+    expect_bad_config(cfg, "double-parity: chunk 5 does not divide node count 4");
+    let mut cfg = small(AppId::Lu);
+    cfg.machine.nodes = 9;
+    cfg.revive.mode = ReviveMode::Mixed {
+        group_data_pages: 2,
+        mirrored_fraction: 0.25,
+    };
+    expect_bad_config(cfg, "even node count");
+}
+
+#[test]
 fn excessive_log_fraction_is_rejected() {
     let mut cfg = small(AppId::Lu);
     cfg.revive.log_fraction = 1.0;

@@ -187,11 +187,6 @@ impl AddressMap {
         self.bytes_per_node / LINE_SIZE as u64
     }
 
-    /// Total bytes across the machine.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_per_node * self.nodes as u64
-    }
-
     /// The home node of a byte address.
     ///
     /// # Panics
@@ -293,7 +288,6 @@ mod tests {
     #[test]
     fn homes_partition_the_space() {
         let map = AddressMap::new(4, 2 * PAGE_SIZE as u64);
-        assert_eq!(map.total_bytes(), 8 * PAGE_SIZE as u64);
         let homes: Vec<NodeId> = (0..8).map(|p| map.home_of_page(PageAddr(p))).collect();
         assert_eq!(homes, [0, 0, 1, 1, 2, 2, 3, 3].map(NodeId).to_vec());
     }

@@ -114,17 +114,7 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio over all lookups; zero when no lookups happened.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
+impl CacheStats {}
 
 /// A set-associative write-back cache with true-LRU replacement.
 ///

@@ -165,21 +165,6 @@ impl Dram {
     pub fn wait_total(&self) -> Ns {
         self.banks.wait_total()
     }
-
-    /// Per-bank busy time, in bank order (for bank-utilization time series:
-    /// an epoch's utilization is the delta of two snapshots over the epoch).
-    pub fn bank_busy(&self) -> Vec<Ns> {
-        (0..self.banks.len())
-            .map(|i| self.banks.member(i).busy_total())
-            .collect()
-    }
-
-    /// Resets timing state (post-error reinitialization). Counters are kept;
-    /// open rows and reservations are dropped.
-    pub fn reset_timing(&mut self) {
-        self.banks.reset();
-        self.open_rows.iter_mut().for_each(|r| *r = None);
-    }
 }
 
 #[cfg(test)]
@@ -245,17 +230,5 @@ mod tests {
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.stats().total(), 2);
         assert!(d.stats().row_hit_rate() > 0.0);
-    }
-
-    #[test]
-    fn reset_timing_keeps_counters() {
-        let mut d = Dram::new(DramConfig::default());
-        d.access(Ns(0), 0, DramOp::Read);
-        d.reset_timing();
-        assert_eq!(d.stats().reads, 1);
-        assert_eq!(d.busy_total(), Ns::ZERO);
-        // Row was closed by the reset: next access is a miss again.
-        d.access(Ns(0), 0, DramOp::Read);
-        assert_eq!(d.stats().row_misses, 2);
     }
 }

@@ -13,7 +13,7 @@
 //! pipeline slots); only checkpoint timers and watchdogs look milliseconds
 //! ahead. The queue exploits that split (DESIGN.md §14):
 //!
-//! * a **ring calendar** of [`RING`] one-nanosecond buckets covers the
+//! * a **ring calendar** of `RING` (4096) one-nanosecond buckets covers the
 //!   window `[now, now + RING)`. Scheduling into the window is an
 //!   append to the bucket `time % RING`; popping scans an occupancy bitmap
 //!   for the next non-empty bucket. Both are O(1)-ish and allocation-free
@@ -193,12 +193,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` to fire `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: Ns, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Index of the earliest non-empty ring bucket (in circular-from-`now`
     /// order, which is time order), if any.
     fn next_ring_bucket(&self) -> Option<usize> {
@@ -301,16 +295,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The time of the next pending event, if any, without popping it.
-    pub fn peek_time(&self) -> Option<Ns> {
-        let ring = self.next_ring_bucket().map(|b| Ns(self.ring[b].time));
-        let far = self.far.peek().map(|Reverse(e)| e.time);
-        match (ring, far) {
-            (Some(r), Some(f)) => Some(r.min(f)),
-            (r, f) => r.or(f),
-        }
-    }
-
     /// Drops every pending event, keeping the clock where it is. Used when
     /// a machine is reset after an error: in-flight messages died with the
     /// hardware they were traversing.
@@ -395,8 +379,9 @@ mod tests {
         assert_eq!(q.now(), Ns::ZERO);
         q.pop();
         assert_eq!(q.now(), Ns(10));
-        q.schedule_in(Ns(5), ());
-        assert_eq!(q.peek_time(), Some(Ns(15)));
+        q.schedule(Ns(15), ());
+        assert_eq!(q.pop(), Some((Ns(15), ())));
+        assert_eq!(q.now(), Ns(15));
     }
 
     #[test]

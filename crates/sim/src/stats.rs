@@ -422,17 +422,6 @@ impl TailHistogram {
         self.max
     }
 
-    /// Nonzero buckets as `(inclusive_upper_bound, count)` pairs, for
-    /// report serialization.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_upper_bound(i), c))
-            .collect()
-    }
-
     /// The smallest bucket bound `v` such that at least `q` (in `[0,1]`) of
     /// the samples are `<= v` — same exact-rank arithmetic as
     /// [`Histogram::quantile_upper_bound`], at log-linear resolution.
@@ -720,10 +709,6 @@ mod tests {
         assert_eq!(a.max(), 300);
         assert_eq!(TailHistogram::new().quantile_upper_bound(0.5), 0);
         assert_eq!(TailHistogram::new().mean(), 0.0);
-        // Nonzero buckets round-trip the counts.
-        let nz = a.nonzero_buckets();
-        assert_eq!(nz.iter().map(|&(_, c)| c).sum::<u64>(), 3);
-        assert!(nz.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
