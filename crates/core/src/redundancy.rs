@@ -442,6 +442,22 @@ impl StripeCode {
         slot.redundancy_at(slot.pos).is_some()
     }
 
+    /// Whether `page` is its group's first redundancy page,
+    /// `group_of(page).redundancy[0]`: P for P+Q, the parity page for XOR,
+    /// the lowest chunk position for copies. Each group has exactly one.
+    pub(crate) fn is_group_anchor(&self, page: PageAddr) -> bool {
+        let slot = self.slot(page);
+        // Parity lists members by equation, so member 0 comes first; copies
+        // list in chunk order, where a run of members that wraps past the
+        // chunk's end starts at position 0.
+        let anchor = if slot.copies && slot.first + slot.redundancy > slot.chunk {
+            0
+        } else {
+            slot.first
+        };
+        slot.pos == anchor
+    }
+
     /// Whether updates protecting `page` carry values applied by overwrite
     /// (copies) instead of XOR deltas (parity).
     pub fn stores_values(&self, page: PageAddr) -> bool {
@@ -829,6 +845,7 @@ impl RedundancyBackend for Redundancy {
 mod tests {
     use super::*;
     use crate::parity::ParityMap;
+    use crate::validate::audit_redundancy;
     use revive_mem::addr::PAGE_SIZE;
     use std::collections::HashMap;
 
@@ -1277,6 +1294,11 @@ mod tests {
                     let s = m.local_page_index(page);
                     let (data, red) = scheme.group(&m, page);
                     assert_eq!(rdx.is_redundancy_page(page), red.contains(&page), "{page}");
+                    assert_eq!(
+                        rdx.is_group_anchor(page),
+                        red[0] == page,
+                        "{scheme:?} {page}"
+                    );
                     let g = rdx.group_of(page);
                     assert_eq!((g.data, g.redundancy), (data, red), "{scheme:?} {page}");
                     if rdx.is_redundancy_page(page) {
@@ -1304,6 +1326,30 @@ mod tests {
                 }
             }
             check_all(&rdx, &mem);
+            // The audit visits each group once, at its first redundancy
+            // page, in node-then-page order: with one line of every group's
+            // first data member flipped, every group is reported in turn.
+            let anchors: Vec<PageAddr> = NodeId::all(m.nodes())
+                .flat_map(|n| m.pages_of(n))
+                .filter(|&p| scheme.group(&m, p).1[0] == p)
+                .collect();
+            let offset = |p: PageAddr| (m.local_page_index(p) % LINES_PER_PAGE as u64) as usize;
+            let audit = audit_redundancy(&rdx, |l| {
+                let p = l.page();
+                let flip = scheme.group(&m, p).0[0] == p && l.index_in_page() == offset(p);
+                mem.read(l) ^ LineData::fill(u8::from(flip))
+            });
+            assert_eq!(audit.groups_checked, anchors.len() as u64, "{scheme:?}");
+            let reported: Vec<_> = audit
+                .violations
+                .iter()
+                .map(|v| (v.parity_page, v.stripe, v.node, v.offset))
+                .collect();
+            let want: Vec<_> = anchors
+                .iter()
+                .map(|&p| (p, m.local_page_index(p), m.home_of_page(p), offset(p)))
+                .collect();
+            assert_eq!(reported, want, "{scheme:?}");
             // Every loss set of up to budget + 1 nodes that the layout calls
             // within budget rebuilds every lost page byte-exactly; a copy
             // reads its first surviving member, data before redundancy.

@@ -324,7 +324,7 @@ where
     let mut audit = ParityAudit::default();
     for node in NodeId::all(map.nodes()) {
         for page in map.pages_of(node) {
-            if !rdx.is_redundancy_page(page) || rdx.group_of(page).redundancy[0] != page {
+            if !rdx.is_group_anchor(page) {
                 continue;
             }
             audit.groups_checked += 1;

@@ -32,8 +32,8 @@
 use std::path::{Path, PathBuf};
 
 use revive_machine::{
-    parse_json, parse_run_meta, parse_run_result, render_artifact, run_experiment,
-    validate_artifact, write_atomic, ExperimentConfig, InjectionPlan, RunMeta, RunResult,
+    parse_json, parse_run_meta, parse_run_result, render_artifact, validate_artifact, write_atomic,
+    ExperimentConfig, InjectionPlan, RunMeta, RunResult, Runner,
 };
 
 use crate::cli::Args;
@@ -181,7 +181,9 @@ impl Sweep {
                         }
                     }
                     let t0 = std::time::Instant::now();
-                    let result = run_experiment(job.cfg, &job.plans).map_err(|e| e.to_string())?;
+                    let result = Runner::new(job.cfg)
+                        .and_then(|r| r.run_with_injections(&job.plans))
+                        .map_err(|e| e.to_string())?;
                     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                     if let Some(p) = &path {
                         emit_artifact(p, &meta, &result);

@@ -21,7 +21,6 @@ use revive_sim::{DetRng, NodeId, Ns};
 use revive_workloads::{AppId, SyntheticKind};
 
 use crate::config::{ExperimentConfig, MachineError, ReviveMode, WorkloadSpec};
-use crate::differential::injected_vs_golden;
 use crate::json::{Codec, Json};
 use crate::runner::{
     CommitPoint, ErrorKind, FaultOutcome, InjectPhase, InjectionPlan, NodeSet, RunResult, Runner,
@@ -472,24 +471,21 @@ impl ScenarioReport {
 fn attempt(sc: &Scenario) -> Result<(ScenarioOutcome, RunResult), MachineError> {
     let cfg = sc.experiment();
     let plans = sc.plans(cfg.revive.ckpt.interval);
-    // Probe without capturing a memory image first: an unrecoverable fault
-    // leaves node memories destroyed, and imaging destroyed memory is a
-    // (deliberate) panic.
-    let probe = Runner::new(cfg)?.run_with_injections(&plans)?;
-    if let Some(FaultOutcome::Unrecoverable { error, .. }) =
-        probe.outcomes.iter().find(|o| o.is_unrecoverable())
-    {
-        return Ok((
-            ScenarioOutcome::Unrecoverable {
-                reason: error.to_string(),
-            },
-            probe,
-        ));
-    }
-    // All faults recovered: re-run under the exact-memory oracle. The
-    // machine is deterministic, so the re-run reproduces the probe.
-    let (_, golden_image) = Runner::new(cfg)?.run_to_image()?;
-    let (injected, diff) = injected_vs_golden(cfg, &plans, &golden_image)?;
+    let (injected, image) = Runner::new(cfg)?.run_with_injections_to_image(&plans)?;
+    let Some(image) = image else {
+        let reason = injected
+            .outcomes
+            .iter()
+            .find_map(|o| match o {
+                FaultOutcome::Unrecoverable { error, .. } => Some(error.to_string()),
+                FaultOutcome::Recovered(_) => None,
+            })
+            .expect("a run without an image ended in an unrecoverable fault");
+        return Ok((ScenarioOutcome::Unrecoverable { reason }, injected));
+    };
+    // Every fault recovered: the oracle compares against a clean run.
+    let (_, golden) = Runner::new(cfg)?.run_to_image()?;
+    let diff = golden.diff(&image);
     let outcome = ScenarioOutcome::Recovered {
         oracle_match: diff.is_match(),
         verified: injected

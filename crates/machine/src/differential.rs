@@ -3,16 +3,16 @@
 //! The strongest statement ReVive can make is *the error never happened*:
 //! after an injected error, rollback, and replay, the machine's functional
 //! memory is word-for-word identical to a clean run of the same program.
-//! This module runs that comparison — a golden run and an injected run from
-//! the same [`ExperimentConfig`], compared by virtual-page memory image —
-//! and bundles it with the validation-mode audits (parity-group sweeps at
-//! every commit and after recovery, log round-trips against a software
-//! shadow) into a single clean/failed report.
+//! [`injected_vs_golden`] makes that comparison — an injected run against
+//! a golden run's image from the same [`ExperimentConfig`], compared by
+//! virtual-page memory image — and [`AuditReport`] carries the
+//! validation-mode audits (parity-group sweeps at every commit and after
+//! recovery, log round-trips against a software shadow).
 //!
 //! Enable `shadow_checkpoints` on the config to arm the audits; the memory
 //! comparison works regardless.
 
-use revive_core::validate::{LogDivergence, MemoryDiff, ParityAudit};
+use revive_core::validate::{LogDivergence, MemoryDiff, MemoryImage, ParityAudit};
 use revive_sim::types::NodeId;
 
 use crate::config::{ExperimentConfig, MachineError};
@@ -50,74 +50,6 @@ impl std::fmt::Display for AuditReport {
     }
 }
 
-/// The outcome of a golden-vs-injected differential run.
-#[derive(Debug)]
-pub struct DifferentialReport {
-    /// The clean run (no errors injected).
-    pub golden: RunResult,
-    /// The run that suffered the injections and recovered.
-    pub injected: RunResult,
-    /// Virtual-page memory comparison of the two final states.
-    pub diff: MemoryDiff,
-}
-
-impl DifferentialReport {
-    /// True when the injected run is indistinguishable from the golden run:
-    /// identical final memory, every recovery verified against its shadow
-    /// checkpoint, and every audit clean.
-    pub fn is_clean(&self) -> bool {
-        self.diff.is_match()
-            && self
-                .injected
-                .recoveries
-                .iter()
-                .all(|r| r.verified != Some(false))
-            && self.injected.audits.iter().all(AuditReport::is_clean)
-    }
-
-    /// Human-readable descriptions of everything that went wrong (empty
-    /// when [`DifferentialReport::is_clean`] holds).
-    pub fn failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if !self.diff.is_match() {
-            out.push(format!("memory differs from golden run: {}", self.diff));
-        }
-        for (i, r) in self.injected.recoveries.iter().enumerate() {
-            if r.verified == Some(false) {
-                out.push(format!(
-                    "recovery {i} (to checkpoint {}) failed shadow verification",
-                    r.target_interval
-                ));
-            }
-        }
-        for a in &self.injected.audits {
-            if !a.is_clean() {
-                out.push(a.to_string());
-            }
-        }
-        out
-    }
-}
-
-/// Runs `cfg` twice — once clean, once with `plans` injected — and compares
-/// the final functional memories word-for-word.
-///
-/// # Errors
-///
-/// Propagates construction and injection errors from [`Runner`].
-pub fn differential_run(
-    cfg: ExperimentConfig,
-    plans: &[InjectionPlan],
-) -> Result<DifferentialReport, MachineError> {
-    let (golden, golden_image) = Runner::new(cfg)?.run_to_image()?;
-    let (injected, diff) = injected_vs_golden(cfg, plans, &golden_image)?;
-    Ok(DifferentialReport {
-        golden,
-        injected,
-        diff,
-    })
-}
-
 /// Runs `cfg` with `plans` injected and diffs the final memory against a
 /// precomputed golden image — lets a test matrix amortize one golden run
 /// across many injection scenarios.
@@ -125,12 +57,18 @@ pub fn differential_run(
 /// # Errors
 ///
 /// Propagates construction and injection errors from [`Runner`].
+///
+/// # Panics
+///
+/// Panics if a fault is unrecoverable: a halted machine has no final
+/// memory to compare (see [`Runner::run_with_injections_to_image`]).
 pub fn injected_vs_golden(
     cfg: ExperimentConfig,
     plans: &[InjectionPlan],
-    golden: &revive_core::validate::MemoryImage,
+    golden: &MemoryImage,
 ) -> Result<(RunResult, MemoryDiff), MachineError> {
     let (injected, image) = Runner::new(cfg)?.run_with_injections_to_image(plans)?;
+    let image = image.expect("an unrecoverable fault leaves no final memory to diff");
     let diff = golden.diff(&image);
     Ok((injected, diff))
 }

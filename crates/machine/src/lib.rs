@@ -61,7 +61,7 @@ pub use config::{
     ExperimentConfig, MachineConfig, MachineError, ObsConfig, ReviveConfig, ReviveMode, SloSpec,
     WorkloadSpec,
 };
-pub use differential::{differential_run, injected_vs_golden, AuditReport, DifferentialReport};
+pub use differential::{injected_vs_golden, AuditReport};
 pub use json::{check_header, parse_json, read_document, write_atomic, write_json, Codec, Json};
 pub use metrics::{Metrics, ServingReport, ServingWindow, SloLedger, Summary, TrafficClass};
 pub use page_table::PageTable;
@@ -70,8 +70,8 @@ pub use report::{
     ARTIFACT_SCHEMA, ARTIFACT_VERSION,
 };
 pub use runner::{
-    fault_schedule, run_experiment, CommitPoint, ErrorKind, FaultOutcome, FaultProcess,
-    InjectPhase, InjectionPlan, NodeSet, RecoveryOutcome, RunResult, Runner,
+    fault_schedule, CommitPoint, ErrorKind, FaultOutcome, FaultProcess, InjectPhase, InjectionPlan,
+    NodeSet, RecoveryOutcome, RunResult, Runner,
 };
 pub use sampling::{EpochSample, IntervalSampler, SampleInput};
 pub use system::System;

@@ -7,7 +7,7 @@ use revive_core::recovery::{
     recover, RecoveryError, RecoveryInput, RecoveryReport, RecoveryTiming,
 };
 use revive_core::redundancy::StripeCode;
-use revive_core::validate::{LogDivergence, MemoryImage, ParityAudit};
+use revive_core::validate::{audit_redundancy, LogDivergence, MemoryImage, ParityAudit};
 use revive_mem::addr::PageAddr;
 use revive_mem::line::LineData;
 use revive_mem::main_memory::NodeMemory;
@@ -551,6 +551,17 @@ pub struct RunResult {
     pub serving: Option<crate::metrics::ServingReport>,
 }
 
+/// When and to what an injected error was detected.
+#[derive(Clone, Copy)]
+struct Detection {
+    /// The checkpoint recovery rolls back to.
+    target: u64,
+    /// When that checkpoint committed.
+    committed: Ns,
+    /// When the error was detected.
+    at: Ns,
+}
+
 /// Drives one experiment to completion.
 pub struct Runner {
     sys: System,
@@ -580,9 +591,8 @@ impl Runner {
     /// Currently infallible after construction; the `Result` is kept for
     /// forward compatibility (deadlocks and overflow are panics — they are
     /// simulator bugs, not outcomes).
-    pub fn run(mut self) -> Result<RunResult, MachineError> {
-        self.sys.run();
-        Ok(self.collect(Vec::new()))
+    pub fn run(self) -> Result<RunResult, MachineError> {
+        self.run_with_injections(&[])
     }
 
     /// Runs to completion and also returns the final functional memory
@@ -591,53 +601,41 @@ impl Runner {
     /// # Errors
     ///
     /// As [`Runner::run`].
-    pub fn run_to_image(mut self) -> Result<(RunResult, MemoryImage), MachineError> {
-        self.sys.run();
-        let image = self.sys.memory_image();
-        Ok((self.collect(Vec::new()), image))
-    }
-
-    /// Runs with a scripted error: executes normally, injects the error,
-    /// conservatively keeps executing through the detection window (the
-    /// paper's footnote 1), then performs ReVive recovery and — when shadow
-    /// checkpoints are on — verifies the restored memory value-for-value.
-    /// The machine then resumes and finishes its budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MachineError::BadConfig`] if ReVive is off or the plan is
-    /// malformed, [`MachineError::InjectionNeverFired`] if the run finished
-    /// before the injection point fired.
-    pub fn run_with_injection(self, plan: InjectionPlan) -> Result<RunResult, MachineError> {
-        self.run_with_injections(&[plan])
+    pub fn run_to_image(self) -> Result<(RunResult, MemoryImage), MachineError> {
+        let (result, image) = self.run_with_injections_to_image(&[])?;
+        Ok((result, image.expect("a clean run destroys no memory")))
     }
 
     /// Runs with a *sequence* of scripted errors: each plan's
     /// `after_checkpoint` counts checkpoints committed since the previous
-    /// recovery (or the run's start). The machine recovers from each error
-    /// — each recovery verified when shadow checkpoints are on — and keeps
-    /// executing until its budget completes. A fault classified
-    /// unrecoverable is *not* an `Err`: it is reported as a
-    /// [`FaultOutcome::Unrecoverable`] in the result and the machine stays
-    /// halted (remaining plans are skipped).
+    /// recovery (or the run's start). For each error the machine executes
+    /// normally, injects it, conservatively keeps executing through the
+    /// detection window (the paper's footnote 1), then performs ReVive
+    /// recovery and — when shadow checkpoints are on — verifies the
+    /// restored memory value-for-value; it then keeps executing until its
+    /// budget completes. A fault classified unrecoverable is *not* an
+    /// `Err`: it is reported as a [`FaultOutcome::Unrecoverable`] in the
+    /// result and the machine stays halted (remaining plans are skipped).
+    /// With no plans this is a clean run, on any mode.
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError::BadConfig`] if ReVive is off or the plan is
-    /// malformed, [`MachineError::InjectionNeverFired`] if the run finished
-    /// before any injection point fired.
+    /// Returns [`MachineError::BadConfig`] if plans are given but ReVive is
+    /// off or a plan is malformed, [`MachineError::InjectionNeverFired`] if
+    /// the run finished before an injection point fired.
     pub fn run_with_injections(
         mut self,
         plans: &[InjectionPlan],
     ) -> Result<RunResult, MachineError> {
-        let outcomes = self.run_injections_inner(plans)?;
-        self.sys.run();
+        let outcomes = self.execute(plans)?;
         Ok(self.collect(outcomes))
     }
 
     /// As [`Runner::run_with_injections`], also returning the final
     /// functional memory image for differential comparison against a
-    /// clean run.
+    /// clean run. The image is `None` when some fault ended
+    /// [`FaultOutcome::Unrecoverable`]: the halted machine keeps the lost
+    /// nodes' memory destroyed, and imaging destroyed memory traps.
     ///
     /// # Errors
     ///
@@ -645,18 +643,21 @@ impl Runner {
     pub fn run_with_injections_to_image(
         mut self,
         plans: &[InjectionPlan],
-    ) -> Result<(RunResult, MemoryImage), MachineError> {
-        let outcomes = self.run_injections_inner(plans)?;
-        self.sys.run();
-        let image = self.sys.memory_image();
+    ) -> Result<(RunResult, Option<MemoryImage>), MachineError> {
+        let outcomes = self.execute(plans)?;
+        let image = if outcomes.iter().any(FaultOutcome::is_unrecoverable) {
+            None
+        } else {
+            Some(self.sys.memory_image())
+        };
         Ok((self.collect(outcomes), image))
     }
 
-    fn run_injections_inner(
-        &mut self,
-        plans: &[InjectionPlan],
-    ) -> Result<Vec<FaultOutcome>, MachineError> {
-        if self.sys.cfg.revive.mode == ReviveMode::Off {
+    /// Injects `plans` in order, recovering from each, and runs the
+    /// machine to budget completion — or stops at the first fault that
+    /// cannot be recovered, leaving the machine halted.
+    fn execute(&mut self, plans: &[InjectionPlan]) -> Result<Vec<FaultOutcome>, MachineError> {
+        if !plans.is_empty() && self.sys.cfg.revive.mode == ReviveMode::Off {
             return Err(MachineError::BadConfig(
                 "cannot inject errors into the baseline machine".into(),
             ));
@@ -689,173 +690,182 @@ impl Runner {
         }
         let mut outcomes: Vec<FaultOutcome> = Vec::with_capacity(plans.len());
         for plan in plans {
-            let base = self.sys.ckpt_counter;
-            match plan.phase {
-                InjectPhase::MidLogging | InjectPhase::DuringRecovery => {
-                    self.sys.inject_at_ckpt =
-                        Some((base + plan.after_checkpoint, plan.interval_fraction));
+            let detection = self.fire(plan)?;
+            match self.recover_from(plan, detection) {
+                Ok(outcome) => {
+                    let t_resume = detection.at + (outcome.unavailable - outcome.lost_work);
+                    self.sys.resume_after_recovery(t_resume);
+                    outcomes.push(FaultOutcome::Recovered(outcome));
                 }
-                InjectPhase::CommitWindow => {
-                    // Strike inside the commit of the *next* checkpoint after
-                    // `after_checkpoint` commits, mirroring the other phases'
-                    // "after N commits" anchor.
-                    self.sys.inject_in_commit_of =
-                        Some((base + plan.after_checkpoint + 1, CommitPoint::AfterMark));
-                }
-                InjectPhase::CommitEdge(point) => {
-                    self.sys.inject_in_commit_of = Some((base + plan.after_checkpoint + 1, point));
-                }
-                InjectPhase::AtTime(at) => {
-                    self.sys.schedule_inject(at);
-                }
-            }
-            let live = plan.kind.is_live();
-            if live {
-                self.sys.arm_live_fault(match &plan.kind {
-                    ErrorKind::LiveNodeLoss(n) => LiveFault::Nodes(vec![*n]),
-                    ErrorKind::LiveMultiNodeLoss(s) => LiveFault::Nodes(s.nodes()),
-                    ErrorKind::LinkLoss { a, b } => LiveFault::Link { a: *a, b: *b },
-                    _ => unreachable!("is_live() covers exactly these kinds"),
-                });
-            }
-            self.sys.halted = false;
-            self.sys.run();
-            let Some(t_err) = self.sys.inject_time.take() else {
-                return Err(MachineError::InjectionNeverFired {
-                    after_checkpoint: base + plan.after_checkpoint,
-                    checkpoints: self.sys.ckpt_counter,
-                });
-            };
-            // Roll back to the most recent checkpoint committed before the
-            // error. Work after it — including anything executed during
-            // the detection window — is lost. (For a commit-window error the
-            // interrupted checkpoint never committed, so this is the one
-            // before it; for an after-commit edge it is the checkpoint that
-            // just committed, so rollback discards nothing.) Live faults
-            // snapshot the target at the sever instant: the survivors may
-            // commit further checkpoints between the fault and its organic
-            // detection, but a checkpoint the dead node never participated
-            // in is not a legal recovery target.
-            let (target, commit_of_target) = match self.sys.live_snapshot.take() {
-                Some(snap) if live => snap,
-                _ => (
-                    self.sys.ckpt_counter,
-                    self.sys
-                        .ck_stats
-                        .timelines
-                        .last()
-                        .map(|t| t.committed)
-                        .unwrap_or(Ns::ZERO),
-                ),
-            };
-            let t_detect = if live {
-                // Detection was organic: watchdog strikes, a hung commit
-                // barrier, or the heartbeat backstop halted the machine.
-                // (If the survivors finished the workload before any
-                // liveness signal fired, fall back to the scripted delay.)
-                let t = match self.sys.detected_at.take() {
-                    Some(t) => t,
-                    None => self.sys.now().max(t_err + plan.detection_delay),
-                };
-                // Organic detection halted the machine; un-halt it so the
-                // post-recovery resume can re-execute the rolled-back work.
-                self.sys.halted = false;
-                t
-            } else {
-                self.sys.halted = false;
-                self.sys.run_until(t_err + plan.detection_delay);
-                self.sys.now().max(t_err + plan.detection_delay)
-            };
-
-            let mut lost = self.apply_damage(&plan.kind, target);
-            if live {
-                // Quiesce before recovery is only possible if the survivors
-                // can still reach each other: check for a partition while
-                // the fabric's fault state is still in force.
-                if let Some(error) = self.sys.check_partition() {
-                    outcomes.push(FaultOutcome::Unrecoverable {
-                        error,
-                        at: t_detect,
-                    });
-                    self.sys.halted = true;
-                    self.sys.suppress_deadlock_panic = true;
-                    break;
-                }
-            }
-            let double = plan.phase == InjectPhase::DuringRecovery && plan.second.is_some();
-            if double {
-                // The second fault lands while Phase 2 is still rebuilding:
-                // the first attempt is abandoned and recovery restarts from
-                // scratch against the union of the damage — the restart is
-                // idempotent because nothing before the scrub depends on
-                // partial progress.
-                if let Some(kind2) = &plan.second {
-                    for n in self.apply_damage(kind2, target) {
-                        if !lost.contains(&n) {
-                            lost.push(n);
-                        }
-                    }
-                }
-            }
-            let first = self.recover_machine(target, &lost, commit_of_target, t_detect);
-            let mut outcome = match first {
-                Ok(o) => o,
                 Err(error) => {
                     // Graceful degradation: the fault is classified, the
                     // machine stays halted, and the run ends here. Any
                     // remaining plans are unreachable — the machine is down.
                     outcomes.push(FaultOutcome::Unrecoverable {
                         error,
-                        at: t_detect,
+                        at: detection.at,
                     });
                     self.sys.halted = true;
                     self.sys.suppress_deadlock_panic = true;
-                    break;
+                    return Ok(outcomes);
                 }
-            };
-            if double {
-                // Charge the abandoned first attempt's diagnosis time: the
-                // machine was already in Phase 1/2 when the second fault
-                // struck and had to start over.
-                outcome.unavailable += outcome.report.phase1;
-            } else if plan.phase == InjectPhase::DuringRecovery {
-                // The error recurs after recovery finished its rebuild:
-                // re-apply the damage and recover again to the same
-                // checkpoint. The second pass must hold with the logs
-                // already scrubbed — for a node loss it is pure parity
-                // reconstruction, for the others an idempotence check.
-                let lost2 = self.apply_damage(&plan.kind, target);
-                let second = match self.recover_machine(target, &lost2, commit_of_target, t_detect)
-                {
-                    Ok(o) => o,
-                    Err(error) => {
-                        outcomes.push(FaultOutcome::Unrecoverable {
-                            error,
-                            at: t_detect,
-                        });
-                        self.sys.halted = true;
-                        self.sys.suppress_deadlock_panic = true;
-                        break;
-                    }
-                };
-                outcome = RecoveryOutcome {
-                    report: second.report,
-                    lost_work: outcome.lost_work,
-                    unavailable: outcome.unavailable + second.report.unavailable(),
-                    target_interval: target,
-                    verified: match (outcome.verified, second.verified) {
-                        (Some(a), Some(b)) => Some(a && b),
-                        (Some(a), None) | (None, Some(a)) => Some(a),
-                        (None, None) => None,
-                    },
-                    ops_rolled_back: outcome.ops_rolled_back.max(second.ops_rolled_back),
-                };
             }
-            let t_resume = t_detect + (outcome.unavailable - outcome.lost_work);
-            self.sys.resume_after_recovery(t_resume);
-            outcomes.push(FaultOutcome::Recovered(outcome));
         }
+        self.sys.run();
         Ok(outcomes)
+    }
+
+    /// Arms `plan`, runs until its error strikes, and keeps running until
+    /// it is detected.
+    fn fire(&mut self, plan: &InjectionPlan) -> Result<Detection, MachineError> {
+        let base = self.sys.ckpt_counter;
+        match plan.phase {
+            InjectPhase::MidLogging | InjectPhase::DuringRecovery => {
+                self.sys.inject_at_ckpt =
+                    Some((base + plan.after_checkpoint, plan.interval_fraction));
+            }
+            InjectPhase::CommitWindow => {
+                // Strike inside the commit of the *next* checkpoint after
+                // `after_checkpoint` commits, mirroring the other phases'
+                // "after N commits" anchor.
+                self.sys.inject_in_commit_of =
+                    Some((base + plan.after_checkpoint + 1, CommitPoint::AfterMark));
+            }
+            InjectPhase::CommitEdge(point) => {
+                self.sys.inject_in_commit_of = Some((base + plan.after_checkpoint + 1, point));
+            }
+            InjectPhase::AtTime(at) => {
+                self.sys.schedule_inject(at);
+            }
+        }
+        let live = plan.kind.is_live();
+        if live {
+            self.sys.arm_live_fault(match &plan.kind {
+                ErrorKind::LiveNodeLoss(n) => LiveFault::Nodes(vec![*n]),
+                ErrorKind::LiveMultiNodeLoss(s) => LiveFault::Nodes(s.nodes()),
+                ErrorKind::LinkLoss { a, b } => LiveFault::Link { a: *a, b: *b },
+                _ => unreachable!("is_live() covers exactly these kinds"),
+            });
+        }
+        self.sys.halted = false;
+        self.sys.run();
+        let Some(t_err) = self.sys.inject_time.take() else {
+            return Err(MachineError::InjectionNeverFired {
+                after_checkpoint: base + plan.after_checkpoint,
+                checkpoints: self.sys.ckpt_counter,
+            });
+        };
+        // Roll back to the most recent checkpoint committed before the
+        // error. Work after it — including anything executed during
+        // the detection window — is lost. (For a commit-window error the
+        // interrupted checkpoint never committed, so this is the one
+        // before it; for an after-commit edge it is the checkpoint that
+        // just committed, so rollback discards nothing.) Live faults
+        // snapshot the target at the sever instant: the survivors may
+        // commit further checkpoints between the fault and its organic
+        // detection, but a checkpoint the dead node never participated
+        // in is not a legal recovery target.
+        let (target, committed) = match self.sys.live_snapshot.take() {
+            Some(snap) if live => snap,
+            _ => (
+                self.sys.ckpt_counter,
+                self.sys
+                    .ck_stats
+                    .timelines
+                    .last()
+                    .map(|t| t.committed)
+                    .unwrap_or(Ns::ZERO),
+            ),
+        };
+        let at = if live {
+            // Detection was organic: watchdog strikes, a hung commit
+            // barrier, or the heartbeat backstop halted the machine.
+            // (If the survivors finished the workload before any
+            // liveness signal fired, fall back to the scripted delay.)
+            let t = match self.sys.detected_at.take() {
+                Some(t) => t,
+                None => self.sys.now().max(t_err + plan.detection_delay),
+            };
+            // Organic detection halted the machine; un-halt it so the
+            // post-recovery resume can re-execute the rolled-back work.
+            self.sys.halted = false;
+            t
+        } else {
+            self.sys.halted = false;
+            self.sys.run_until(t_err + plan.detection_delay);
+            self.sys.now().max(t_err + plan.detection_delay)
+        };
+        Ok(Detection {
+            target,
+            committed,
+            at,
+        })
+    }
+
+    /// Inflicts `plan`'s damage and recovers the machine to the detected
+    /// target, or classifies why it cannot.
+    fn recover_from(
+        &mut self,
+        plan: &InjectionPlan,
+        detection: Detection,
+    ) -> Result<RecoveryOutcome, RecoveryError> {
+        let Detection {
+            target,
+            committed,
+            at,
+        } = detection;
+        let mut lost = self.apply_damage(&plan.kind, target);
+        if plan.kind.is_live() {
+            // Quiesce before recovery is only possible if the survivors
+            // can still reach each other: check for a partition while
+            // the fabric's fault state is still in force.
+            if let Some(error) = self.sys.check_partition() {
+                return Err(error);
+            }
+        }
+        let double = plan.phase == InjectPhase::DuringRecovery && plan.second.is_some();
+        if double {
+            // The second fault lands while Phase 2 is still rebuilding:
+            // the first attempt is abandoned and recovery restarts from
+            // scratch against the union of the damage — the restart is
+            // idempotent because nothing before the scrub depends on
+            // partial progress.
+            if let Some(kind2) = &plan.second {
+                for n in self.apply_damage(kind2, target) {
+                    if !lost.contains(&n) {
+                        lost.push(n);
+                    }
+                }
+            }
+        }
+        let mut outcome = self.recover_machine(target, &lost, committed, at)?;
+        if double {
+            // Charge the abandoned first attempt's diagnosis time: the
+            // machine was already in Phase 1/2 when the second fault
+            // struck and had to start over.
+            outcome.unavailable += outcome.report.phase1;
+        } else if plan.phase == InjectPhase::DuringRecovery {
+            // The error recurs after recovery finished its rebuild:
+            // re-apply the damage and recover again to the same
+            // checkpoint. The second pass must hold with the logs
+            // already scrubbed — for a node loss it is pure parity
+            // reconstruction, for the others an idempotence check.
+            let lost2 = self.apply_damage(&plan.kind, target);
+            let second = self.recover_machine(target, &lost2, committed, at)?;
+            outcome = RecoveryOutcome {
+                report: second.report,
+                lost_work: outcome.lost_work,
+                unavailable: outcome.unavailable + second.report.unavailable(),
+                target_interval: target,
+                verified: match (outcome.verified, second.verified) {
+                    (Some(a), Some(b)) => Some(a && b),
+                    (Some(a), None) | (None, Some(a)) => Some(a),
+                    (None, None) => None,
+                },
+                ops_rolled_back: outcome.ops_rolled_back.max(second.ops_rolled_back),
+            };
+        }
+        Ok(outcome)
     }
 
     fn validate_kind(&self, kind: &ErrorKind) -> Result<(), MachineError> {
@@ -1001,7 +1011,7 @@ impl Runner {
         // could not match a clean run.
         let ops_rolled_back = self.sys.rollback_execution(target);
 
-        let verified = self.verify_against_shadow(target, lost);
+        let verified = self.verify_against_shadow(target);
         let lost_work = t_detect.saturating_sub(commit_of_target);
         if self.sys.tracer.is_enabled() {
             for (i, (name, start, end)) in report.phases(t_detect).into_iter().enumerate() {
@@ -1072,7 +1082,7 @@ impl Runner {
 
     /// Byte-compares every application page against the shadow snapshot of
     /// the recovered checkpoint, and checks the global parity invariant.
-    fn verify_against_shadow(&self, target: u64, _lost: &[NodeId]) -> Option<bool> {
+    fn verify_against_shadow(&self, target: u64) -> Option<bool> {
         let sys = &self.sys;
         let shadow = match sys.shadows.iter().find(|s| s.interval == target) {
             Some(s) => s,
@@ -1112,26 +1122,16 @@ impl Runner {
         // The redundancy invariant must hold for every group after Phase 4.
         if ok {
             if let Some(rdx) = sys.redundancy.as_ref() {
-                'outer: for n in NodeId::all(map.nodes()) {
-                    for page in map.pages_of(n) {
-                        if rdx.is_redundancy_page(page) {
-                            continue;
-                        }
-                        let bad = rdx.check_group(page, &mut |l| {
-                            sys.nodes[map.home_of_line(l).index()]
-                                .mem
-                                .read_line(map.local_line_index(l))
-                        });
-                        if let Some(off) = bad {
-                            if sys.cfg.shadow_checkpoints {
-                                eprintln!(
-                                    "verify: redundancy violated in group of {page} at offset {off}"
-                                );
-                            }
-                            ok = false;
-                            break 'outer;
-                        }
+                let audit = audit_redundancy(rdx, |l| {
+                    sys.nodes[map.home_of_line(l).index()]
+                        .mem
+                        .read_line(map.local_line_index(l))
+                });
+                if let Some(v) = audit.violations.first() {
+                    if sys.cfg.shadow_checkpoints {
+                        eprintln!("verify: redundancy {v}");
                     }
+                    ok = false;
                 }
             }
         }
@@ -1302,27 +1302,6 @@ impl System {
             .iter()
             .flat_map(|n| n.log_pages.iter().copied())
             .collect()
-    }
-}
-
-/// Runs one experiment start to finish as a pure function: builds the
-/// machine, executes it (injecting `plans` when non-empty), and returns the
-/// result. Nothing is shared — the machine is built, driven, and dropped
-/// entirely inside the call — so any number of worker threads can run
-/// experiments concurrently (this is the harness pool's job body).
-///
-/// # Errors
-///
-/// As [`Runner::new`] and [`Runner::run_with_injections`].
-pub fn run_experiment(
-    cfg: ExperimentConfig,
-    plans: &[InjectionPlan],
-) -> Result<RunResult, MachineError> {
-    let runner = Runner::new(cfg)?;
-    if plans.is_empty() {
-        runner.run()
-    } else {
-        runner.run_with_injections(plans)
     }
 }
 

@@ -1,11 +1,13 @@
 //! Machine-level unit tests: configuration validation, accounting
 //! invariants, and budget semantics over the public API.
 
+use revive_core::recovery::RecoveryError;
 use revive_machine::{
-    ExperimentConfig, MachineConfig, MachineError, ReviveConfig, ReviveMode, Runner, System,
-    TrafficClass, WorkloadSpec,
+    ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan, MachineConfig,
+    MachineError, NodeSet, ReviveConfig, ReviveMode, Runner, System, TrafficClass, WorkloadSpec,
 };
 use revive_sim::time::Ns;
+use revive_sim::types::NodeId;
 use revive_workloads::{AppId, SyntheticKind};
 
 fn small(app: AppId) -> ExperimentConfig {
@@ -248,7 +250,7 @@ fn retry_backoff_saturates_at_the_configured_cap() {
     };
     let result = Runner::new(cfg)
         .expect("config")
-        .run_with_injection(plan)
+        .run_with_injections(&[plan])
         .expect("run");
     let capped_idx = TraceEvent::RetryBackoffCapped { dst: 0, attempt: 0 }.kind_index();
     let counts = result.trace.summary().counts;
@@ -256,4 +258,62 @@ fn retry_backoff_saturates_at_the_configured_cap() {
         counts[capped_idx] > 0,
         "expected capped retries in trace counts: {counts:?}"
     );
+}
+
+/// One 3+1 parity chunk on 4 nodes running a private-region synthetic
+/// (the exact-memory oracle's domain), with a fault mid-logging.
+fn one_chunk(kind: ErrorKind) -> (ExperimentConfig, InjectionPlan) {
+    let mut cfg = ExperimentConfig::test_small(AppId::Lu);
+    cfg.revive.mode = ReviveMode::Parity {
+        group_data_pages: 3,
+    };
+    cfg.workload = WorkloadSpec::Synthetic(SyntheticKind::WsExceedsL2);
+    cfg.ops_per_cpu = 30_000;
+    let interval = cfg.revive.ckpt.interval;
+    let plan = InjectionPlan {
+        after_checkpoint: 2,
+        interval_fraction: 0.4,
+        detection_delay: Ns(interval.0 * 3 / 10),
+        kind,
+        phase: InjectPhase::MidLogging,
+        second: None,
+    };
+    (cfg, plan)
+}
+
+#[test]
+fn over_budget_loss_is_typed_and_leaves_no_image() {
+    let lost = NodeSet::from_nodes(&[NodeId(1), NodeId(2)]);
+    let (cfg, plan) = one_chunk(ErrorKind::MultiNodeLoss(lost));
+    let (result, image) = Runner::new(cfg)
+        .expect("config")
+        .run_with_injections_to_image(&[plan])
+        .expect("the fault fires");
+    assert!(
+        image.is_none(),
+        "a halted machine with destroyed memory has no image"
+    );
+    match result.outcomes.as_slice() {
+        [FaultOutcome::Unrecoverable {
+            error: RecoveryError::BeyondParityBudget { lost, .. },
+            ..
+        }] => assert_eq!(lost, &[NodeId(1), NodeId(2)]),
+        other => panic!("expected one beyond-budget outcome, got {other:?}"),
+    }
+    assert!(result.recoveries.is_empty());
+}
+
+#[test]
+fn recovered_loss_images_the_golden_memory() {
+    let (cfg, plan) = one_chunk(ErrorKind::NodeLoss(NodeId(1)));
+    let (_, golden) = Runner::new(cfg)
+        .expect("config")
+        .run_to_image()
+        .expect("run");
+    let (result, image) = Runner::new(cfg)
+        .expect("config")
+        .run_with_injections_to_image(&[plan])
+        .expect("the fault fires");
+    assert!(result.outcomes[0].recovered().is_some());
+    assert_eq!(image, Some(golden));
 }

@@ -144,11 +144,6 @@ impl ResourceBank {
         self.members[index].acquire(now, service)
     }
 
-    /// Read-only access to one member, for statistics.
-    pub fn member(&self, index: usize) -> &Resource {
-        &self.members[index]
-    }
-
     /// Total reservations across all members.
     pub fn uses(&self) -> u64 {
         self.members.iter().map(Resource::uses).sum()
@@ -162,13 +157,6 @@ impl ResourceBank {
     /// Total queueing delay across all members.
     pub fn wait_total(&self) -> Ns {
         self.members.iter().map(Resource::wait_total).sum()
-    }
-
-    /// Resets every member (post-error reinitialization).
-    pub fn reset(&mut self) {
-        for m in &mut self.members {
-            m.reset();
-        }
     }
 }
 
@@ -213,7 +201,6 @@ mod tests {
         assert_eq!(b.acquire(0, Ns(0), Ns(10)), Ns(20));
         assert_eq!(b.uses(), 3);
         assert_eq!(b.busy_total(), Ns(30));
-        assert_eq!(b.member(0).uses(), 2);
     }
 
     #[test]

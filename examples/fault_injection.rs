@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             kind,
             ..InjectionPlan::paper_worst_case(interval, NodeId(5))
         };
-        let result = Runner::new(cfg)?.run_with_injection(plan)?;
+        let result = Runner::new(cfg)?.run_with_injections(&[plan])?;
         let rec = result.recovery.expect("recovery ran");
         println!("rolled back to checkpoint : {}", rec.target_interval);
         println!("phase 1 (hw recovery)     : {}", rec.report.phase1);

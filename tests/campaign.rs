@@ -226,8 +226,36 @@ fn campaign_slice_classifies_every_scenario() {
         ops_per_cpu: 25_000,
         ..CampaignConfig::default()
     };
+    // Each seed's outcome and the classifying run's `(sim_time ns,
+    // events)`. A recovered scenario reports its injected run, which
+    // ends well after the golden run, so returning the wrong run of the
+    // two shows up here.
+    let pinned: [(&str, Option<(u64, u64)>); 6] = [
+        (
+            "recovered (1 recoveries, 50.185ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((55_064_709, 2_005_960)),
+        ),
+        (
+            "recovered (1 recoveries, 50.000ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((54_595_600, 1_961_678)),
+        ),
+        (
+            "recovered (1 recoveries, 50.230ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((50_622_131, 13_838)),
+        ),
+        ("not fired", None),
+        (
+            "recovered (1 recoveries, 100.303ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((103_802_671, 1_573_836)),
+        ),
+        (
+            "unrecoverable: losing nodes {n1, n3} exceeds the redundancy budget: the group of \
+             P0x0 has more lost members than the backend can rebuild",
+            Some((386_625, 8_173)),
+        ),
+    ];
     let mut seen_unrecoverable = false;
-    for seed in 0..6 {
+    for (seed, (outcome, run)) in (0..6).zip(pinned) {
         let sc = generate(seed, &gen);
         let report = run_scenario(&sc);
         assert!(
@@ -235,6 +263,9 @@ fn campaign_slice_classifies_every_scenario() {
             "seed {seed} failed: {}",
             report.outcome
         );
+        assert_eq!(report.outcome.to_string(), outcome, "seed {seed}");
+        let got = report.result.as_ref().map(|r| (r.sim_time.0, r.events));
+        assert_eq!(got, run, "seed {seed}: the classifying run");
         match report.outcome {
             ScenarioOutcome::Unrecoverable { .. } => seen_unrecoverable = true,
             ScenarioOutcome::Recovered { oracle_match, .. } => assert!(oracle_match),

@@ -86,7 +86,10 @@ fn node_loss_recovery_is_value_exact() {
     let cfg = ExperimentConfig::test_small(AppId::Ocean);
     let interval = cfg.revive.ckpt.interval;
     let plan = InjectionPlan::paper_worst_case(interval, NodeId(2));
-    let result = Runner::new(cfg).unwrap().run_with_injection(plan).unwrap();
+    let result = Runner::new(cfg)
+        .unwrap()
+        .run_with_injections(&[plan])
+        .unwrap();
     let rec = result.recovery.expect("recovery ran");
     assert_eq!(rec.verified, Some(true), "memory mismatch after recovery");
     assert!(rec.report.log_pages_rebuilt > 0);
@@ -102,7 +105,10 @@ fn transient_error_recovery_is_value_exact() {
     let cfg = ExperimentConfig::test_small(AppId::Cholesky);
     let interval = cfg.revive.ckpt.interval;
     let plan = InjectionPlan::paper_transient(interval);
-    let result = Runner::new(cfg).unwrap().run_with_injection(plan).unwrap();
+    let result = Runner::new(cfg)
+        .unwrap()
+        .run_with_injections(&[plan])
+        .unwrap();
     let rec = result.recovery.expect("recovery ran");
     assert_eq!(rec.verified, Some(true));
     // No memory lost: phase 2 is skipped entirely.
@@ -130,7 +136,10 @@ fn mirroring_mode_recovers_too() {
         interval_fraction: 0.3,
         ..InjectionPlan::paper_worst_case(interval, NodeId(1))
     };
-    let result = Runner::new(cfg).unwrap().run_with_injection(plan).unwrap();
+    let result = Runner::new(cfg)
+        .unwrap()
+        .run_with_injections(&[plan])
+        .unwrap();
     assert_eq!(result.recovery.unwrap().verified, Some(true));
 }
 
@@ -156,7 +165,10 @@ fn injection_into_baseline_is_rejected() {
         kind: ErrorKind::CacheWipe,
         ..InjectionPlan::paper_transient(Ns::from_us(100))
     };
-    assert!(Runner::new(cfg).unwrap().run_with_injection(plan).is_err());
+    assert!(Runner::new(cfg)
+        .unwrap()
+        .run_with_injections(&[plan])
+        .is_err());
 }
 
 #[test]
@@ -182,7 +194,10 @@ fn lossy_lbits_machine_still_recovers_exactly() {
     cfg.revive.lbit_dir_cache = Some(16); // tiny: plenty of evictions
     let interval = cfg.revive.ckpt.interval;
     let plan = InjectionPlan::paper_worst_case(interval, NodeId(3));
-    let result = Runner::new(cfg).unwrap().run_with_injection(plan).unwrap();
+    let result = Runner::new(cfg)
+        .unwrap()
+        .run_with_injections(&[plan])
+        .unwrap();
     let rec = result.recovery.expect("recovery ran");
     assert_eq!(rec.verified, Some(true));
 }
@@ -223,7 +238,10 @@ fn larger_parity_groups_use_less_memory_but_same_protection() {
         cfg.ops_per_cpu = 100_000; // enough work for several checkpoints
         let interval = cfg.revive.ckpt.interval;
         let plan = InjectionPlan::paper_worst_case(interval, NodeId(9));
-        let result = Runner::new(cfg).unwrap().run_with_injection(plan).unwrap();
+        let result = Runner::new(cfg)
+            .unwrap()
+            .run_with_injections(&[plan])
+            .unwrap();
         assert_eq!(
             result.recovery.unwrap().verified,
             Some(true),
@@ -245,7 +263,10 @@ fn mixed_mode_recovers_exactly() {
     };
     let interval = cfg.revive.ckpt.interval;
     let plan = InjectionPlan::paper_worst_case(interval, NodeId(2));
-    let result = Runner::new(cfg).unwrap().run_with_injection(plan).unwrap();
+    let result = Runner::new(cfg)
+        .unwrap()
+        .run_with_injections(&[plan])
+        .unwrap();
     assert_eq!(result.recovery.unwrap().verified, Some(true));
 }
 
@@ -336,5 +357,8 @@ fn losing_a_nonexistent_node_is_rejected() {
     let cfg = ExperimentConfig::test_small(AppId::Lu);
     let interval = cfg.revive.ckpt.interval;
     let plan = InjectionPlan::paper_worst_case(interval, NodeId(99));
-    assert!(Runner::new(cfg).unwrap().run_with_injection(plan).is_err());
+    assert!(Runner::new(cfg)
+        .unwrap()
+        .run_with_injections(&[plan])
+        .is_err());
 }
