@@ -218,7 +218,7 @@ fn main() {
                 let kind = if spec == "transient" {
                     ErrorKind::CacheWipe
                 } else if let Some(node) = spec.strip_prefix("node-loss:") {
-                    ErrorKind::NodeLoss(NodeId(node.parse().unwrap_or_else(|_| usage())))
+                    ErrorKind::NodeLoss(NodeId(node.parse().unwrap_or_else(|_| usage())).into())
                 } else {
                     eprintln!("unknown injection: {spec}");
                     usage()

@@ -173,7 +173,7 @@ impl Point {
                 detection_delay: Ns((self.interval.0 as f64
                     * ExperimentConfig::DEFAULT_DETECTION_FRACTION)
                     as u64),
-                kind: ErrorKind::NodeLoss(NodeId(1)),
+                kind: ErrorKind::NodeLoss(NodeId(1).into()),
                 phase: InjectPhase::AtTime(at),
                 second: None,
             })

@@ -11,7 +11,7 @@
 use revive_bench::{banner, Opts, Table};
 use revive_machine::differential::injected_vs_golden;
 use revive_machine::{
-    ErrorKind, ExperimentConfig, InjectPhase, InjectionPlan, Runner, WorkloadSpec,
+    CommitPoint, ErrorKind, ExperimentConfig, InjectPhase, InjectionPlan, Runner, WorkloadSpec,
 };
 use revive_sim::time::Ns;
 use revive_sim::types::NodeId;
@@ -19,15 +19,17 @@ use revive_workloads::{AppId, SyntheticKind};
 
 const APPS: [SyntheticKind; 2] = [SyntheticKind::WsExceedsL2, SyntheticKind::WsFitsDirty];
 
-const KINDS: [ErrorKind; 3] = [
-    ErrorKind::NodeLoss(NodeId(1)),
-    ErrorKind::CacheWipe,
-    ErrorKind::DirectoryCorrupt,
-];
+fn kinds() -> [ErrorKind; 3] {
+    [
+        ErrorKind::NodeLoss(NodeId(1).into()),
+        ErrorKind::CacheWipe,
+        ErrorKind::DirectoryCorrupt,
+    ]
+}
 
 const PHASES: [InjectPhase; 3] = [
     InjectPhase::MidLogging,
-    InjectPhase::CommitWindow,
+    InjectPhase::CommitEdge(CommitPoint::AfterMark),
     InjectPhase::DuringRecovery,
 ];
 
@@ -58,7 +60,7 @@ fn main() {
             .expect("config")
             .run_to_image()
             .expect("golden run");
-        for kind in &KINDS {
+        for kind in &kinds() {
             for phase in PHASES {
                 let plan = InjectionPlan {
                     after_checkpoint: 2,
@@ -70,7 +72,7 @@ fn main() {
                 };
                 let (result, diff) = injected_vs_golden(cfg, &[plan], &golden).expect("run");
                 revive_bench::artifacts::emit(
-                    &format!("{}_{kind:?}_{phase:?}", app.name()),
+                    &format!("{}_{}_{}", app.name(), kind.name(), phase.name()),
                     &cfg,
                     &result,
                 );
@@ -84,8 +86,8 @@ fn main() {
                 }
                 table.row([
                     app.name().to_string(),
-                    format!("{kind:?}"),
-                    format!("{phase:?}"),
+                    kind.name().to_string(),
+                    phase.name().to_string(),
                     if mem_ok {
                         "exact".into()
                     } else {
@@ -100,7 +102,7 @@ fn main() {
                     },
                 ]);
             }
-            eprintln!("  {} / {kind:?} done", app.name());
+            eprintln!("  {} / {} done", app.name(), kind.name());
         }
     }
     table.print();

@@ -106,7 +106,7 @@ crate::json_record!(
         /// fault's recovery, or the run's start).
         pub after_checkpoint: u64,
         /// …plus this fraction of a checkpoint interval (ignored by the
-        /// commit-window/commit-edge phases).
+        /// commit-edge and at-time phases).
         pub interval_fraction: f64,
         /// Detection latency as a fraction of the checkpoint interval.
         pub detection_fraction: f64,
@@ -117,7 +117,15 @@ crate::json_record!(
         /// A second fault striking mid-recovery (only with
         /// [`InjectPhase::DuringRecovery`]).
         pub second: Option<ErrorKind>,
-    }
+    },
+    check(|f: &FaultSpec| {
+        let ok = |x: f64| x.is_finite() && x >= 0.0;
+        if ok(f.interval_fraction) && ok(f.detection_fraction) {
+            Ok(())
+        } else {
+            Err("timing fractions must be finite and non-negative".to_string())
+        }
+    })
 );
 
 // A scenario serializes as an inject-spec document (schema
@@ -275,7 +283,7 @@ fn random_fault(rng: &mut DetRng, nodes: usize, budget: usize, cfg: &CampaignCon
     let max_simultaneous = cfg.max_simultaneous.max(budget + 1);
     let drawn_phase = match rng.index(8) {
         0..=2 => InjectPhase::MidLogging,
-        3 => InjectPhase::CommitWindow,
+        3 => InjectPhase::CommitEdge(CommitPoint::AfterMark),
         4 | 5 => InjectPhase::DuringRecovery,
         6 => InjectPhase::CommitEdge(CommitPoint::AfterBarrier1),
         _ => InjectPhase::CommitEdge(CommitPoint::AfterCommit),
@@ -326,8 +334,8 @@ fn random_kind(rng: &mut DetRng, nodes: usize, max_simultaneous: usize) -> Error
 
 fn random_scripted_kind(rng: &mut DetRng, nodes: usize, max_simultaneous: usize) -> ErrorKind {
     match rng.index(6) {
-        0 | 1 => ErrorKind::NodeLoss(NodeId::from(rng.index(nodes))),
-        2 | 3 => ErrorKind::MultiNodeLoss(random_node_set(rng, nodes, max_simultaneous)),
+        0 | 1 => ErrorKind::NodeLoss(NodeId::from(rng.index(nodes)).into()),
+        2 | 3 => ErrorKind::NodeLoss(random_node_set(rng, nodes, max_simultaneous)),
         4 => ErrorKind::CacheWipe,
         _ => ErrorKind::DirectoryCorrupt,
     }
@@ -335,8 +343,8 @@ fn random_scripted_kind(rng: &mut DetRng, nodes: usize, max_simultaneous: usize)
 
 fn random_live_kind(rng: &mut DetRng, nodes: usize, max_simultaneous: usize) -> ErrorKind {
     match rng.index(4) {
-        0 | 1 => ErrorKind::LiveNodeLoss(NodeId::from(rng.index(nodes))),
-        2 => ErrorKind::LiveMultiNodeLoss(random_node_set(rng, nodes, max_simultaneous)),
+        0 | 1 => ErrorKind::LiveNodeLoss(NodeId::from(rng.index(nodes)).into()),
+        2 => ErrorKind::LiveNodeLoss(random_node_set(rng, nodes, max_simultaneous)),
         _ => {
             let (a, b) = random_link(rng, nodes);
             ErrorKind::LinkLoss { a, b }
@@ -599,18 +607,16 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
             c.faults[i].second = None;
             out.push(c);
         }
-        // Narrow a multi-node loss by one node (down to a single loss).
-        if let ErrorKind::MultiNodeLoss(s) | ErrorKind::LiveMultiNodeLoss(s) = &f.kind {
+        // Narrow a node loss by one node (down to a single loss).
+        if let ErrorKind::NodeLoss(s) | ErrorKind::LiveNodeLoss(s) = &f.kind {
             if s.len() > 1 {
-                let live = f.kind.is_live();
                 let mut nodes = s.nodes();
                 nodes.pop();
+                let narrowed = NodeSet::from_nodes(&nodes);
                 let mut c = sc.clone();
-                c.faults[i].kind = match (nodes.as_slice(), live) {
-                    ([n], false) => ErrorKind::NodeLoss(*n),
-                    ([n], true) => ErrorKind::LiveNodeLoss(*n),
-                    (_, false) => ErrorKind::MultiNodeLoss(NodeSet::from_nodes(&nodes)),
-                    (_, true) => ErrorKind::LiveMultiNodeLoss(NodeSet::from_nodes(&nodes)),
+                c.faults[i].kind = match f.kind {
+                    ErrorKind::NodeLoss(_) => ErrorKind::NodeLoss(narrowed),
+                    _ => ErrorKind::LiveNodeLoss(narrowed),
                 };
                 out.push(c);
             }
@@ -619,16 +625,9 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
         // reproduces without the sever/watchdog machinery, the minimized
         // scenario should say so.
         match &f.kind {
-            ErrorKind::LiveNodeLoss(n) => {
-                let n = *n;
+            ErrorKind::LiveNodeLoss(s) => {
                 let mut c = sc.clone();
-                c.faults[i].kind = ErrorKind::NodeLoss(n);
-                out.push(c);
-            }
-            ErrorKind::LiveMultiNodeLoss(s) => {
-                let s = s.clone();
-                let mut c = sc.clone();
-                c.faults[i].kind = ErrorKind::MultiNodeLoss(s);
+                c.faults[i].kind = ErrorKind::NodeLoss(s.clone());
                 out.push(c);
             }
             ErrorKind::LinkLoss { .. } => {
@@ -685,11 +684,12 @@ mod tests {
         let cfg = CampaignConfig::default();
         let scenarios: Vec<Scenario> = (0..300).map(|s| generate(s, &cfg)).collect();
         let faults = || scenarios.iter().flat_map(|s| s.faults.iter());
-        assert!(faults().any(|f| matches!(f.kind, ErrorKind::MultiNodeLoss(_))));
+        let multi = |k: &ErrorKind| k.lost_nodes().len() > 1;
+        assert!(faults().any(|f| matches!(f.kind, ErrorKind::NodeLoss(_)) && multi(&f.kind)));
         assert!(faults().any(|f| matches!(f.phase, InjectPhase::CommitEdge(_))));
         assert!(faults().any(|f| f.phase == InjectPhase::DuringRecovery && f.second.is_some()));
-        assert!(faults().any(|f| matches!(f.kind, ErrorKind::LiveNodeLoss(_))));
-        assert!(faults().any(|f| matches!(f.kind, ErrorKind::LiveMultiNodeLoss(_))));
+        assert!(faults().any(|f| matches!(f.kind, ErrorKind::LiveNodeLoss(_)) && !multi(&f.kind)));
+        assert!(faults().any(|f| matches!(f.kind, ErrorKind::LiveNodeLoss(_)) && multi(&f.kind)));
         assert!(faults().any(|f| matches!(f.kind, ErrorKind::LinkLoss { .. })));
         // Live faults also land on the 2PC edges, not just mid-logging.
         assert!(faults().any(|f| f.kind.is_live() && f.phase != InjectPhase::MidLogging));
@@ -749,6 +749,74 @@ mod tests {
         };
         sc.faults[0].phase = InjectPhase::AtTime(Ns(123_456));
         assert_eq!(Scenario::from_json(&sc.to_json()), Ok(sc));
+        // Every kind name still reads, into the folded variant, and writes
+        // back under the name its set's size picks.
+        let one = || ErrorKind::NodeLoss(NodeId(3).into());
+        let two = || NodeSet::from_nodes(&[NodeId(1), NodeId(2)]);
+        for (text, want, canonical) in [
+            (
+                r#"{"kind":"multi-node-loss","nodes":[3]}"#,
+                one(),
+                r#"{"kind":"node-loss","nodes":[3]}"#,
+            ),
+            (
+                r#"{"kind":"node-loss","nodes":[3]}"#,
+                one(),
+                r#"{"kind":"node-loss","nodes":[3]}"#,
+            ),
+            (
+                r#"{"kind":"live-multi-node-loss","nodes":[2,1]}"#,
+                ErrorKind::LiveNodeLoss(two()),
+                r#"{"kind":"live-multi-node-loss","nodes":[1,2]}"#,
+            ),
+        ] {
+            let kind = ErrorKind::from_json(&parse_json(text).unwrap()).unwrap();
+            assert_eq!(kind, want, "{text}");
+            assert_eq!(kind.to_json(), parse_json(canonical).unwrap(), "{text}");
+        }
+        for text in [
+            r#"{"kind":"node-loss","nodes":[1,2]}"#,
+            r#"{"kind":"live-node-loss","nodes":[]}"#,
+            r#"{"kind":"multi-node-loss","nodes":[]}"#,
+            r#"{"kind":"node-loss","nodes":[65536]}"#,
+        ] {
+            assert!(
+                ErrorKind::from_json(&parse_json(text).unwrap()).is_err(),
+                "{text}"
+            );
+        }
+        // `commit-window` reads as the after-mark edge and writes back as
+        // `commit-after-mark`, so an old spec replays the same scenario.
+        let after_mark = InjectPhase::CommitEdge(CommitPoint::AfterMark);
+        let sc = (0..100)
+            .map(|seed| generate(seed, &cfg))
+            .find(|sc| sc.faults.iter().any(|f| f.phase == after_mark))
+            .expect("some seed strikes after the mark");
+        let text = write_json(&sc.to_json());
+        let old = text.replace("\"commit-after-mark\"", "\"commit-window\"");
+        assert_ne!(old, text);
+        let parsed = Scenario::from_json(&parse_json(&old).unwrap()).unwrap();
+        assert_eq!(write_json(&parsed.to_json()), text);
+    }
+
+    /// Pins the generator's output, byte for byte, across changes: the
+    /// recorded inject specs of seeds 0..300 under the mixed and the
+    /// live-only campaign.
+    #[test]
+    fn generated_specs_are_pinned() {
+        use crate::json::write_json;
+        use crate::report::{content_hash, content_hash_seeded};
+        let live = CampaignConfig {
+            live_only: true,
+            ..CampaignConfig::default()
+        };
+        let mut h = content_hash("");
+        for cfg in [CampaignConfig::default(), live] {
+            for seed in 0..300 {
+                h = content_hash_seeded(h, &write_json(&generate(seed, &cfg).to_json()));
+            }
+        }
+        assert_eq!(h, 0x004e_cd43_7475_0bdf);
     }
 
     #[test]
@@ -768,6 +836,19 @@ mod tests {
         assert!(parse(&wrong_backend).is_err());
         let no_backend = text.replace(&format!("\"backend\":\"{}\",\n", sc.backend.name()), "");
         assert!(parse(&no_backend).is_err());
+        // Timing fractions must be finite and non-negative.
+        for bad in [-0.5, f64::INFINITY, f64::NAN] {
+            let mut wrong = sc.clone();
+            wrong.faults[0].interval_fraction = bad;
+            assert!(Scenario::from_json(&wrong.to_json()).is_err(), "{bad}");
+            wrong = sc.clone();
+            wrong.faults[0].detection_fraction = bad;
+            assert!(Scenario::from_json(&wrong.to_json()).is_err(), "{bad}");
+        }
+        let recorded = format!("\"detection_fraction\":{}", sc.faults[0].detection_fraction);
+        let huge = text.replacen(&recorded, "\"detection_fraction\":1e400", 1);
+        assert_ne!(huge, text);
+        assert!(parse(&huge).unwrap_err().contains("timing fractions"));
     }
 
     #[test]
@@ -794,12 +875,12 @@ mod tests {
                     after_checkpoint: 2,
                     interval_fraction: 0.25,
                     detection_fraction: 0.4,
-                    kind: ErrorKind::MultiNodeLoss(NodeSet::from_nodes(&[
+                    kind: ErrorKind::NodeLoss(NodeSet::from_nodes(&[
                         NodeId(1),
                         NodeId(5),
                         NodeId(7),
                     ])),
-                    phase: InjectPhase::CommitWindow,
+                    phase: InjectPhase::CommitEdge(CommitPoint::AfterMark),
                     second: None,
                 },
             ],
@@ -819,7 +900,7 @@ mod tests {
         assert_eq!(min.backend, BackendChoice::Double);
         assert_eq!(min.faults.len(), 1);
         let f = &min.faults[0];
-        assert_eq!(f.kind, ErrorKind::NodeLoss(NodeId(1)));
+        assert_eq!(f.kind, ErrorKind::NodeLoss(NodeId(1).into()));
         assert_eq!(f.phase, InjectPhase::MidLogging);
         assert_eq!(f.second, None);
         assert_eq!(f.after_checkpoint, 1);
@@ -870,7 +951,7 @@ mod tests {
                     .filter(|s| s.backend == b)
                     .any(|s| s.faults.iter().any(|f| matches!(
                         &f.kind,
-                        ErrorKind::MultiNodeLoss(set) | ErrorKind::LiveMultiNodeLoss(set)
+                        ErrorKind::NodeLoss(set) | ErrorKind::LiveNodeLoss(set)
                             if set.len() > s.loss_budget()
                     ))),
                 "{} never drew an over-budget loss",

@@ -87,11 +87,13 @@ impl RunMeta {
 
     /// Records the injection scenario in the metadata and folds it into
     /// the configuration hash (an injection run is a different experiment
-    /// than a clean one).
+    /// than a clean one). The hash covers the scenario's recorded JSON, so
+    /// it moves exactly when the text the artifact records does.
     pub fn with_injections(mut self, plans: &[InjectionPlan]) -> RunMeta {
         self.injections = plans.to_vec();
         if !plans.is_empty() {
-            self.config_hash = content_hash_seeded(self.config_hash, &format!("{plans:?}"));
+            let recorded = write_json(&self.injections.to_json());
+            self.config_hash = content_hash_seeded(self.config_hash, &recorded);
         }
         self
     }
@@ -583,7 +585,7 @@ mod tests {
                 after_checkpoint: 2,
                 interval_fraction: 0.8,
                 detection_delay: Ns(80_000),
-                kind: ErrorKind::MultiNodeLoss(NodeSet::from_nodes(&[NodeId(1), NodeId(2)])),
+                kind: ErrorKind::NodeLoss(NodeSet::from_nodes(&[NodeId(1), NodeId(2)])),
                 phase: InjectPhase::DuringRecovery,
                 second: Some(ErrorKind::CacheWipe),
             },
@@ -643,7 +645,7 @@ mod tests {
 
     #[test]
     fn run_meta_round_trips_link_loss_and_at_time_plans() {
-        use crate::runner::InjectPhase;
+        use crate::runner::{CommitPoint, InjectPhase};
         use revive_sim::types::NodeId;
 
         let plans = vec![
@@ -662,7 +664,7 @@ mod tests {
                 after_checkpoint: 0,
                 interval_fraction: 0.0,
                 detection_delay: Ns(1_600_000),
-                kind: ErrorKind::NodeLoss(NodeId(1)),
+                kind: ErrorKind::NodeLoss(NodeId(1).into()),
                 phase: InjectPhase::AtTime(Ns(7_654_321)),
                 second: Some(ErrorKind::LinkLoss {
                     a: NodeId(0),
@@ -674,6 +676,19 @@ mod tests {
         let text = render_artifact(&meta, &RunResult::default());
         let read = parse_run_meta(&parse_json(&text).unwrap()).unwrap();
         assert_eq!(read, meta);
+        // Plans recorded under the older names read into the folded
+        // variants, and the artifact re-renders under the canonical ones.
+        let mut plans = plans;
+        plans[1].phase = InjectPhase::CommitEdge(CommitPoint::AfterMark);
+        let meta = test_meta().with_injections(&plans);
+        let text = render_artifact(&meta, &RunResult::default());
+        let old = text
+            .replace("\"node-loss\"", "\"multi-node-loss\"")
+            .replace("\"commit-after-mark\"", "\"commit-window\"");
+        assert_ne!(old, text);
+        let read = parse_run_meta(&parse_json(&old).unwrap()).unwrap();
+        assert_eq!(read, meta);
+        assert_eq!(render_artifact(&read, &RunResult::default()), text);
         // A clean run's identity round-trips too, infinite interval included.
         let mut clean = test_meta();
         clean.interval_ns = u64::MAX;
@@ -692,6 +707,12 @@ mod tests {
         // Folding is deterministic: the same scenario hashes the same.
         let again = test_meta().with_injections(&[InjectionPlan::paper_transient(Ns(100_000))]);
         assert_eq!(injected.config_hash, again.config_hash);
+        // The scenario enters the hash as the JSON the artifact records.
+        let recorded = write_json(&injected.injections.to_json());
+        assert_eq!(
+            injected.config_hash,
+            content_hash_seeded(clean.config_hash, &recorded)
+        );
     }
 
     #[test]

@@ -42,7 +42,8 @@ use crate::system::{LiveFault, System};
 pub struct InjectionPlan {
     /// Fire after this many checkpoints have committed.
     pub after_checkpoint: u64,
-    /// …plus this fraction of a checkpoint interval.
+    /// …plus this fraction of a checkpoint interval (ignored by the
+    /// commit-edge and at-time phases).
     pub interval_fraction: f64,
     /// Detection latency: the machine keeps (conservatively) executing for
     /// this long before recovery starts — all of it lost work.
@@ -78,7 +79,7 @@ impl InjectionPlan {
             detection_delay: Ns(
                 (interval.0 as f64 * ExperimentConfig::DEFAULT_DETECTION_FRACTION) as u64,
             ),
-            kind: ErrorKind::NodeLoss(lost),
+            kind: ErrorKind::NodeLoss(lost.into()),
             phase: InjectPhase::MidLogging,
             second: None,
         }
@@ -112,9 +113,9 @@ pub enum CommitPoint {
     /// target everywhere.
     AfterBarrier1,
     /// After every node marked its log, before barrier 2 — the classic 2PC
-    /// uncertainty window ([`InjectPhase::CommitWindow`] is shorthand for
-    /// this edge). The marks exist but the commit never completed, so the
-    /// machine still rolls back to the previous checkpoint.
+    /// uncertainty window (inject specs may still name it `commit-window`).
+    /// The marks exist but the commit never completed, so the machine
+    /// still rolls back to the previous checkpoint.
     AfterMark,
     /// After barrier 2 and log reclamation, before any CPU resumes: the new
     /// checkpoint is committed and is itself the recovery target; rollback
@@ -142,12 +143,6 @@ pub enum InjectPhase {
     /// Section 6.3 scenario (`interval_fraction` into the interval after
     /// `after_checkpoint` commits).
     MidLogging,
-    /// Inside the two-phase-commit window of checkpoint
-    /// `after_checkpoint + 1`: logs are marked but the commit never
-    /// completes, so the machine must roll back to the *previous*
-    /// checkpoint (`interval_fraction` is ignored). Equivalent to
-    /// `CommitEdge(CommitPoint::AfterMark)`.
-    CommitWindow,
     /// The same timing as `MidLogging`, but the error recurs during
     /// recovery itself; see [`InjectionPlan::second`] for the two variants
     /// (recurrence vs. a different second fault mid-rebuild).
@@ -168,7 +163,6 @@ impl InjectPhase {
     pub fn name(&self) -> &'static str {
         match self {
             InjectPhase::MidLogging => "mid-logging",
-            InjectPhase::CommitWindow => "commit-window",
             InjectPhase::DuringRecovery => "during-recovery",
             InjectPhase::CommitEdge(CommitPoint::AfterBarrier1) => "commit-after-barrier1",
             InjectPhase::CommitEdge(CommitPoint::AfterMark) => "commit-after-mark",
@@ -199,10 +193,12 @@ impl Codec for InjectPhase {
             .ok_or("neither a phase name nor an at-time object")?
         {
             "mid-logging" => Ok(InjectPhase::MidLogging),
-            "commit-window" => Ok(InjectPhase::CommitWindow),
+            // The older name of the after-mark edge, read for old specs.
+            "commit-window" | "commit-after-mark" => {
+                Ok(InjectPhase::CommitEdge(CommitPoint::AfterMark))
+            }
             "during-recovery" => Ok(InjectPhase::DuringRecovery),
             "commit-after-barrier1" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterBarrier1)),
-            "commit-after-mark" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterMark)),
             "commit-after-commit" => Ok(InjectPhase::CommitEdge(CommitPoint::AfterCommit)),
             other => Err(format!("unknown inject phase {other:?}")),
         }
@@ -278,74 +274,50 @@ pub fn fault_schedule(process: FaultProcess, horizon: Ns, seed: u64) -> Vec<Ns> 
     out
 }
 
-/// A compact set of node indices, stored as a word-vector bitmap (like
-/// `FaultState::dead_links`) so machines of any size fit.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
-pub struct NodeSet(pub Vec<u64>);
+/// A set of nodes, kept sorted and free of duplicates.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct NodeSet(Vec<NodeId>);
 
 impl NodeSet {
     /// The set containing `nodes` (duplicates collapse).
     pub fn from_nodes(nodes: &[NodeId]) -> NodeSet {
-        let mut s = NodeSet::default();
-        for &n in nodes {
-            s.insert(n);
-        }
-        s
-    }
-
-    /// Adds a node, growing the bitmap as needed.
-    pub fn insert(&mut self, n: NodeId) {
-        let word = n.index() / 64;
-        if word >= self.0.len() {
-            self.0.resize(word + 1, 0);
-        }
-        self.0[word] |= 1 << (n.index() % 64);
-    }
-
-    /// Membership test.
-    pub fn contains(&self, n: NodeId) -> bool {
-        self.0
-            .get(n.index() / 64)
-            .is_some_and(|w| w & (1 << (n.index() % 64)) != 0)
+        let mut set = nodes.to_vec();
+        set.sort_unstable();
+        set.dedup();
+        NodeSet(set)
     }
 
     /// Number of nodes in the set.
     pub fn len(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
+        self.0.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
+        self.0.is_empty()
     }
 
     /// The members in ascending index order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        (0..self.0.len() * 64)
-            .filter(|i| self.0[i / 64] & (1u64 << (i % 64)) != 0)
-            .map(NodeId::from)
-            .collect()
+        self.0.clone()
     }
 }
 
-impl std::fmt::Debug for NodeSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<String> = self.nodes().iter().map(|n| n.index().to_string()).collect();
-        write!(f, "{{{}}}", names.join(","))
+impl From<NodeId> for NodeSet {
+    fn from(n: NodeId) -> NodeSet {
+        NodeSet::from_nodes(&[n])
     }
 }
 
 /// The supported error classes (Section 3.1.2).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ErrorKind {
-    /// Permanent loss of an entire node: its memory (checkpoint, log and
-    /// parity pages included) is gone and must be reconstructed.
-    NodeLoss(NodeId),
-    /// Simultaneous permanent loss of several nodes. Within the parity
-    /// budget (no two lost nodes sharing a chunk) recovery reconstructs all
-    /// of them; beyond it the fault is classified
+    /// Simultaneous permanent loss of a set of whole nodes: their memory
+    /// (checkpoint, log and parity pages included) is gone and must be
+    /// reconstructed. Within the redundancy budget recovery reconstructs
+    /// all of them; beyond it the fault is classified
     /// [`FaultOutcome::Unrecoverable`].
-    MultiNodeLoss(NodeSet),
+    NodeLoss(NodeSet),
     /// A machine-wide transient: all caches and in-flight messages lost,
     /// every memory intact.
     CacheWipe,
@@ -353,16 +325,14 @@ pub enum ErrorKind {
     /// directory controller SRAM). Recovery must not depend on any of it —
     /// Phase 1 discards coherence state wholesale.
     DirectoryCorrupt,
-    /// *Live* loss of a node: instead of halting the machine at the
-    /// injection instant, the node's router and memory die mid-run with
+    /// *Live* loss of a set of nodes: instead of halting the machine at
+    /// the injection instant, their routers and memory die mid-run with
     /// messages in flight. The survivors keep executing; detection is
-    /// organic — watchdog strikes against the dead node, a checkpoint
-    /// barrier hung on the dead participant, or the heartbeat backstop.
-    LiveNodeLoss(NodeId),
-    /// Live loss of several nodes at once (same detection semantics; the
-    /// parity budget still bounds what recovery can reconstruct, and the
-    /// survivors may additionally be partitioned).
-    LiveMultiNodeLoss(NodeSet),
+    /// organic — watchdog strikes against a dead node, a checkpoint
+    /// barrier hung on a dead participant, or the heartbeat backstop. The
+    /// redundancy budget still bounds what recovery can reconstruct, and
+    /// the survivors may additionally be partitioned.
+    LiveNodeLoss(NodeSet),
     /// Live loss of every link between one adjacent torus pair, both
     /// directions. No memory is damaged: the machine reroutes around the
     /// cut, the watchdog retries the messages that died on it, and recovery
@@ -376,15 +346,17 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    /// Stable kebab-case name (artifacts, inject specs).
+    /// Stable kebab-case name (artifacts, inject specs). A node loss is
+    /// named by its set's size: `node-loss` for one node,
+    /// `multi-node-loss` for several.
     pub fn name(&self) -> &'static str {
         match self {
-            ErrorKind::NodeLoss(_) => "node-loss",
-            ErrorKind::MultiNodeLoss(_) => "multi-node-loss",
+            ErrorKind::NodeLoss(s) if s.len() == 1 => "node-loss",
+            ErrorKind::NodeLoss(_) => "multi-node-loss",
             ErrorKind::CacheWipe => "cache-wipe",
             ErrorKind::DirectoryCorrupt => "directory-corrupt",
-            ErrorKind::LiveNodeLoss(_) => "live-node-loss",
-            ErrorKind::LiveMultiNodeLoss(_) => "live-multi-node-loss",
+            ErrorKind::LiveNodeLoss(s) if s.len() == 1 => "live-node-loss",
+            ErrorKind::LiveNodeLoss(_) => "live-multi-node-loss",
             ErrorKind::LinkLoss { .. } => "link-loss",
         }
     }
@@ -393,8 +365,7 @@ impl ErrorKind {
     /// link loss, which damages no memory).
     pub fn lost_nodes(&self) -> Vec<NodeId> {
         match self {
-            ErrorKind::NodeLoss(n) | ErrorKind::LiveNodeLoss(n) => vec![*n],
-            ErrorKind::MultiNodeLoss(s) | ErrorKind::LiveMultiNodeLoss(s) => s.nodes(),
+            ErrorKind::NodeLoss(s) | ErrorKind::LiveNodeLoss(s) => s.nodes(),
             ErrorKind::CacheWipe | ErrorKind::DirectoryCorrupt | ErrorKind::LinkLoss { .. } => {
                 Vec::new()
             }
@@ -406,9 +377,7 @@ impl ErrorKind {
     pub fn is_live(&self) -> bool {
         matches!(
             self,
-            ErrorKind::LiveNodeLoss(_)
-                | ErrorKind::LiveMultiNodeLoss(_)
-                | ErrorKind::LinkLoss { .. }
+            ErrorKind::LiveNodeLoss(_) | ErrorKind::LinkLoss { .. }
         )
     }
 }
@@ -428,19 +397,21 @@ impl Codec for ErrorKind {
 
     fn from_json(v: &Json) -> Result<ErrorKind, String> {
         let name: String = v.read("kind")?;
-        let nodes: Vec<NodeId> = v
+        let nodes = v
             .read::<Vec<usize>>("nodes")?
             .into_iter()
-            .map(NodeId::from)
-            .collect();
+            .map(|n| {
+                u16::try_from(n)
+                    .map(NodeId)
+                    .map_err(|_| format!("no node {n}"))
+            })
+            .collect::<Result<Vec<NodeId>, String>>()?;
         let kind = match (name.as_str(), nodes.as_slice()) {
-            ("node-loss", [n]) => ErrorKind::NodeLoss(*n),
-            ("live-node-loss", [n]) => ErrorKind::LiveNodeLoss(*n),
-            ("multi-node-loss", ns) if !ns.is_empty() => {
-                ErrorKind::MultiNodeLoss(NodeSet::from_nodes(ns))
+            ("node-loss", [_]) | ("multi-node-loss", [_, ..]) => {
+                ErrorKind::NodeLoss(NodeSet::from_nodes(&nodes))
             }
-            ("live-multi-node-loss", ns) if !ns.is_empty() => {
-                ErrorKind::LiveMultiNodeLoss(NodeSet::from_nodes(ns))
+            ("live-node-loss", [_]) | ("live-multi-node-loss", [_, ..]) => {
+                ErrorKind::LiveNodeLoss(NodeSet::from_nodes(&nodes))
             }
             ("cache-wipe", []) => ErrorKind::CacheWipe,
             ("directory-corrupt", []) => ErrorKind::DirectoryCorrupt,
@@ -550,6 +521,11 @@ pub struct RunResult {
     /// workloads; `Some` ⇔ the workload is `WorkloadSpec::Serving`).
     pub serving: Option<crate::metrics::ServingReport>,
 }
+
+/// No plan may name a checkpoint count, delay or time at or past this
+/// value (2^62 ns is about 146 years of simulated time). Below it, the
+/// sums that place a strike and its detection cannot overflow a `u64`.
+const PLAN_HORIZON: u64 = 1 << 62;
 
 /// When and to what an injected error was detected.
 #[derive(Clone, Copy)]
@@ -687,6 +663,7 @@ impl Runner {
                     )));
                 }
             }
+            self.validate_timing(plan)?;
         }
         let mut outcomes: Vec<FaultOutcome> = Vec::with_capacity(plans.len());
         for plan in plans {
@@ -724,14 +701,10 @@ impl Runner {
                 self.sys.inject_at_ckpt =
                     Some((base + plan.after_checkpoint, plan.interval_fraction));
             }
-            InjectPhase::CommitWindow => {
+            InjectPhase::CommitEdge(point) => {
                 // Strike inside the commit of the *next* checkpoint after
                 // `after_checkpoint` commits, mirroring the other phases'
                 // "after N commits" anchor.
-                self.sys.inject_in_commit_of =
-                    Some((base + plan.after_checkpoint + 1, CommitPoint::AfterMark));
-            }
-            InjectPhase::CommitEdge(point) => {
                 self.sys.inject_in_commit_of = Some((base + plan.after_checkpoint + 1, point));
             }
             InjectPhase::AtTime(at) => {
@@ -741,8 +714,7 @@ impl Runner {
         let live = plan.kind.is_live();
         if live {
             self.sys.arm_live_fault(match &plan.kind {
-                ErrorKind::LiveNodeLoss(n) => LiveFault::Nodes(vec![*n]),
-                ErrorKind::LiveMultiNodeLoss(s) => LiveFault::Nodes(s.nodes()),
+                ErrorKind::LiveNodeLoss(s) => LiveFault::Nodes(s.nodes()),
                 ErrorKind::LinkLoss { a, b } => LiveFault::Link { a: *a, b: *b },
                 _ => unreachable!("is_live() covers exactly these kinds"),
             });
@@ -757,7 +729,7 @@ impl Runner {
         };
         // Roll back to the most recent checkpoint committed before the
         // error. Work after it — including anything executed during
-        // the detection window — is lost. (For a commit-window error the
+        // the detection window — is lost. (For an after-mark error the
         // interrupted checkpoint never committed, so this is the one
         // before it; for an after-commit edge it is the checkpoint that
         // just committed, so rollback discards nothing.) Live faults
@@ -868,22 +840,35 @@ impl Runner {
         Ok(outcome)
     }
 
+    /// Refuses a plan whose checkpoint count, strike time or detection
+    /// delay reaches [`PLAN_HORIZON`].
+    fn validate_timing(&self, plan: &InjectionPlan) -> Result<(), MachineError> {
+        let strike = match plan.phase {
+            // `as` saturates: an offset past the u64 range reads as u64::MAX.
+            InjectPhase::MidLogging | InjectPhase::DuringRecovery => {
+                (self.sys.cfg.revive.ckpt.interval.0 as f64 * plan.interval_fraction) as u64
+            }
+            InjectPhase::CommitEdge(_) => 0,
+            InjectPhase::AtTime(at) => at.0,
+        };
+        let delay = plan.detection_delay.0;
+        if plan.after_checkpoint.max(strike).max(delay) >= PLAN_HORIZON {
+            return Err(MachineError::BadConfig(format!(
+                "plan timing past the simulated clock's range: after_checkpoint {}, \
+                 strike at {strike} ns, detection delay {delay} ns",
+                plan.after_checkpoint
+            )));
+        }
+        Ok(())
+    }
+
     fn validate_kind(&self, kind: &ErrorKind) -> Result<(), MachineError> {
         let nodes = self.sys.cfg.machine.nodes;
         match *kind {
-            ErrorKind::NodeLoss(n) | ErrorKind::LiveNodeLoss(n) if n.index() >= nodes => {
-                Err(MachineError::BadConfig(format!(
-                    "cannot lose node {n}: the machine has {nodes} nodes"
-                )))
-            }
-            ErrorKind::MultiNodeLoss(ref s) | ErrorKind::LiveMultiNodeLoss(ref s)
-                if s.is_empty() =>
-            {
-                Err(MachineError::BadConfig(
-                    "multi-node loss needs at least one node".into(),
-                ))
-            }
-            ErrorKind::MultiNodeLoss(ref s) | ErrorKind::LiveMultiNodeLoss(ref s) => {
+            ErrorKind::NodeLoss(ref s) | ErrorKind::LiveNodeLoss(ref s) if s.is_empty() => Err(
+                MachineError::BadConfig("a node loss needs at least one node".into()),
+            ),
+            ErrorKind::NodeLoss(ref s) | ErrorKind::LiveNodeLoss(ref s) => {
                 match s.nodes().iter().find(|n| n.index() >= nodes) {
                     Some(n) => Err(MachineError::BadConfig(format!(
                         "cannot lose node {n}: the machine has {nodes} nodes"
@@ -912,11 +897,7 @@ impl Runner {
     /// the recovery engine must reconstruct around (empty for transients).
     fn apply_damage(&mut self, kind: &ErrorKind, target: u64) -> Vec<NodeId> {
         match *kind {
-            ErrorKind::NodeLoss(n) | ErrorKind::LiveNodeLoss(n) => {
-                self.sys.nodes[n.index()].mem.destroy();
-                vec![n]
-            }
-            ErrorKind::MultiNodeLoss(ref s) | ErrorKind::LiveMultiNodeLoss(ref s) => {
+            ErrorKind::NodeLoss(ref s) | ErrorKind::LiveNodeLoss(ref s) => {
                 let nodes = s.nodes();
                 for &n in &nodes {
                     self.sys.nodes[n.index()].mem.destroy();

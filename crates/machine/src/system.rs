@@ -313,7 +313,7 @@ pub struct System {
     /// checkpoint: halt exactly at the named [`CommitPoint`].
     pub(crate) inject_in_commit_of: Option<(u64, CommitPoint)>,
     pub(crate) inject_time: Option<Ns>,
-    /// After a commit-window injection the CPUs are legitimately frozen in
+    /// After a commit-edge injection the CPUs are legitimately frozen in
     /// the flush phase while the runner drains the detection window; an
     /// empty queue then is expected, not a deadlock.
     pub(crate) suppress_deadlock_panic: bool,

@@ -244,7 +244,7 @@ fn retry_backoff_saturates_at_the_configured_cap() {
         after_checkpoint: 1,
         interval_fraction: 0.3,
         detection_delay: Ns(0),
-        kind: ErrorKind::LiveNodeLoss(NodeId(2)),
+        kind: ErrorKind::LiveNodeLoss(NodeId(2).into()),
         phase: InjectPhase::MidLogging,
         second: None,
     };
@@ -284,7 +284,7 @@ fn one_chunk(kind: ErrorKind) -> (ExperimentConfig, InjectionPlan) {
 #[test]
 fn over_budget_loss_is_typed_and_leaves_no_image() {
     let lost = NodeSet::from_nodes(&[NodeId(1), NodeId(2)]);
-    let (cfg, plan) = one_chunk(ErrorKind::MultiNodeLoss(lost));
+    let (cfg, plan) = one_chunk(ErrorKind::NodeLoss(lost));
     let (result, image) = Runner::new(cfg)
         .expect("config")
         .run_with_injections_to_image(&[plan])
@@ -305,7 +305,7 @@ fn over_budget_loss_is_typed_and_leaves_no_image() {
 
 #[test]
 fn recovered_loss_images_the_golden_memory() {
-    let (cfg, plan) = one_chunk(ErrorKind::NodeLoss(NodeId(1)));
+    let (cfg, plan) = one_chunk(ErrorKind::NodeLoss(NodeId(1).into()));
     let (_, golden) = Runner::new(cfg)
         .expect("config")
         .run_to_image()

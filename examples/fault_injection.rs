@@ -22,7 +22,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.shadow_checkpoints = true; // enables value-exact verification
 
     for (label, kind) in [
-        ("permanent loss of node 5", ErrorKind::NodeLoss(NodeId(5))),
+        (
+            "permanent loss of node 5",
+            ErrorKind::NodeLoss(NodeId(5).into()),
+        ),
         (
             "machine-wide transient (all caches lost)",
             ErrorKind::CacheWipe,

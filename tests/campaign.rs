@@ -7,8 +7,8 @@ use revive::machine::campaign::{
 };
 use revive::machine::differential::injected_vs_golden;
 use revive::machine::{
-    CommitPoint, ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan, NodeSet,
-    ReviveMode, Runner, ScenarioOutcome, WorkloadSpec,
+    CommitPoint, ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan,
+    MachineError, NodeSet, ReviveMode, Runner, ScenarioOutcome, WorkloadSpec,
 };
 use revive::sim::time::Ns;
 use revive::sim::types::NodeId;
@@ -53,8 +53,8 @@ fn faults_on_every_commit_boundary_recover_exactly() {
         CommitPoint::AfterMark,
         CommitPoint::AfterCommit,
     ] {
-        for kind in [ErrorKind::NodeLoss(NodeId(1)), ErrorKind::CacheWipe] {
-            let label = format!("{point:?}/{kind:?}");
+        for kind in [ErrorKind::NodeLoss(NodeId(1).into()), ErrorKind::CacheWipe] {
+            let label = format!("{}/{}", point.name(), kind.name());
             let p = plan(kind, InjectPhase::CommitEdge(point), interval);
             let (result, diff) = injected_vs_golden(c, &[p], &golden).unwrap();
             assert!(diff.is_match(), "{label}: memory diverged: {diff}");
@@ -89,9 +89,9 @@ fn double_fault_across_chunks_recovers_within_budget() {
     let interval = c.revive.ckpt.interval;
     let (_, golden) = Runner::new(c).unwrap().run_to_image().unwrap();
     let p = InjectionPlan {
-        second: Some(ErrorKind::NodeLoss(NodeId(5))),
+        second: Some(ErrorKind::NodeLoss(NodeId(5).into())),
         ..plan(
-            ErrorKind::NodeLoss(NodeId(1)),
+            ErrorKind::NodeLoss(NodeId(1).into()),
             InjectPhase::DuringRecovery,
             interval,
         )
@@ -114,9 +114,9 @@ fn double_fault_in_one_chunk_is_classified_unrecoverable() {
     let c = cfg(4, 3);
     let interval = c.revive.ckpt.interval;
     let p = InjectionPlan {
-        second: Some(ErrorKind::NodeLoss(NodeId(2))),
+        second: Some(ErrorKind::NodeLoss(NodeId(2).into())),
         ..plan(
-            ErrorKind::NodeLoss(NodeId(1)),
+            ErrorKind::NodeLoss(NodeId(1).into()),
             InjectPhase::DuringRecovery,
             interval,
         )
@@ -145,7 +145,7 @@ fn simultaneous_multi_node_loss_beyond_budget_is_typed() {
     let c = cfg(4, 3);
     let interval = c.revive.ckpt.interval;
     let p = plan(
-        ErrorKind::MultiNodeLoss(NodeSet::from_nodes(&[NodeId(1), NodeId(2)])),
+        ErrorKind::NodeLoss(NodeSet::from_nodes(&[NodeId(1), NodeId(2)])),
         InjectPhase::MidLogging,
         interval,
     );
@@ -161,7 +161,7 @@ fn simultaneous_cross_chunk_loss_recovers() {
     let interval = c.revive.ckpt.interval;
     let (_, golden) = Runner::new(c).unwrap().run_to_image().unwrap();
     let p = plan(
-        ErrorKind::MultiNodeLoss(NodeSet::from_nodes(&[NodeId(2), NodeId(7)])),
+        ErrorKind::NodeLoss(NodeSet::from_nodes(&[NodeId(2), NodeId(7)])),
         InjectPhase::MidLogging,
         interval,
     );
@@ -214,6 +214,60 @@ fn sequential_faults_verify_against_the_replayed_timeline() {
             assert_eq!(recoveries, 2);
         }
         other => panic!("expected two clean recoveries, got {other}"),
+    }
+}
+
+/// Fault timing past the range of the `u64` simulated clock is refused
+/// with a typed error before the run starts, never summed into an
+/// overflow: a detection delay, a strike offset and a checkpoint count.
+#[test]
+fn out_of_range_fault_timing_is_refused() {
+    let fault = FaultSpec {
+        after_checkpoint: 1,
+        interval_fraction: 0.5,
+        detection_fraction: 0.0,
+        kind: ErrorKind::CacheWipe,
+        phase: InjectPhase::MidLogging,
+        second: None,
+    };
+    for fault in [
+        FaultSpec {
+            detection_fraction: 1e30,
+            ..fault.clone()
+        },
+        FaultSpec {
+            interval_fraction: 1e30,
+            ..fault.clone()
+        },
+        FaultSpec {
+            after_checkpoint: u64::MAX,
+            phase: InjectPhase::CommitEdge(CommitPoint::AfterMark),
+            ..fault.clone()
+        },
+    ] {
+        let sc = Scenario {
+            seed: 0,
+            app: SyntheticKind::WsExceedsL2,
+            backend: BackendChoice::Xor,
+            nodes: 4,
+            group_data_pages: 3,
+            ops_per_cpu: 10_000,
+            faults: vec![fault],
+        };
+        let cfg = sc.experiment();
+        let refused = Runner::new(cfg)
+            .unwrap()
+            .run_with_injections(&sc.plans(cfg.revive.ckpt.interval));
+        assert!(
+            matches!(refused, Err(MachineError::BadConfig(_))),
+            "{:?}",
+            sc.faults[0]
+        );
+        let outcome = run_scenario(&sc).outcome;
+        assert!(
+            matches!(outcome, ScenarioOutcome::BadConfig { .. }),
+            "{outcome}"
+        );
     }
 }
 

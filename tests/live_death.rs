@@ -9,8 +9,8 @@
 use revive::machine::campaign::{generate, run_scenario, CampaignConfig};
 use revive::machine::differential::injected_vs_golden;
 use revive::machine::{
-    ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan, NodeSet, ObsConfig,
-    ReviveMode, Runner, ScenarioOutcome, WorkloadSpec,
+    CommitPoint, ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan, NodeSet,
+    ObsConfig, ReviveMode, Runner, ScenarioOutcome, WorkloadSpec,
 };
 use revive::sim::time::Ns;
 use revive::sim::trace::TraceEvent;
@@ -63,7 +63,7 @@ fn live_node_death_mid_logging_recovers_exactly() {
     let interval = c.revive.ckpt.interval;
     let (_, golden) = Runner::new(c).unwrap().run_to_image().unwrap();
     let p = plan(
-        ErrorKind::LiveNodeLoss(NodeId(1)),
+        ErrorKind::LiveNodeLoss(NodeId(1).into()),
         InjectPhase::MidLogging,
         interval,
     );
@@ -94,8 +94,8 @@ fn live_death_during_2pc_barrier_recovers_exactly() {
     let interval = c.revive.ckpt.interval;
     let (_, golden) = Runner::new(c).unwrap().run_to_image().unwrap();
     let p = plan(
-        ErrorKind::LiveNodeLoss(NodeId(2)),
-        InjectPhase::CommitWindow,
+        ErrorKind::LiveNodeLoss(NodeId(2).into()),
+        InjectPhase::CommitEdge(CommitPoint::AfterMark),
         interval,
     );
     let (result, diff) = injected_vs_golden(c, &[p], &golden).unwrap();
@@ -170,7 +170,7 @@ fn live_partition_is_classified_unrecoverable() {
     let c = cfg();
     let interval = c.revive.ckpt.interval;
     let p = plan(
-        ErrorKind::LiveMultiNodeLoss(NodeSet::from_nodes(&[NodeId(1), NodeId(2)])),
+        ErrorKind::LiveNodeLoss(NodeSet::from_nodes(&[NodeId(1), NodeId(2)])),
         InjectPhase::MidLogging,
         interval,
     );
@@ -195,15 +195,15 @@ fn live_kinds_rejected_in_recovery_phase() {
     let c = cfg();
     let interval = c.revive.ckpt.interval;
     let p = plan(
-        ErrorKind::LiveNodeLoss(NodeId(1)),
+        ErrorKind::LiveNodeLoss(NodeId(1).into()),
         InjectPhase::DuringRecovery,
         interval,
     );
     assert!(Runner::new(c).unwrap().run_with_injections(&[p]).is_err());
     let p2 = InjectionPlan {
-        second: Some(ErrorKind::LiveNodeLoss(NodeId(2))),
+        second: Some(ErrorKind::LiveNodeLoss(NodeId(2).into())),
         ..plan(
-            ErrorKind::NodeLoss(NodeId(1)),
+            ErrorKind::NodeLoss(NodeId(1).into()),
             InjectPhase::DuringRecovery,
             interval,
         )

@@ -65,11 +65,7 @@ fn scripted_loss_recovers(mode: ReviveMode, lost: NodeSet) {
     let c = cfg(mode);
     let interval = c.revive.ckpt.interval;
     let (_, golden) = Runner::new(c).unwrap().run_to_image().unwrap();
-    let p = plan(
-        ErrorKind::MultiNodeLoss(lost),
-        InjectPhase::MidLogging,
-        interval,
-    );
+    let p = plan(ErrorKind::NodeLoss(lost), InjectPhase::MidLogging, interval);
     let (result, diff) = injected_vs_golden(c, &[p], &golden).unwrap();
     assert!(diff.is_match(), "memory diverged: {diff}");
     let rec = result.outcomes[0].recovered().expect("within budget");
@@ -85,7 +81,7 @@ fn live_loss_recovers(mode: ReviveMode, lost: NodeSet) {
     let interval = c.revive.ckpt.interval;
     let (_, golden) = Runner::new(c).unwrap().run_to_image().unwrap();
     let p = plan(
-        ErrorKind::LiveMultiNodeLoss(lost),
+        ErrorKind::LiveNodeLoss(lost),
         InjectPhase::MidLogging,
         interval,
     );
@@ -101,11 +97,7 @@ fn live_loss_recovers(mode: ReviveMode, lost: NodeSet) {
 fn loss_is_beyond_budget(mode: ReviveMode, lost: NodeSet) {
     let c = cfg(mode);
     let interval = c.revive.ckpt.interval;
-    let p = plan(
-        ErrorKind::MultiNodeLoss(lost),
-        InjectPhase::MidLogging,
-        interval,
-    );
+    let p = plan(ErrorKind::NodeLoss(lost), InjectPhase::MidLogging, interval);
     let result = Runner::new(c).unwrap().run_with_injections(&[p]).unwrap();
     match &result.outcomes[0] {
         FaultOutcome::Unrecoverable { error, .. } => {
@@ -182,7 +174,7 @@ fn late_detection_past_the_retention_window_is_unrecoverable() {
         after_checkpoint: 2,
         interval_fraction: 0.4,
         detection_delay: Ns(interval.0 * 8),
-        kind: ErrorKind::NodeLoss(NodeId(1)),
+        kind: ErrorKind::NodeLoss(NodeId(1).into()),
         phase: InjectPhase::MidLogging,
         second: None,
     };

@@ -16,7 +16,7 @@
 
 use revive::machine::differential::injected_vs_golden;
 use revive::machine::{
-    ErrorKind, ExperimentConfig, InjectPhase, InjectionPlan, Runner, WorkloadSpec,
+    CommitPoint, ErrorKind, ExperimentConfig, InjectPhase, InjectionPlan, Runner, WorkloadSpec,
 };
 use revive::sim::time::Ns;
 use revive::sim::types::NodeId;
@@ -24,11 +24,13 @@ use revive::workloads::{AppId, SyntheticKind};
 
 const APPS: [SyntheticKind; 2] = [SyntheticKind::WsExceedsL2, SyntheticKind::WsFitsDirty];
 
-const KINDS: [ErrorKind; 3] = [
-    ErrorKind::NodeLoss(NodeId(1)),
-    ErrorKind::CacheWipe,
-    ErrorKind::DirectoryCorrupt,
-];
+fn kinds() -> [ErrorKind; 3] {
+    [
+        ErrorKind::NodeLoss(NodeId(1).into()),
+        ErrorKind::CacheWipe,
+        ErrorKind::DirectoryCorrupt,
+    ]
+}
 
 fn cfg(app: SyntheticKind) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::test_small(AppId::Lu);
@@ -53,8 +55,8 @@ fn run_matrix_phase(phase: InjectPhase) {
         let c = cfg(app);
         let interval = c.revive.ckpt.interval;
         let (_, golden_image) = Runner::new(c).unwrap().run_to_image().unwrap();
-        for kind in KINDS {
-            let label = format!("{app}/{kind:?}/{phase:?}");
+        for kind in kinds() {
+            let label = format!("{app}/{}/{}", kind.name(), phase.name());
             let (result, diff) =
                 injected_vs_golden(c, &[plan(kind, phase, interval)], &golden_image).unwrap();
             let rec = result
@@ -88,7 +90,7 @@ fn matrix_mid_logging() {
 
 #[test]
 fn matrix_commit_window() {
-    run_matrix_phase(InjectPhase::CommitWindow);
+    run_matrix_phase(InjectPhase::CommitEdge(CommitPoint::AfterMark));
 }
 
 #[test]
