@@ -34,16 +34,11 @@ fn experiment() -> String {
 }
 
 /// Whether artifact emission is active.
-pub fn enabled() -> bool {
-    !std::env::var("REVIVE_NO_ARTIFACTS").is_ok_and(|v| v != "0")
-}
+pub use revive_harness::artifacts_enabled as enabled;
 
 /// The directory artifacts for this binary land in.
 pub fn dir() -> PathBuf {
-    let root = std::env::var("REVIVE_ARTIFACT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results").join("artifacts"));
-    root.join(experiment())
+    revive_harness::artifact_dir(&experiment())
 }
 
 /// Renders, validates, and atomically writes one run artifact. Returns the

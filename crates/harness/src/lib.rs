@@ -20,4 +20,6 @@ pub mod sweep;
 
 pub use cli::Args;
 pub use pool::{run_jobs, Job, JobError, Progress};
-pub use sweep::{emit_artifact, sanitize, Sweep, SweepJob, SweepOutcome};
+pub use sweep::{
+    artifact_dir, artifacts_enabled, emit_artifact, sanitize, Sweep, SweepJob, SweepOutcome,
+};

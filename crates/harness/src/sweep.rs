@@ -90,6 +90,21 @@ pub struct SweepOutcome {
     pub artifact: Option<PathBuf>,
 }
 
+/// Whether run artifacts are written and reused: `REVIVE_NO_ARTIFACTS` set
+/// to anything but `0` turns both off.
+pub fn artifacts_enabled() -> bool {
+    !std::env::var("REVIVE_NO_ARTIFACTS").is_ok_and(|v| v != "0")
+}
+
+/// The directory `experiment`'s artifacts land in: `<root>/<experiment>`,
+/// the root being `REVIVE_ARTIFACT_DIR`, else `results/artifacts`.
+pub fn artifact_dir(experiment: &str) -> PathBuf {
+    std::env::var("REVIVE_ARTIFACT_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from("results").join("artifacts"))
+        .join(experiment)
+}
+
 /// A configured sweep executor. Build with [`Sweep::new`], then call
 /// [`Sweep::run`] (typed errors) or [`Sweep::run_all`] (panic on failure,
 /// the historical behavior of the experiment binaries).
@@ -106,15 +121,8 @@ impl Sweep {
     /// disables artifact reuse. `REVIVE_NO_ARTIFACTS=1` disables both
     /// emission and caching; `REVIVE_ARTIFACT_DIR` redirects the root.
     pub fn new(experiment: &str, args: &Args) -> Sweep {
-        let enabled = !std::env::var("REVIVE_NO_ARTIFACTS").is_ok_and(|v| v != "0");
-        let dir = enabled.then(|| {
-            std::env::var("REVIVE_ARTIFACT_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| PathBuf::from("results").join("artifacts"))
-                .join(experiment)
-        });
         Sweep {
-            dir,
+            dir: artifacts_enabled().then(|| artifact_dir(experiment)),
             jobs: args.jobs,
             no_cache: args.no_cache,
             quiet: false,

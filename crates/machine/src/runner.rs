@@ -22,7 +22,7 @@ use crate::differential::AuditReport;
 use crate::json::{Codec, Json};
 use crate::metrics::Summary;
 use crate::sampling::EpochSample;
-use crate::system::{LiveFault, System};
+use crate::system::{Armed, LiveFault, System, Trigger};
 
 /// What error to inject, and when, relative to the checkpoint stream.
 /// The worst-case scenario used throughout the evaluation is
@@ -527,6 +527,13 @@ pub struct RunResult {
 /// sums that place a strike and its detection cannot overflow a `u64`.
 const PLAN_HORIZON: u64 = 1 << 62;
 
+/// How long after its anchoring commit a mid-interval plan strikes:
+/// `frac` of a checkpoint interval. `as` saturates, so an offset past the
+/// u64 range reads as u64::MAX.
+fn strike_delay(interval: Ns, frac: f64) -> Ns {
+    Ns((interval.0 as f64 * frac) as u64)
+}
+
 /// When and to what an injected error was detected.
 #[derive(Clone, Copy)]
 struct Detection {
@@ -675,15 +682,14 @@ impl Runner {
                     outcomes.push(FaultOutcome::Recovered(outcome));
                 }
                 Err(error) => {
-                    // Graceful degradation: the fault is classified, the
-                    // machine stays halted, and the run ends here. Any
-                    // remaining plans are unreachable — the machine is down.
+                    // Graceful degradation: the fault is classified and
+                    // the run ends here, with the machine never resumed.
+                    // Any remaining plans are unreachable — the machine is
+                    // down.
                     outcomes.push(FaultOutcome::Unrecoverable {
                         error,
                         at: detection.at,
                     });
-                    self.sys.halted = true;
-                    self.sys.suppress_deadlock_panic = true;
                     return Ok(outcomes);
                 }
             }
@@ -695,82 +701,38 @@ impl Runner {
     /// Arms `plan`, runs until its error strikes, and keeps running until
     /// it is detected.
     fn fire(&mut self, plan: &InjectionPlan) -> Result<Detection, MachineError> {
-        let base = self.sys.ckpt_counter;
-        match plan.phase {
-            InjectPhase::MidLogging | InjectPhase::DuringRecovery => {
-                self.sys.inject_at_ckpt =
-                    Some((base + plan.after_checkpoint, plan.interval_fraction));
-            }
-            InjectPhase::CommitEdge(point) => {
-                // Strike inside the commit of the *next* checkpoint after
-                // `after_checkpoint` commits, mirroring the other phases'
-                // "after N commits" anchor.
-                self.sys.inject_in_commit_of = Some((base + plan.after_checkpoint + 1, point));
-            }
-            InjectPhase::AtTime(at) => {
-                self.sys.schedule_inject(at);
-            }
-        }
-        let live = plan.kind.is_live();
-        if live {
-            self.sys.arm_live_fault(match &plan.kind {
-                ErrorKind::LiveNodeLoss(s) => LiveFault::Nodes(s.nodes()),
-                ErrorKind::LinkLoss { a, b } => LiveFault::Link { a: *a, b: *b },
-                _ => unreachable!("is_live() covers exactly these kinds"),
-            });
-        }
-        self.sys.halted = false;
+        let base = self.sys.checkpoints();
+        let when = match plan.phase {
+            InjectPhase::MidLogging | InjectPhase::DuringRecovery => Trigger::AfterCommit {
+                id: base + plan.after_checkpoint,
+                delay: strike_delay(self.sys.cfg.revive.ckpt.interval, plan.interval_fraction),
+            },
+            // Strike inside the commit of the *next* checkpoint after
+            // `after_checkpoint` commits, mirroring the other phases'
+            // "after N commits" anchor.
+            InjectPhase::CommitEdge(point) => Trigger::CommitEdge {
+                id: base + plan.after_checkpoint + 1,
+                point,
+            },
+            InjectPhase::AtTime(at) => Trigger::At(at),
+        };
+        let live = match &plan.kind {
+            ErrorKind::LiveNodeLoss(s) => Some(LiveFault::Nodes(s.nodes())),
+            ErrorKind::LinkLoss { a, b } => Some(LiveFault::Link { a: *a, b: *b }),
+            _ => None,
+        };
+        self.sys.arm(Armed { when, live });
         self.sys.run();
-        let Some(t_err) = self.sys.inject_time.take() else {
+        let Some(strike) = self.sys.struck() else {
             return Err(MachineError::InjectionNeverFired {
                 after_checkpoint: base + plan.after_checkpoint,
-                checkpoints: self.sys.ckpt_counter,
+                checkpoints: self.sys.checkpoints(),
             });
         };
-        // Roll back to the most recent checkpoint committed before the
-        // error. Work after it — including anything executed during
-        // the detection window — is lost. (For an after-mark error the
-        // interrupted checkpoint never committed, so this is the one
-        // before it; for an after-commit edge it is the checkpoint that
-        // just committed, so rollback discards nothing.) Live faults
-        // snapshot the target at the sever instant: the survivors may
-        // commit further checkpoints between the fault and its organic
-        // detection, but a checkpoint the dead node never participated
-        // in is not a legal recovery target.
-        let (target, committed) = match self.sys.live_snapshot.take() {
-            Some(snap) if live => snap,
-            _ => (
-                self.sys.ckpt_counter,
-                self.sys
-                    .ck_stats
-                    .timelines
-                    .last()
-                    .map(|t| t.committed)
-                    .unwrap_or(Ns::ZERO),
-            ),
-        };
-        let at = if live {
-            // Detection was organic: watchdog strikes, a hung commit
-            // barrier, or the heartbeat backstop halted the machine.
-            // (If the survivors finished the workload before any
-            // liveness signal fired, fall back to the scripted delay.)
-            let t = match self.sys.detected_at.take() {
-                Some(t) => t,
-                None => self.sys.now().max(t_err + plan.detection_delay),
-            };
-            // Organic detection halted the machine; un-halt it so the
-            // post-recovery resume can re-execute the rolled-back work.
-            self.sys.halted = false;
-            t
-        } else {
-            self.sys.halted = false;
-            self.sys.run_until(t_err + plan.detection_delay);
-            self.sys.now().max(t_err + plan.detection_delay)
-        };
         Ok(Detection {
-            target,
-            committed,
-            at,
+            target: strike.target,
+            committed: strike.committed,
+            at: self.sys.detect(strike.at + plan.detection_delay),
         })
     }
 
@@ -844,9 +806,8 @@ impl Runner {
     /// delay reaches [`PLAN_HORIZON`].
     fn validate_timing(&self, plan: &InjectionPlan) -> Result<(), MachineError> {
         let strike = match plan.phase {
-            // `as` saturates: an offset past the u64 range reads as u64::MAX.
             InjectPhase::MidLogging | InjectPhase::DuringRecovery => {
-                (self.sys.cfg.revive.ckpt.interval.0 as f64 * plan.interval_fraction) as u64
+                strike_delay(self.sys.cfg.revive.ckpt.interval, plan.interval_fraction).0
             }
             InjectPhase::CommitEdge(_) => 0,
             InjectPhase::AtTime(at) => at.0,
@@ -984,7 +945,7 @@ impl Runner {
         // recovered interval.
         self.sys.scrub_logs_after_rollback(target);
         self.sys
-            .audit_parity_now(format!("after recovery to checkpoint {target}"));
+            .audit_parity(format!("after recovery to checkpoint {target}"));
 
         // Rewind the CPUs to the recovered checkpoint so the discarded work
         // is re-executed — without this the resumed computation would run
@@ -1061,62 +1022,44 @@ impl Runner {
         });
     }
 
-    /// Byte-compares every application page against the shadow snapshot of
-    /// the recovered checkpoint, and checks the global parity invariant.
+    /// Byte-compares every application page against the memory copy taken
+    /// at the recovered checkpoint's commit, and checks the global parity
+    /// invariant.
     fn verify_against_shadow(&self, target: u64) -> Option<bool> {
         let sys = &self.sys;
-        let shadow = match sys.shadows.iter().find(|s| s.interval == target) {
-            Some(s) => s,
-            None => {
-                if sys.cfg.shadow_checkpoints {
-                    eprintln!(
-                        "verify: no shadow for target {target}; have {:?}",
-                        sys.shadows.iter().map(|s| s.interval).collect::<Vec<_>>()
-                    );
-                }
-                return None;
+        let Some(memories) = sys.checkpoint_memories(target) else {
+            if sys.cfg.shadow_checkpoints {
+                eprintln!("verify: no shadow for target {target}");
             }
+            return None;
         };
         let map = sys.map;
-        let mut ok = true;
-        'pages: for &page in sys.page_table.allocated_pages() {
+        for &page in sys.page_table.allocated_pages() {
             let node = map.home_of_page(page).index();
             for line in page.lines() {
-                let local = map.local_line_index(line);
-                let got = sys.nodes[node].mem.read_line(local);
-                let base = (local * 64) as usize;
-                let want: [u8; 64] = shadow.memories[node][base..base + 64]
+                let got = sys.read_home(line);
+                let base = (map.local_line_index(line) * 64) as usize;
+                let want: [u8; 64] = memories[node][base..base + 64]
                     .try_into()
                     .expect("64-byte slice");
                 if got != LineData::from(want) {
-                    if sys.cfg.shadow_checkpoints {
-                        eprintln!(
-                            "verify: mismatch at {line} (page {page}, node {node}): got {got:?} want {:?}",
-                            LineData::from(want)
-                        );
-                    }
-                    ok = false;
-                    break 'pages;
+                    eprintln!(
+                        "verify: mismatch at {line} (page {page}, node {node}): got {got:?} want {:?}",
+                        LineData::from(want)
+                    );
+                    return Some(false);
                 }
             }
         }
         // The redundancy invariant must hold for every group after Phase 4.
-        if ok {
-            if let Some(rdx) = sys.redundancy.as_ref() {
-                let audit = audit_redundancy(rdx, |l| {
-                    sys.nodes[map.home_of_line(l).index()]
-                        .mem
-                        .read_line(map.local_line_index(l))
-                });
-                if let Some(v) = audit.violations.first() {
-                    if sys.cfg.shadow_checkpoints {
-                        eprintln!("verify: redundancy {v}");
-                    }
-                    ok = false;
-                }
+        if let Some(rdx) = sys.redundancy.as_ref() {
+            let audit = audit_redundancy(rdx, |l| sys.read_home(l));
+            if let Some(v) = audit.violations.first() {
+                eprintln!("verify: redundancy {v}");
+                return Some(false);
             }
         }
-        Some(ok)
+        Some(true)
     }
 
     fn collect(&mut self, outcomes: Vec<FaultOutcome>) -> RunResult {
@@ -1244,24 +1187,6 @@ impl System {
             }
         }
         self.ckpt_counter = target;
-    }
-
-    /// Restarts execution after a recovery outage.
-    pub(crate) fn resume_after_recovery(&mut self, t_resume: Ns) {
-        let t = t_resume.max(self.now());
-        for c in 0..self.cpus.len() {
-            if !self.cpu_done(c) {
-                self.wake_cpu_at(c, t);
-            }
-        }
-        if self.cfg.revive.ckpt.interval != Ns::MAX {
-            self.schedule_ckpt(t + self.cfg.revive.ckpt.interval);
-        }
-        // One injection per run.
-        self.inject_at_ckpt = None;
-        self.inject_in_commit_of = None;
-        self.suppress_deadlock_panic = false;
-        self.heal_fabric();
     }
 
     pub(crate) fn take_memories(&mut self) -> Vec<NodeMemory> {

@@ -149,7 +149,7 @@ pub(crate) enum Ev {
     /// The post-interrupt cache flush actually begins (interrupt latency and
     /// context save have elapsed).
     FlushStart,
-    /// A scripted error fires (the runner handles the aftermath).
+    /// An armed fault's trigger time arrives: it strikes.
     Inject,
     /// The interval sampler takes its periodic reading.
     Sample,
@@ -170,10 +170,27 @@ pub(crate) enum Ev {
     WatchdogCheck,
 }
 
-/// A live fabric fault the runner arms before the injection point fires:
-/// instead of freezing the machine, [`Ev::Inject`] severs the fabric and
-/// lets execution continue until detection is *organic* (watchdog strikes,
-/// a hung barrier, or a retry forced onto a detour).
+impl Ev {
+    /// The redundancy update this event still carries toward memory, with
+    /// its destination and whether it carries values: a parity/replica
+    /// update in flight, or parked in a watchdog retry — which is just as
+    /// much in flight. Audits and teardown must land both kinds, or the
+    /// redundancy groups they see are torn.
+    fn pending_update(&self) -> Option<(NodeId, &ParityUpdate, bool)> {
+        let (Ev::Deliver(msg) | Ev::Retry { msg, .. }) = self else {
+            return None;
+        };
+        match &msg.payload {
+            Payload::Par { update, mirror } => Some((msg.dst, update, *mirror)),
+            _ => None,
+        }
+    }
+}
+
+/// A live fabric fault: instead of freezing the machine, its strike
+/// severs the fabric and lets execution continue until detection is
+/// *organic* (watchdog strikes, a hung barrier, or a retry forced onto a
+/// detour).
 pub(crate) enum LiveFault {
     /// These nodes (and their routers) die with messages in flight.
     Nodes(Vec<NodeId>),
@@ -185,6 +202,58 @@ pub(crate) enum LiveFault {
         /// The other endpoint.
         b: NodeId,
     },
+}
+
+/// When an armed fault strikes, relative to the checkpoint stream.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Trigger {
+    /// `delay` after checkpoint `id` commits.
+    AfterCommit { id: u64, delay: Ns },
+    /// On the `point` edge of checkpoint `id`'s two-phase commit.
+    CommitEdge { id: u64, point: CommitPoint },
+    /// At an absolute simulated time.
+    At(Ns),
+}
+
+/// A fault armed to strike: when, and what.
+pub(crate) struct Armed {
+    pub(crate) when: Trigger,
+    /// The live fabric fault the strike severs, or `None` for a scripted
+    /// fault, which halts the machine on the spot.
+    pub(crate) live: Option<LiveFault>,
+}
+
+/// The record of a fault's strike, kept until recovery resumes the
+/// machine.
+#[derive(Clone, Copy)]
+pub(crate) struct Strike {
+    /// When the fault struck.
+    pub(crate) at: Ns,
+    /// The rollback target: the last checkpoint committed before the
+    /// strike. Work after it, the detection window included, is lost.
+    /// After an after-mark strike that is the checkpoint before the
+    /// interrupted one; after an after-commit strike it is the one that
+    /// just committed, so rollback discards nothing. A live fault's
+    /// survivors may commit further checkpoints before detection, but one
+    /// the dead node never took part in is no legal target.
+    pub(crate) target: u64,
+    /// When `target` committed.
+    pub(crate) committed: Ns,
+    /// Struck on a commit edge: the CPUs stay frozen in the flush phase
+    /// until recovery, so an empty queue is expected, not a deadlock.
+    on_edge: bool,
+}
+
+/// Watchdog state; it exists only after a live fault severed the fabric.
+#[derive(Default)]
+struct LiveWatch {
+    /// Consecutive watchdog strikes per unreachable destination.
+    strikes: HashMap<NodeId, u32>,
+    /// Periodic watchdog checks elapsed since the sever.
+    checks: u32,
+    /// When organic detection fired (watchdog strike-out, hung barrier,
+    /// or a rerouted retry exposing a dead link).
+    detected_at: Option<Ns>,
 }
 
 /// Checkpoint orchestration state.
@@ -244,19 +313,10 @@ impl MemPort for NodePort<'_> {
     }
 }
 
-/// A memory snapshot captured at a checkpoint commit (validation mode).
-pub(crate) struct Shadow {
-    /// The checkpoint interval the snapshot belongs to.
-    pub(crate) interval: u64,
-    /// Full per-node memory images.
-    pub(crate) memories: Vec<Vec<u8>>,
-}
-
 /// Execution-stream state captured at a checkpoint commit, so that rollback
 /// can rewind the CPUs to the checkpoint and *re-execute* the discarded work
 /// (the paper's recovery model: memory and computation both resume from the
 /// checkpoint). Cheap — a few counters per CPU — so it is always captured.
-#[derive(Clone)]
 struct ExecSnapshot {
     /// The checkpoint interval the snapshot belongs to (0 = run start).
     interval: u64,
@@ -266,6 +326,9 @@ struct ExecSnapshot {
     retry: Vec<Option<revive_workloads::Op>>,
     cpu_ops: u64,
     instructions: u64,
+    /// Full per-node memory images to verify a rollback against
+    /// (validation mode only; never for interval 0).
+    memories: Option<Vec<Vec<u8>>>,
 }
 
 impl ExecSnapshot {
@@ -277,6 +340,7 @@ impl ExecSnapshot {
             retry: vec![None; cpus],
             cpu_ops: 0,
             instructions: 0,
+            memories: None,
         }
     }
 }
@@ -305,36 +369,19 @@ pub struct System {
     pub(crate) ck_stats: revive_core::checkpoint::CkptStats,
     pub(crate) ckpt_counter: u64,
     early_pending: bool,
-    pub(crate) shadows: VecDeque<Shadow>,
     exec_snaps: VecDeque<ExecSnapshot>,
-    pub(crate) halted: bool,
-    pub(crate) inject_at_ckpt: Option<(u64, f64)>,
-    /// Scripted error pinned to a two-phase-commit boundary of this
-    /// checkpoint: halt exactly at the named [`CommitPoint`].
-    pub(crate) inject_in_commit_of: Option<(u64, CommitPoint)>,
-    pub(crate) inject_time: Option<Ns>,
-    /// After a commit-edge injection the CPUs are legitimately frozen in
-    /// the flush phase while the runner drains the detection window; an
-    /// empty queue then is expected, not a deadlock.
-    pub(crate) suppress_deadlock_panic: bool,
-    /// A live fabric fault to fire at the injection point instead of
-    /// freezing the machine (see [`LiveFault`]).
-    pub(crate) pending_live: Option<LiveFault>,
-    /// Whether a live fabric fault is currently armed. The one branch the
-    /// fault machinery adds to the clean send path; everything else is
-    /// behind it, so fault-free runs take byte-identical event streams.
-    live_mode: bool,
-    /// Consecutive watchdog strikes per unreachable destination.
-    strikes: HashMap<NodeId, u32>,
-    /// When organic detection fired (watchdog strike-out, hung barrier,
-    /// or a rerouted retry exposing a dead link).
-    pub(crate) detected_at: Option<Ns>,
-    /// `(ckpt_counter, commit time of the last checkpoint)` captured at
-    /// the sever instant — the rollback target for a live fault, since the
-    /// machine keeps running (and may keep committing) until detection.
-    pub(crate) live_snapshot: Option<(u64, Ns)>,
-    /// Periodic watchdog checks elapsed since the sever.
-    watchdog_checks: u32,
+    /// Stops the event loop: set by a scripted strike and by organic
+    /// detection, cleared by [`System::detect`].
+    halted: bool,
+    /// The fault armed to strike next.
+    armed: Option<Armed>,
+    /// The fault that struck, until recovery resumes the machine.
+    struck: Option<Strike>,
+    /// Set by a live fault's sever, dropped when the fabric heals. The
+    /// one check the fault machinery adds to the clean send, CPU and
+    /// delivery paths, so fault-free runs take byte-identical event
+    /// streams.
+    watch: Option<Box<LiveWatch>>,
     /// Validation-mode audit reports (parity sweeps, log round-trips).
     pub(crate) audits: Vec<AuditReport>,
     /// Event-trace ring buffer (no-op unless `cfg.obs` enables tracing).
@@ -518,21 +565,13 @@ impl System {
             ck_stats: revive_core::checkpoint::CkptStats::default(),
             ckpt_counter: 0,
             early_pending: false,
-            shadows: VecDeque::new(),
             exec_snaps: VecDeque::from([ExecSnapshot::initial(nodes)]),
             halted: false,
-            inject_at_ckpt: None,
-            inject_in_commit_of: None,
-            inject_time: None,
-            suppress_deadlock_panic: false,
-            pending_live: None,
-            live_mode: false,
-            strikes: HashMap::new(),
+            armed: None,
+            struck: None,
+            watch: None,
             scratch_sends: Vec::new(),
             scratch_par: Vec::new(),
-            detected_at: None,
-            live_snapshot: None,
-            watchdog_checks: 0,
             audits: Vec::new(),
             tracer,
             sampler,
@@ -595,43 +634,48 @@ impl System {
     }
 
     fn send(&mut self, at: Ns, src: NodeId, dst: NodeId, class: TrafficClass, payload: Payload) {
-        if self.live_mode {
-            return self.send_faulted(at, src, dst, class, payload);
+        let msg = NetMsg {
+            src,
+            dst,
+            class,
+            payload,
+        };
+        if self.watch.is_some() {
+            return self.send_faulted(at, msg);
         }
-        let size = payload.size_bytes();
-        self.metrics.net(class, size);
-        let arrival = self.fabric.send(at, src, dst, size);
-        self.metrics.net_latency(class, arrival.saturating_sub(at));
-        self.queue.schedule(
-            arrival.max(self.queue.now()),
-            Ev::Deliver(NetMsg {
-                src,
-                dst,
-                class,
-                payload,
-            }),
-        );
+        self.ship(at, None, msg);
     }
 
-    /// The send path while a live fabric fault is armed: a dead source
+    /// Charges `msg` to the traffic metrics, sends it over the fabric —
+    /// on its dimension-order route, or on `route` when a fault forced one
+    /// — and schedules its delivery. Returns the arrival time. Inlined so
+    /// the clean send keeps its direct fabric call.
+    #[inline(always)]
+    fn ship(&mut self, at: Ns, route: Option<&[LinkId]>, msg: NetMsg) -> Ns {
+        let size = msg.payload.size_bytes();
+        self.metrics.net(msg.class, size);
+        let arrival = match route {
+            None => self.fabric.send(at, msg.src, msg.dst, size),
+            Some(route) => self.fabric.send_routed(at, route, size),
+        };
+        self.metrics
+            .net_latency(msg.class, arrival.saturating_sub(at));
+        self.queue
+            .schedule(arrival.max(self.queue.now()), Ev::Deliver(msg));
+        arrival
+    }
+
+    /// The send path after a live fault severed the fabric: a dead source
     /// sends nothing; an unreachable destination drops the message and
     /// hands it to the watchdog; a broken dimension-order route detours
     /// over the surviving links.
-    fn send_faulted(
-        &mut self,
-        at: Ns,
-        src: NodeId,
-        dst: NodeId,
-        class: TrafficClass,
-        payload: Payload,
-    ) {
-        let torus = *self.fabric.torus();
+    fn send_faulted(&mut self, at: Ns, msg: NetMsg) {
+        let (src, dst) = (msg.src, msg.dst);
         if self.fabric.fault().node_dead(src) {
             self.trace_drop(at, src, dst);
             return;
         }
-        let size = payload.size_bytes();
-        self.metrics.net(class, size);
+        let torus = *self.fabric.torus();
         match torus.route_around(src, dst, self.fabric.fault()) {
             Some(route) => {
                 if route != torus.route(src, dst) {
@@ -644,32 +688,15 @@ impl System {
                     );
                     self.note_link_fault_observed(at);
                 }
-                let arrival = self.fabric.send_routed(at, &route, size);
-                self.metrics.net_latency(class, arrival.saturating_sub(at));
-                self.queue.schedule(
-                    arrival.max(self.queue.now()),
-                    Ev::Deliver(NetMsg {
-                        src,
-                        dst,
-                        class,
-                        payload,
-                    }),
-                );
+                self.ship(at, Some(&route), msg);
             }
             None => {
-                // Dead or unreachable destination: drop now, let the
-                // watchdog retry (and eventually strike out).
+                // Dead or unreachable destination: charge the attempt,
+                // drop it now, let the watchdog retry (and eventually
+                // strike out).
+                self.metrics.net(msg.class, msg.payload.size_bytes());
                 self.trace_drop(at, src, dst);
-                self.schedule_retry(
-                    NetMsg {
-                        src,
-                        dst,
-                        class,
-                        payload,
-                    },
-                    1,
-                    at,
-                );
+                self.schedule_retry(msg, 1, at);
             }
         }
     }
@@ -764,7 +791,7 @@ impl System {
     }
 
     /// Runs until every CPU has issued its op budget and the event queue
-    /// drained, or until a scripted injection halts the machine.
+    /// drained, or until a strike or its detection halts the machine.
     ///
     /// # Panics
     ///
@@ -774,7 +801,7 @@ impl System {
         self.run_until(Ns::MAX);
     }
 
-    /// Runs until `deadline` (exclusive), budget exhaustion, or injection.
+    /// Runs until `deadline` (exclusive), budget exhaustion, or a halt.
     pub fn run_until(&mut self, deadline: Ns) {
         while !self.halted && self.step_one(deadline) {}
     }
@@ -797,8 +824,12 @@ impl System {
 
     /// Panics with full per-CPU diagnostics when the queue drained while
     /// CPUs still had work — always a simulator bug, never a legal outcome.
+    /// Except after a fault froze them: a commit-edge strike leaves the
+    /// CPUs in the flush phase until recovery, and after a sever the
+    /// watchdog owns liveness.
     fn check_drained(&self) {
-        if self.running_cpus != 0 && !self.suppress_deadlock_panic {
+        let frozen = self.watch.is_some() || self.struck.is_some_and(|s| s.on_edge);
+        if self.running_cpus != 0 && !frozen {
             let states: Vec<String> = self
                             .cpus
                             .iter()
@@ -851,11 +882,7 @@ impl System {
             Ev::FlushStart => self.flush_start(t),
             Ev::Inject => {
                 self.tracer.record(t, TraceEvent::Inject);
-                self.inject_time = Some(t);
-                match self.pending_live.take() {
-                    Some(f) => self.sever(f, t),
-                    None => self.halted = true,
-                }
+                self.strike(t);
             }
             Ev::Sample => self.take_sample(t),
             Ev::Retry {
@@ -1041,36 +1068,80 @@ impl System {
         }
     }
 
-    // ---------------- live fabric faults ----------------
+    // ---------------- the fault lifecycle ----------------
 
-    /// Arms a live fault to fire at the next injection point (the runner
-    /// calls this before `run`).
-    pub(crate) fn arm_live_fault(&mut self, f: LiveFault) {
-        self.pending_live = Some(f);
+    /// Arms `armed` to strike at its trigger (the runner calls this before
+    /// `run`).
+    pub(crate) fn arm(&mut self, armed: Armed) {
+        if let Trigger::At(at) = armed.when {
+            self.queue.schedule(at.max(self.queue.now()), Ev::Inject);
+        }
+        self.armed = Some(armed);
     }
 
-    /// Whether node `c`'s CPU is dead under the armed live fault.
-    fn cpu_dead(&self, c: usize) -> bool {
-        self.live_mode && self.fabric.fault().node_dead(NodeId::from(c))
+    /// Whether the armed fault strikes at `when`.
+    fn armed_for(&self, when: Trigger) -> bool {
+        self.armed.as_ref().is_some_and(|a| a.when == when)
     }
 
-    /// Severs the fabric at the injection instant: kills the faulted
-    /// components, sweeps in-flight messages whose route crosses a dead
-    /// element (dropping them into the watchdog's hands), and starts the
-    /// periodic liveness check. The machine keeps running — detection is
-    /// organic from here.
-    fn sever(&mut self, fault: LiveFault, t: Ns) {
-        self.live_mode = true;
-        self.suppress_deadlock_panic = true;
-        self.watchdog_checks = 0;
-        self.live_snapshot = Some((
-            self.ckpt_counter,
-            self.ck_stats
+    /// The armed fault strikes at `t`. The strike records the rollback
+    /// target, then halts the machine on the spot (a scripted fault) or
+    /// severs the fabric and lets it run on (a live one).
+    fn strike(&mut self, t: Ns) {
+        let armed = self.armed.take().expect("only an armed fault strikes");
+        self.struck = Some(Strike {
+            at: t,
+            target: self.ckpt_counter,
+            committed: self
+                .ck_stats
                 .timelines
                 .last()
-                .map(|tl| tl.committed)
-                .unwrap_or(Ns::ZERO),
-        ));
+                .map_or(Ns::ZERO, |tl| tl.committed),
+            on_edge: matches!(armed.when, Trigger::CommitEdge { .. }),
+        });
+        match armed.live {
+            Some(f) => self.sever(f, t),
+            None => self.halted = true,
+        }
+    }
+
+    /// The fault that struck, until recovery resumes the machine.
+    pub(crate) fn struck(&self) -> Option<Strike> {
+        self.struck
+    }
+
+    /// Runs the machine through the detection window of the fault that
+    /// struck, and returns when it was detected. A live fault was detected
+    /// organically by the watch; if the survivors finished the workload
+    /// before any liveness signal fired, detection falls back to
+    /// `deadline`. A scripted fault lets the machine keep
+    /// (conservatively) executing until `deadline` — the paper's
+    /// footnote 1. Either way the machine is left un-halted, so the
+    /// post-recovery resume can re-execute the rolled-back work.
+    pub(crate) fn detect(&mut self, deadline: Ns) -> Ns {
+        self.halted = false;
+        match self.watch.as_ref().map(|w| w.detected_at) {
+            Some(Some(t)) => t,
+            Some(None) => self.now().max(deadline),
+            None => {
+                self.run_until(deadline);
+                self.now().max(deadline)
+            }
+        }
+    }
+
+    /// Whether node `c`'s CPU is dead under a severed fabric.
+    fn cpu_dead(&self, c: usize) -> bool {
+        self.watch.is_some() && self.fabric.fault().node_dead(NodeId::from(c))
+    }
+
+    /// Severs the fabric at the strike instant: kills the faulted
+    /// components, sweeps in-flight messages whose route crosses a dead
+    /// element (dropping them into the watchdog's hands), and starts the
+    /// watch with its periodic liveness check. The machine keeps running —
+    /// detection is organic from here.
+    fn sever(&mut self, fault: LiveFault, t: Ns) {
+        self.watch = Some(Box::default());
         let torus = *self.fabric.torus();
         match fault {
             LiveFault::Nodes(ns) => {
@@ -1135,44 +1206,46 @@ impl System {
     /// strike, and `watchdog_strikes` consecutive strikes against the same
     /// destination raise organic detection.
     fn retry_msg(&mut self, msg: NetMsg, attempt: u32, first_drop: Ns, t: Ns) {
-        if !self.live_mode || self.halted || self.fabric.fault().node_dead(msg.src) {
+        if self.halted || self.fabric.fault().node_dead(msg.src) {
             return;
         }
+        let Some(watch) = self.watch.as_deref_mut() else {
+            return;
+        };
         let torus = *self.fabric.torus();
-        match torus.route_around(msg.src, msg.dst, self.fabric.fault()) {
+        let attempt_u8 = attempt.min(u8::MAX as u32) as u8;
+        let dst = msg.dst;
+        match torus.route_around(msg.src, dst, self.fabric.fault()) {
             Some(route) => {
-                let size = msg.payload.size_bytes();
-                self.metrics.net(msg.class, size);
-                let arrival = self.fabric.send_routed(t, &route, size);
-                self.metrics
-                    .net_latency(msg.class, arrival.saturating_sub(t));
-                self.metrics
-                    .retry(msg.class, arrival.saturating_sub(first_drop));
+                watch.strikes.remove(&dst);
                 self.tracer.record(
                     t,
                     TraceEvent::Retry {
-                        dst: msg.dst.index() as u16,
-                        attempt: attempt.min(u8::MAX as u32) as u8,
+                        dst: dst.index() as u16,
+                        attempt: attempt_u8,
                     },
                 );
-                self.strikes.remove(&msg.dst);
-                if route != torus.route(msg.src, msg.dst) {
+                let detour = route != torus.route(msg.src, dst);
+                let class = msg.class;
+                let arrival = self.ship(t, Some(&route), msg);
+                self.metrics
+                    .retry(class, arrival.saturating_sub(first_drop));
+                if detour {
                     self.note_link_fault_observed(t);
                 }
-                self.queue
-                    .schedule(arrival.max(self.queue.now()), Ev::Deliver(msg));
             }
             None => {
+                let s = watch.strikes.entry(dst).or_insert(0);
+                *s += 1;
+                let struck_out = *s >= self.cfg.machine.watchdog_strikes;
                 self.tracer.record(
                     t,
                     TraceEvent::WatchdogTimeout {
-                        dst: msg.dst.index() as u16,
-                        attempt: attempt.min(u8::MAX as u32) as u8,
+                        dst: dst.index() as u16,
+                        attempt: attempt_u8,
                     },
                 );
-                let s = self.strikes.entry(msg.dst).or_insert(0);
-                *s += 1;
-                if *s >= self.cfg.machine.watchdog_strikes {
+                if struck_out {
                     self.organic_detect(t);
                 } else {
                     self.schedule_retry(msg, attempt + 1, first_drop);
@@ -1181,16 +1254,22 @@ impl System {
         }
     }
 
-    /// The periodic liveness check while a live fault is armed. Detects a
-    /// 2PC barrier hung on a dead participant immediately, and any armed
-    /// fault after [`Self::HEARTBEAT_CHECKS`] quiet periods (the
-    /// node-level heartbeat a real machine room runs) — so every scenario
-    /// terminates even if no message ever touches the dead component.
+    /// The periodic liveness check after a sever. Detects a 2PC barrier
+    /// hung on a dead participant immediately, and any live fault after
+    /// [`Self::HEARTBEAT_CHECKS`] quiet periods (the node-level heartbeat
+    /// a real machine room runs) — so every scenario terminates even if no
+    /// message ever touches the dead component.
     fn watchdog_check(&mut self, t: Ns) {
-        if !self.live_mode || self.halted || self.detected_at.is_some() {
+        if self.halted {
             return;
         }
-        self.watchdog_checks += 1;
+        let Some(watch) = self.watch.as_deref_mut() else {
+            return;
+        };
+        if watch.detected_at.is_some() {
+            return;
+        }
+        watch.checks += 1;
         let dead_nodes = self.fabric.fault().dead_node_count() > 0;
         if dead_nodes && self.ck_phase == CkPhase::Flushing {
             // A dead participant can never arrive at the barrier: the
@@ -1198,7 +1277,7 @@ impl System {
             self.organic_detect(t);
             return;
         }
-        if self.watchdog_checks >= Self::HEARTBEAT_CHECKS {
+        if watch.checks >= Self::HEARTBEAT_CHECKS {
             self.organic_detect(t);
             return;
         }
@@ -1209,7 +1288,7 @@ impl System {
         self.queue.schedule(t + period, Ev::WatchdogCheck);
     }
 
-    /// Heartbeat backstop: detect any armed fault after this many quiet
+    /// Heartbeat backstop: detect any live fault after this many quiet
     /// watchdog periods.
     const HEARTBEAT_CHECKS: u32 = 8;
 
@@ -1218,46 +1297,23 @@ impl System {
     /// (With dead *nodes*, detours between survivors are routine and
     /// detection waits for strikes or the hung barrier.)
     fn note_link_fault_observed(&mut self, t: Ns) {
-        if self.detected_at.is_none() && self.fabric.fault().dead_node_count() == 0 {
+        if self.fabric.fault().dead_node_count() == 0 {
             self.organic_detect(t);
         }
     }
 
-    /// Fires a commit-edge injection: a scripted fault halts the machine
-    /// on the spot, while an armed live fault severs the fabric and leaves
-    /// the machine frozen mid-flush for the watchdog to notice.
-    fn commit_inject(&mut self, at: Ns) {
-        self.inject_time = Some(at);
-        match self.pending_live.take() {
-            Some(f) => self.sever(f, at),
-            None => {
-                self.halted = true;
-                self.suppress_deadlock_panic = true;
-            }
-        }
-    }
-
-    /// Organic detection: halt the machine and record the instant. The
-    /// runner takes over from here (damage, quiesce, recovery).
+    /// Organic detection: halt the machine and record the instant (the
+    /// first one only). The runner takes over from here (damage, quiesce,
+    /// recovery).
     fn organic_detect(&mut self, t: Ns) {
-        if self.detected_at.is_some() {
-            return;
+        let watch = self
+            .watch
+            .as_deref_mut()
+            .expect("detection follows a sever");
+        if watch.detected_at.is_none() {
+            watch.detected_at = Some(t);
+            self.halted = true;
         }
-        self.detected_at = Some(t);
-        self.halted = true;
-    }
-
-    /// Repairs the fabric after recovery: dead components come back (the
-    /// paper's repaired-node rejoin), watchdog state clears, and the send
-    /// path drops back to the zero-overhead clean route.
-    pub(crate) fn heal_fabric(&mut self) {
-        self.fabric.fault_mut().heal_all();
-        self.live_mode = false;
-        self.strikes.clear();
-        self.detected_at = None;
-        self.watchdog_checks = 0;
-        self.pending_live = None;
-        self.live_snapshot = None;
     }
 
     /// Checks that every surviving node can still reach every other over
@@ -1285,7 +1341,7 @@ impl System {
     // ---------------- message delivery ----------------
 
     fn deliver(&mut self, msg: NetMsg, t: Ns) {
-        if self.live_mode && self.fabric.fault().node_dead(msg.dst) {
+        if self.watch.is_some() && self.fabric.fault().node_dead(msg.dst) {
             // Delivered into a dead node: the message is gone. (The sender
             // already paid for the flight; the watchdog owns liveness.)
             self.trace_drop(t, msg.src, msg.dst);
@@ -1308,7 +1364,7 @@ impl System {
             }
         }
         match payload {
-            Payload::ToCache(m) => self.deliver_to_cache(dst, m, class, t),
+            Payload::ToCache(m) => self.deliver_to_cache(dst, m, t),
             Payload::ToDir(m) => {
                 let din = match m {
                     CacheToDir::Req { line, req } => DirIn::Req {
@@ -1346,7 +1402,7 @@ impl System {
         }
     }
 
-    fn deliver_to_cache(&mut self, dst: NodeId, m: DirToCache, class: TrafficClass, t: Ns) {
+    fn deliver_to_cache(&mut self, dst: NodeId, m: DirToCache, t: Ns) {
         let c = dst.index();
         let is_nack = matches!(m, DirToCache::Nack { .. });
         let is_flush_ack = matches!(m, DirToCache::WbAck { flush: true, .. });
@@ -1378,7 +1434,6 @@ impl System {
         for token in reaction.completed {
             self.complete_token(token, t);
         }
-        let _ = class;
         if self.ck_phase == CkPhase::Flushing {
             if is_flush_ack {
                 debug_assert!(self.cpus[c].flush_outstanding > 0);
@@ -1686,12 +1741,15 @@ impl System {
         let t_b1 = t + barrier;
         self.ck_timeline.barrier1_done = t_b1;
         let new_id = self.ckpt_counter + 1;
-        if self.inject_in_commit_of == Some((new_id, CommitPoint::AfterBarrier1)) {
+        if self.armed_for(Trigger::CommitEdge {
+            id: new_id,
+            point: CommitPoint::AfterBarrier1,
+        }) {
             // Error on the barrier-1 edge: no log has marked the new
             // checkpoint yet, so the previous checkpoint is still the
             // recovery target everywhere. CPUs remain frozen in the flush
             // phase until the runner recovers the machine.
-            self.commit_inject(t_b1);
+            self.strike(t_b1);
             return;
         }
         // Between the barriers every node marks the checkpoint in its local
@@ -1742,12 +1800,15 @@ impl System {
                 phase: CkptPhaseEvent::Marked,
             },
         );
-        if self.inject_in_commit_of == Some((new_id, CommitPoint::AfterMark)) {
+        if self.armed_for(Trigger::CommitEdge {
+            id: new_id,
+            point: CommitPoint::AfterMark,
+        }) {
             // Error inside the two-phase-commit window: every log is marked
             // but the commit never completes, so the previous checkpoint
             // must stay recoverable. CPUs remain frozen in the flush phase
             // until the runner recovers the machine.
-            self.commit_inject(mark_done);
+            self.strike(mark_done);
             return;
         }
         let t_commit = mark_done + barrier;
@@ -1780,26 +1841,17 @@ impl System {
             }
         }
         self.ck_stats.timelines.push(self.ck_timeline);
-        if self.cfg.shadow_checkpoints {
-            self.shadows.push_back(Shadow {
-                interval: new_id,
-                memories: self.nodes.iter().map(|n| n.mem.snapshot()).collect(),
-            });
-            // Window: retained + 1, like the exec snapshots — the oldest
-            // legal rollback target is `counter - retained`, one interval
-            // older than the newest `retained` commits.
-            while self.shadows.len() > self.cfg.revive.ckpt.retained as usize + 1 {
-                self.shadows.pop_front();
-            }
-        }
         self.capture_exec_snapshot(new_id);
-        self.audit_parity_at_commit(new_id);
-        if self.inject_in_commit_of == Some((new_id, CommitPoint::AfterCommit)) {
+        self.audit_parity(format!("commit of checkpoint {new_id}"));
+        if self.armed_for(Trigger::CommitEdge {
+            id: new_id,
+            point: CommitPoint::AfterCommit,
+        }) {
             // Error on the reclaim edge: the checkpoint committed and old
             // log space was just reclaimed, but no CPU has resumed. The
             // freshly committed checkpoint is the recovery target, and
             // rolling back to it must discard exactly nothing.
-            self.commit_inject(t_commit);
+            self.strike(t_commit);
             return;
         }
         // Resume execution.
@@ -1809,14 +1861,17 @@ impl System {
                 self.wake_cpu(c, t_commit);
             }
         }
-        // Schedule the next periodic checkpoint and any scripted injection.
+        // Schedule the next periodic checkpoint and any armed strike.
         if self.cfg.revive.ckpt.interval != Ns::MAX {
             self.queue
                 .schedule(t_commit + self.cfg.revive.ckpt.interval, Ev::CkptStart);
         }
-        if let Some((after, frac)) = self.inject_at_ckpt {
-            if new_id == after {
-                let delay = Ns((self.cfg.revive.ckpt.interval.0 as f64 * frac) as u64);
+        if let Some(Armed {
+            when: Trigger::AfterCommit { id, delay },
+            ..
+        }) = self.armed
+        {
+            if id == new_id {
                 self.queue.schedule(t_commit + delay, Ev::Inject);
             }
         }
@@ -1826,6 +1881,12 @@ impl System {
 
     fn capture_exec_snapshot(&mut self, interval: u64) {
         self.exec_snaps.push_back(ExecSnapshot {
+            // The large copies are allocated ahead of the small per-CPU
+            // vectors: the other order raises the campaign's peak RSS.
+            memories: self
+                .cfg
+                .shadow_checkpoints
+                .then(|| self.nodes.iter().map(|n| n.mem.snapshot()).collect()),
             interval,
             ops_done: self.ops_done.clone(),
             fetched: self.cpus.iter().map(|c| c.fetched).collect(),
@@ -1833,7 +1894,9 @@ impl System {
             cpu_ops: self.metrics.cpu_ops,
             instructions: self.metrics.instructions,
         });
-        // Keep the same window as the retained checkpoints, plus interval 0.
+        // Window: retained + 1 — the oldest legal rollback target is
+        // `counter - retained`, one interval older than the newest
+        // `retained` commits (interval 0 until that many commits).
         while self.exec_snaps.len() > self.cfg.revive.ckpt.retained as usize + 1 {
             self.exec_snaps.pop_front();
         }
@@ -1858,8 +1921,7 @@ impl System {
             .exec_snaps
             .iter()
             .find(|s| s.interval == target)
-            .unwrap_or_else(|| panic!("no execution snapshot for interval {target}"))
-            .clone();
+            .unwrap_or_else(|| panic!("no execution snapshot for interval {target}"));
         let nodes = self.cfg.machine.nodes;
         let mut workload = self
             .cfg
@@ -1889,15 +1951,6 @@ impl System {
         }
         self.metrics.cpu_ops = snap.cpu_ops;
         self.metrics.instructions = snap.instructions;
-        // Snapshots past the target belong to discarded intervals. The
-        // shadow snapshots must go too: the checkpoint counter rewinds to
-        // `target`, so the replayed timeline re-commits the same interval
-        // ids — with different contents, because post-recovery timing
-        // shifts the checkpoint boundaries. A stale shadow left behind
-        // would shadow (sic) the re-committed one and fail verification
-        // of a later rollback to that interval.
-        self.exec_snaps.retain(|s| s.interval <= target);
-        self.shadows.retain(|s| s.interval <= target);
         if let Some(tr) = self.serving.as_mut() {
             // Completions past the rollback target will re-execute and
             // complete again — drop them, squash in-flight commit writes,
@@ -1912,82 +1965,70 @@ impl System {
                 }
             }
         }
+        // Snapshots past the target belong to discarded intervals: the
+        // checkpoint counter rewinds to `target`, so the replayed timeline
+        // re-commits the same interval ids — with different contents,
+        // because post-recovery timing shifts the checkpoint boundaries. A
+        // stale memory copy left behind would shadow the re-committed one
+        // and fail verification of a later rollback to that interval.
+        self.exec_snaps.retain(|s| s.interval <= target);
         rolled
     }
 
-    /// Audits every parity group at a checkpoint commit (validation mode).
+    /// The memory copy captured at `target`'s commit (validation mode).
+    pub(crate) fn checkpoint_memories(&self, target: u64) -> Option<&[Vec<u8>]> {
+        self.exec_snaps
+            .iter()
+            .find(|s| s.interval == target)?
+            .memories
+            .as_deref()
+    }
+
+    /// Reads `line` from its home node's memory.
+    pub(crate) fn read_home(&self, line: LineAddr) -> LineData {
+        self.nodes[self.map.home_of_line(line).index()]
+            .mem
+            .read_line(self.map.local_line_index(line))
+    }
+
+    /// Audits every redundancy group (validation mode) and records the
+    /// report under `context`.
     ///
     /// Parity traffic for the flushed write-backs and the just-shipped
-    /// checkpoint markers may still be in flight at commit, so the invariant
-    /// audited is memory ⊕ pending updates: the queue is drained, pending
-    /// updates are landed on a read overlay in delivery order, and the
-    /// events are rescheduled untouched.
-    fn audit_parity_at_commit(&mut self, interval: u64) {
+    /// checkpoint markers may still be in flight at a commit, so the
+    /// invariant audited is memory ⊕ pending updates: the queue is
+    /// drained, pending updates are landed on a read overlay in delivery
+    /// order, and the events are rescheduled untouched. (After recovery
+    /// nothing is in flight and the overlay stays empty.)
+    pub(crate) fn audit_parity(&mut self, context: String) {
         if !self.cfg.shadow_checkpoints {
             return;
         }
         let Some(rdx) = self.redundancy else { return };
         let pending = self.queue.drain();
-        let nodes = &self.nodes;
-        let map = self.map;
-        let read = |line: LineAddr| {
-            nodes[map.home_of_line(line).index()]
-                .mem
-                .read_line(map.local_line_index(line))
-        };
         // Memory with every pending update landed, in delivery order.
         let mut overlay: HashMap<LineAddr, LineData> = HashMap::new();
         for (_, ev) in &pending {
-            // A parity update waiting in a watchdog retry is just as
-            // in-flight as one in a Deliver — both must fold into the
-            // overlay or the audit would see a torn group.
-            let (Ev::Deliver(NetMsg {
-                payload: Payload::Par { update, mirror },
-                ..
-            })
-            | Ev::Retry {
-                msg:
-                    NetMsg {
-                        payload: Payload::Par { update, mirror },
-                        ..
-                    },
-                ..
-            }) = ev
-            else {
+            let Some((_, update, mirror)) = ev.pending_update() else {
                 continue;
             };
             for (pline, delta) in &update.deltas {
-                let current = overlay.get(pline).copied().unwrap_or_else(|| read(*pline));
-                overlay.insert(*pline, StripeCode::apply_update(*mirror, current, *delta));
+                let current = overlay
+                    .get(pline)
+                    .copied()
+                    .unwrap_or_else(|| self.read_home(*pline));
+                overlay.insert(*pline, StripeCode::apply_update(mirror, current, *delta));
             }
         }
         let audit = audit_redundancy(&rdx, |line| {
-            overlay.get(&line).copied().unwrap_or_else(|| read(line))
+            overlay
+                .get(&line)
+                .copied()
+                .unwrap_or_else(|| self.read_home(line))
         });
         for (at, ev) in pending {
             self.queue.schedule(at, ev);
         }
-        self.audits.push(AuditReport {
-            context: format!("commit of checkpoint {interval}"),
-            parity: audit,
-            log_divergences: Vec::new(),
-        });
-    }
-
-    /// Audits every parity group against current memory (validation mode);
-    /// used after recovery, when no parity traffic is in flight.
-    pub(crate) fn audit_parity_now(&mut self, context: String) {
-        if !self.cfg.shadow_checkpoints {
-            return;
-        }
-        let Some(rdx) = self.redundancy else { return };
-        let nodes = &self.nodes;
-        let map = self.map;
-        let audit = audit_redundancy(&rdx, |line| {
-            nodes[map.home_of_line(line).index()]
-                .mem
-                .read_line(map.local_line_index(line))
-        });
         self.audits.push(AuditReport {
             context,
             parity: audit,
@@ -2046,20 +2087,13 @@ impl System {
     /// reason.
     pub(crate) fn drain_parity_inflight(&mut self, lost: &[NodeId]) {
         for (_, ev) in self.queue.drain() {
-            // Parity updates parked in watchdog retries are still in
-            // flight toward healthy memory: complete them like Delivers,
-            // or the surviving groups go inconsistent.
-            let (Ev::Deliver(msg) | Ev::Retry { msg, .. }) = ev else {
+            let Some((dst, update, mirror)) = ev.pending_update() else {
                 continue;
             };
-            let Payload::Par { update, mirror } = msg.payload else {
-                continue;
-            };
-            if lost.contains(&msg.dst) {
+            if lost.contains(&dst) {
                 continue;
             }
-            let n = msg.dst.index();
-            let mem = &mut self.nodes[n].mem;
+            let mem = &mut self.nodes[dst.index()].mem;
             for (pline, delta) in &update.deltas {
                 let local = self.map.local_line_index(*pline);
                 mem.write_line(
@@ -2089,22 +2123,24 @@ impl System {
         }
     }
 
-    pub(crate) fn cpu_done(&self, c: usize) -> bool {
-        self.cpus[c].done
-    }
-
-    pub(crate) fn wake_cpu_at(&mut self, c: usize, t: Ns) {
-        self.wake_cpu(c, t);
-    }
-
-    pub(crate) fn schedule_ckpt(&mut self, at: Ns) {
-        self.queue.schedule(at.max(self.queue.now()), Ev::CkptStart);
-    }
-
-    /// Schedules a scripted fault at an absolute simulated time (the
-    /// time-anchored [`crate::runner::InjectPhase::AtTime`] plans).
-    pub(crate) fn schedule_inject(&mut self, at: Ns) {
-        self.queue.schedule(at.max(self.queue.now()), Ev::Inject);
+    /// Restarts execution after a recovery outage and ends the fault's
+    /// lifecycle: dead components come back (the paper's repaired-node
+    /// rejoin), the watch and the strike record go, and the send path
+    /// falls back to the clean route.
+    pub(crate) fn resume_after_recovery(&mut self, t_resume: Ns) {
+        let t = t_resume.max(self.now());
+        for c in 0..self.cpus.len() {
+            if !self.cpus[c].done {
+                self.wake_cpu(c, t);
+            }
+        }
+        if self.cfg.revive.ckpt.interval != Ns::MAX {
+            let at = t + self.cfg.revive.ckpt.interval;
+            self.queue.schedule(at.max(self.queue.now()), Ev::CkptStart);
+        }
+        self.fabric.fault_mut().heal_all();
+        self.watch = None;
+        self.struck = None;
     }
 
     /// Takes the serving tracker's final report (`None` for batch runs).

@@ -241,8 +241,92 @@ fn live_campaign_sweep_classifies_every_seed() {
         live_only: true,
         ..CampaignConfig::default()
     };
+    // Each seed's outcome and the classifying run's `(sim_time ns,
+    // events)`, so a change to the sever, the watchdogs or the rollback
+    // target shows up here even when the oracle still matches.
+    let pinned: [(&str, Option<(u64, u64)>); 25] = [
+        (
+            "recovered (1 recoveries, 50.031ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_350_753, 942_474)),
+        ),
+        (
+            "recovered (1 recoveries, 50.015ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_171_390, 945_383)),
+        ),
+        ("not fired", None),
+        ("not fired", None),
+        (
+            "recovered (1 recoveries, 50.088ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((51_696_207, 709_103)),
+        ),
+        ("not fired", None),
+        (
+            "unrecoverable: losing nodes {n0, n1} exceeds the redundancy budget: the group of \
+             P0x0 has more lost members than the backend can rebuild",
+            Some((282_185, 89_780)),
+        ),
+        (
+            "recovered (1 recoveries, 50.147ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_309_771, 973_053)),
+        ),
+        ("not fired", None),
+        ("not fired", None),
+        (
+            "recovered (1 recoveries, 50.189ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_306_016, 426_912)),
+        ),
+        ("not fired", None),
+        (
+            "recovered (1 recoveries, 50.024ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_840_344, 986_683)),
+        ),
+        (
+            "recovered (1 recoveries, 50.044ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_912_447, 989_084)),
+        ),
+        ("not fired", None),
+        (
+            "recovered (1 recoveries, 50.149ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_071_145, 715_306)),
+        ),
+        (
+            "recovered (1 recoveries, 50.119ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_548_923, 987_436)),
+        ),
+        (
+            "recovered (1 recoveries, 50.050ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((51_298_267, 686_030)),
+        ),
+        (
+            "recovered (1 recoveries, 50.002ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((52_272_765, 942_158)),
+        ),
+        (
+            "recovered (2 recoveries, 100.388ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((104_003_188, 560_767)),
+        ),
+        (
+            "recovered (1 recoveries, 50.394ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((51_687_296, 340_911)),
+        ),
+        ("not fired", None),
+        (
+            "unrecoverable: losing nodes {n3, n4, n5} exceeds the redundancy budget: the group \
+             of P0x300 has more lost members than the backend can rebuild",
+            Some((261_712, 179_151)),
+        ),
+        (
+            "unrecoverable: losing nodes {n0, n2, n3} exceeds the redundancy budget: the group \
+             of P0x0 has more lost members than the backend can rebuild",
+            Some((51_167_378, 256_964)),
+        ),
+        (
+            "recovered (2 recoveries, 100.538ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((101_886_138, 839_130)),
+        ),
+    ];
     let mut recovered = 0usize;
-    for seed in 0..25u64 {
+    for (seed, (outcome, run)) in (0..25u64).zip(pinned) {
         let sc = generate(seed, &gen);
         assert!(
             sc.faults.iter().all(|f| f.kind.is_live()),
@@ -254,6 +338,9 @@ fn live_campaign_sweep_classifies_every_seed() {
             "seed {seed} failed: {}",
             report.outcome
         );
+        assert_eq!(report.outcome.to_string(), outcome, "seed {seed}");
+        let got = report.result.as_ref().map(|r| (r.sim_time.0, r.events));
+        assert_eq!(got, run, "seed {seed}: the classifying run");
         match &report.outcome {
             ScenarioOutcome::Recovered { oracle_match, .. } => {
                 assert!(oracle_match, "seed {seed}: oracle diverged");
