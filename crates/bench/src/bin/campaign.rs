@@ -15,24 +15,31 @@
 //! `unrecoverable` (typed, counted into availability), or `not-fired`
 //! (benign). A panic or an oracle mismatch is a campaign FAILURE: the
 //! scenario is greedily shrunk to a minimal repro, written as an
-//! inject-spec JSON next to the run artifacts, and the exit code is
+//! inject-spec JSON next to the run artifacts (unless
+//! `REVIVE_NO_ARTIFACTS` turns every write off), and the exit code is
 //! nonzero. Replay a spec with `campaign --replay FILE` or
 //! `simulate --inject-spec FILE`.
 //!
 //! The first unrecoverable scenario is also minimized (predicate: still
-//! classified unrecoverable) and its spec is verified by replay, so the
-//! beyond-budget degradation path always leaves a replayable witness.
+//! classified unrecoverable) and its spec, read back from its canonical
+//! text, is verified by replay, so the beyond-budget degradation path
+//! always leaves a replayable witness.
 //! Seeds are independent, so the report — table, tally, chosen repros —
 //! is identical at any `--jobs` value.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use revive_bench::{banner, Opts, Table};
 use revive_core::OutcomeTally;
-use revive_harness::{run_jobs, Args, Job, Progress};
+use revive_harness::{Args, Sweep};
 use revive_machine::campaign::{generate, run_scenario, shrink_with, CampaignConfig, Scenario};
-use revive_machine::{read_document, Codec, RunMeta, ScenarioOutcome, ScenarioReport};
+use revive_machine::{
+    parse_json, read_document, write_json, Codec, RunMeta, ScenarioOutcome, ScenarioReport,
+};
 use revive_sim::Ns;
+
+const USAGE: &str =
+    "campaign [--seeds N] [--start-seed S] [--live] [--quick] [--jobs N] [--replay FILE]";
 
 struct CampaignArgs {
     seeds: u64,
@@ -42,47 +49,18 @@ struct CampaignArgs {
     opts: Opts,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: campaign [--seeds N] [--start-seed S] [--live] [--quick] [--jobs N] [--replay FILE]"
-    );
-    std::process::exit(2)
-}
-
 fn parse_args(args: &Args) -> CampaignArgs {
     let opts = Opts::from_args(args);
-    let mut a = CampaignArgs {
-        seeds: if opts.quick { 25 } else { 100 },
-        start_seed: 0,
-        live: false,
-        replay: None,
+    let flags = args.flags(USAGE, &["--seeds", "--start-seed", "--replay"], &["--live"]);
+    CampaignArgs {
+        seeds: flags
+            .value("--seeds")
+            .unwrap_or(if opts.quick { 25 } else { 100 }),
+        start_seed: flags.value("--start-seed").unwrap_or(0),
+        live: flags.switch("--live"),
+        replay: flags.value("--replay"),
         opts,
-    };
-    let mut it = args.rest.iter();
-    while let Some(flag) = it.next() {
-        let (name, inline) = match flag.split_once('=') {
-            Some((n, v)) => (n, Some(v.to_string())),
-            None => (flag.as_str(), None),
-        };
-        let mut value = || {
-            inline
-                .clone()
-                .or_else(|| it.next().cloned())
-                .unwrap_or_else(|| usage())
-        };
-        match name {
-            "--seeds" => a.seeds = value().parse().unwrap_or_else(|_| usage()),
-            "--start-seed" => a.start_seed = value().parse().unwrap_or_else(|_| usage()),
-            "--live" => a.live = true,
-            "--replay" => a.replay = Some(value()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage()
-            }
-        }
     }
-    a
 }
 
 fn shape(sc: &Scenario) -> String {
@@ -90,17 +68,19 @@ fn shape(sc: &Scenario) -> String {
 }
 
 /// Emits the scenario's run artifact (when the run produced one).
-fn emit_artifact(label: &str, report: &ScenarioReport) -> Option<PathBuf> {
-    let result = report.result.as_ref()?;
+fn emit_scenario(sweep: &Sweep, label: &str, report: &ScenarioReport) {
+    let Some(result) = &report.result else {
+        return;
+    };
     let sc = &report.scenario;
     let cfg = sc.experiment();
     let meta = RunMeta::from_config(label, &cfg)
         .with_injections(&sc.plans(cfg.revive.ckpt.interval))
         .with_campaign_seed(sc.seed);
-    revive_bench::artifacts::emit_with_meta(meta, result)
+    sweep.emit(&meta, result);
 }
 
-fn replay(path: &str) -> ! {
+fn replay(sweep: &Sweep, path: &str) -> ! {
     let sc: Scenario = read_document(Path::new(path)).unwrap_or_else(|e| {
         eprintln!("bad inject spec {path}: {e}");
         std::process::exit(1);
@@ -111,7 +91,7 @@ fn replay(path: &str) -> ! {
         sc.faults.len()
     );
     let report = run_scenario(&sc);
-    emit_artifact(&format!("replay_seed_{}", sc.seed), &report);
+    emit_scenario(sweep, &format!("replay_seed_{}", sc.seed), &report);
     println!("outcome: {}", report.outcome);
     std::process::exit(if report.is_failure() { 1 } else { 0 })
 }
@@ -119,9 +99,9 @@ fn replay(path: &str) -> ! {
 fn main() {
     let args = Args::parse();
     let a = parse_args(&args);
-    revive_bench::artifacts::init("campaign");
+    let sweep = Sweep::new("campaign", &args);
     if let Some(path) = a.replay.as_deref() {
-        replay(path);
+        replay(&sweep, path);
     }
     banner(
         "Adversarial fault campaign",
@@ -150,27 +130,19 @@ fn main() {
         ..CampaignConfig::default()
     };
     let gen_cfg = &gen_cfg;
-    let seeds: Vec<u64> = (a.start_seed..a.start_seed + a.seeds).collect();
-    let progress = Progress::new(seeds.len());
-    let progress = &progress;
-    let pool_jobs: Vec<Job<(Scenario, ScenarioReport), _>> = seeds
-        .iter()
-        .map(|&seed| {
+    let sweep = &sweep;
+    let jobs = (a.start_seed..a.start_seed + a.seeds)
+        .map(|seed| {
             let label = format!("seed_{seed:04}");
-            Job::new(label.clone(), move || {
+            (label.clone(), move || {
                 let sc = generate(seed, gen_cfg);
                 let report = run_scenario(&sc);
-                emit_artifact(&label, &report);
-                progress.finish(&label, false);
-                Ok((sc, report))
+                emit_scenario(sweep, &label, &report);
+                (sc, report)
             })
         })
         .collect();
-    let workers = args.workers(seeds.len());
-    let scenario_reports: Vec<(Scenario, ScenarioReport)> = run_jobs(pool_jobs, workers)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect();
+    let scenario_reports: Vec<(Scenario, ScenarioReport)> = sweep.map(jobs);
     std::panic::set_hook(default_hook);
 
     let mut table = Table::new(["seed", "shape", "app", "faults", "outcome"]);
@@ -242,29 +214,30 @@ fn main() {
             },
             40,
         );
-        if let Some(path) = revive_bench::artifacts::write_document(
-            &format!("unrecoverable_min_seed_{}", sc.seed),
-            &min.to_json(),
-        ) {
-            let parsed: Scenario = read_document(&path).expect("spec parses");
-            let verdict = run_scenario(&parsed);
-            println!(
-                "  minimized to {} fault(s), ops {} — replay: {}",
-                min.faults.len(),
-                min.ops_per_cpu,
-                verdict.outcome
-            );
+        // The check replays the spec as it reads back from its canonical
+        // text, so it holds whether or not the file is written.
+        let spec = min.to_json();
+        let parsed = parse_json(&write_json(&spec)).and_then(|doc| Scenario::from_json(&doc));
+        let verdict = run_scenario(&parsed.expect("spec parses"));
+        println!(
+            "  minimized to {} fault(s), ops {} — replay: {}",
+            min.faults.len(),
+            min.ops_per_cpu,
+            verdict.outcome
+        );
+        let name = format!("unrecoverable_min_seed_{}", sc.seed);
+        if let Some(path) = sweep.write_document(&name, &spec) {
             println!(
                 "  wrote {} (replay: campaign --replay {} | simulate --inject-spec {})",
                 path.display(),
                 path.display(),
                 path.display()
             );
-            assert!(
-                matches!(verdict.outcome, ScenarioOutcome::Unrecoverable { .. }),
-                "minimized unrecoverable spec must replay to the same classification"
-            );
         }
+        assert!(
+            matches!(verdict.outcome, ScenarioOutcome::Unrecoverable { .. }),
+            "minimized unrecoverable spec must replay to the same classification"
+        );
     }
 
     if !failures.is_empty() {
@@ -284,10 +257,8 @@ fn main() {
                 min.ops_per_cpu,
                 verdict.outcome
             );
-            if let Some(path) = revive_bench::artifacts::write_document(
-                &format!("repro_seed_{seed}"),
-                &min.to_json(),
-            ) {
+            if let Some(path) = sweep.write_document(&format!("repro_seed_{seed}"), &min.to_json())
+            {
                 println!(
                     "    wrote {} (replay: campaign --replay {} | simulate --inject-spec {})",
                     path.display(),

@@ -3,8 +3,8 @@
 //! parity the paper notes PAR shrinks to one-third; pass `--mirroring` to
 //! reproduce that variant.
 
-use revive_bench::{banner, experiment_config, FigConfig, Opts, Table};
-use revive_harness::{Args, Sweep, SweepJob};
+use revive_bench::{banner, fig_job, FigConfig, Opts, Table};
+use revive_harness::{Args, Sweep};
 use revive_machine::{TrafficClass, WorkloadSpec};
 use revive_workloads::AppId;
 
@@ -27,10 +27,7 @@ fn main() {
     }
     let jobs = AppId::ALL
         .into_iter()
-        .map(|app| {
-            let cfg = experiment_config(WorkloadSpec::Splash(app), fig, opts);
-            SweepJob::new(format!("{}_{}", cfg.workload.name(), fig.name()), cfg)
-        })
+        .map(|app| fig_job(WorkloadSpec::Splash(app), fig, opts))
         .collect();
     let outcomes = Sweep::new("fig10_mem_traffic", &args).run_all(jobs);
 

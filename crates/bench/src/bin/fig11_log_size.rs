@@ -4,8 +4,8 @@
 //! 100 ms interval and notes longer intervals filter more redundant
 //! entries. The shape to reproduce: Radix ≫ FFT/Ocean > the rest.
 
-use revive_bench::{banner, experiment_config, FigConfig, Opts, Table, CP_INTERVAL};
-use revive_harness::{Args, Sweep, SweepJob};
+use revive_bench::{banner, fig_job, FigConfig, Opts, Table, CP_INTERVAL};
+use revive_harness::{Args, Sweep};
 use revive_machine::WorkloadSpec;
 use revive_sim::time::Ns;
 use revive_workloads::AppId;
@@ -20,13 +20,7 @@ fn main() {
     );
     let jobs = AppId::ALL
         .into_iter()
-        .map(|app| {
-            let cfg = experiment_config(WorkloadSpec::Splash(app), FigConfig::Cp, opts);
-            SweepJob::new(
-                format!("{}_{}", cfg.workload.name(), FigConfig::Cp.name()),
-                cfg,
-            )
-        })
+        .map(|app| fig_job(WorkloadSpec::Splash(app), FigConfig::Cp, opts))
         .collect();
     let outcomes = Sweep::new("fig11_log_size", &args).run_all(jobs);
 

@@ -1,29 +1,47 @@
 //! Figure 6: the time-line of establishing a global checkpoint.
 //!
-//! Runs one application with ReVive and prints each phase boundary of its
-//! checkpoints — interrupt delivery, context save, dirty-data flush, the
-//! two-phase commit barriers, and log reclamation — matching Figure 6's
-//! structure (the paper assumes ~1 ms flushes for 2 MB caches and ~100 µs
-//! for small ones; this machine's scaled caches flush in tens of µs).
+//! ```text
+//! fig6_checkpoint_timeline [APP] [--quick] [--seed S] [--jobs N] [--no-cache]
+//! ```
+//!
+//! Runs one application (default `fft`) with ReVive and prints each phase
+//! boundary of its checkpoints — interrupt delivery, context save,
+//! dirty-data flush, the two-phase commit barriers, and log reclamation —
+//! matching Figure 6's structure (the paper assumes ~1 ms flushes for 2 MB
+//! caches and ~100 µs for small ones; this machine's scaled caches flush in
+//! tens of µs).
 
-use revive_bench::{banner, run_app, FigConfig, Opts, Table};
+use revive_bench::{banner, fig_job, FigConfig, Opts, Table};
+use revive_harness::cli::exit_usage;
+use revive_harness::{Args, Sweep};
+use revive_machine::WorkloadSpec;
 use revive_workloads::AppId;
 
 fn main() {
-    let opts = Opts::from_env();
-    revive_bench::artifacts::init("fig6_checkpoint_timeline");
-    let app = std::env::args()
-        .nth(1)
-        .filter(|a| a != "--quick")
-        .and_then(|name| AppId::ALL.into_iter().find(|a| a.name() == name))
-        .unwrap_or(AppId::Fft);
+    let args = Args::parse();
+    let opts = Opts::from_args(&args);
+    let app = match args.rest.as_slice() {
+        [] => AppId::Fft,
+        [name] => AppId::ALL
+            .into_iter()
+            .find(|a| a.name() == name)
+            .unwrap_or_else(|| {
+                eprintln!("unknown application: {name}");
+                std::process::exit(2)
+            }),
+        _ => exit_usage("fig6_checkpoint_timeline [APP] [--quick] [--seed S]"),
+    };
     banner(
         "Figure 6 — checkpoint establishment time-line",
         "ReVive (ISCA 2002) Figure 6, Sections 3.2.3 and 3.3.1",
         opts,
     );
     println!("application: {}\n", app.name());
-    let r = run_app(app, FigConfig::Cp, opts);
+    let job = fig_job(WorkloadSpec::Splash(app), FigConfig::Cp, opts);
+    let r = Sweep::new("fig6_checkpoint_timeline", &args)
+        .run_all(vec![job])
+        .remove(0)
+        .result;
     let mut table = Table::new([
         "ckpt",
         "start",

@@ -10,8 +10,8 @@
 //! (`--jobs N`) and reuse cached artifacts when valid (`--no-cache` to
 //! force re-runs). The table is byte-identical at any worker count.
 
-use revive_bench::{banner, experiment_config, overhead_pct, FigConfig, Opts, Table};
-use revive_harness::{Args, Sweep, SweepJob};
+use revive_bench::{banner, fig_job, overhead_pct, FigConfig, Opts, Table};
+use revive_harness::{Args, Sweep};
 use revive_machine::WorkloadSpec;
 use revive_workloads::AppId;
 
@@ -26,11 +26,7 @@ fn main() {
     let mut jobs = Vec::new();
     for app in AppId::ALL {
         for fig in FigConfig::ALL {
-            let cfg = experiment_config(WorkloadSpec::Splash(app), fig, opts);
-            jobs.push(SweepJob::new(
-                format!("{}_{}", cfg.workload.name(), fig.name()),
-                cfg,
-            ));
+            jobs.push(fig_job(WorkloadSpec::Splash(app), fig, opts));
         }
     }
     let outcomes = Sweep::new("fig8_overhead", &args).run_all(jobs);

@@ -5,8 +5,8 @@
 //! (parity updates for data and logs). The paper's observation: traffic is
 //! low except for FFT, Ocean and Radix, where PAR dominates the additions.
 
-use revive_bench::{banner, experiment_config, FigConfig, Opts, Table};
-use revive_harness::{Args, Sweep, SweepJob};
+use revive_bench::{banner, fig_job, FigConfig, Opts, Table};
+use revive_harness::{Args, Sweep};
 use revive_machine::{TrafficClass, WorkloadSpec};
 use revive_workloads::AppId;
 
@@ -20,13 +20,7 @@ fn main() {
     );
     let jobs = AppId::ALL
         .into_iter()
-        .map(|app| {
-            let cfg = experiment_config(WorkloadSpec::Splash(app), FigConfig::Cp, opts);
-            SweepJob::new(
-                format!("{}_{}", cfg.workload.name(), FigConfig::Cp.name()),
-                cfg,
-            )
-        })
+        .map(|app| fig_job(WorkloadSpec::Splash(app), FigConfig::Cp, opts))
         .collect();
     let outcomes = Sweep::new("fig9_net_traffic", &args).run_all(jobs);
 

@@ -32,56 +32,33 @@ use revive_bench::documents::{
 };
 use revive_bench::{banner, Opts, Table};
 use revive_core::{nines, OutcomeTally};
-use revive_harness::{run_jobs, Args, Job, Progress};
+use revive_harness::cli::exit_usage;
+use revive_harness::{Args, Sweep, SweepJob};
 use revive_machine::campaign::{generate, run_scenario, BackendChoice, CampaignConfig, Scenario};
-use revive_machine::{Codec, Runner, ScenarioOutcome, ScenarioReport, TrafficClass};
+use revive_machine::{Codec, RunResult, ScenarioOutcome, ScenarioReport, TrafficClass};
 use revive_sim::Ns;
 use revive_workloads::SyntheticKind;
 
 /// One error per day: the paper's §6.3 availability framing.
 const HORIZON: Ns = Ns::from_secs(86_400);
 
+const USAGE: &str = "frontier [--seeds N] [--quick] [--jobs N]";
+
 struct FrontierArgs {
     seeds: u64,
     opts: Opts,
 }
 
-fn usage() -> ! {
-    eprintln!("usage: frontier [--seeds N] [--quick] [--jobs N]");
-    std::process::exit(2)
-}
-
 fn parse_args(args: &Args) -> FrontierArgs {
     let opts = Opts::from_args(args);
-    let mut a = FrontierArgs {
-        seeds: if opts.quick { 6 } else { 12 },
-        opts,
-    };
-    let mut it = args.rest.iter();
-    while let Some(flag) = it.next() {
-        let (name, inline) = match flag.split_once('=') {
-            Some((n, v)) => (n, Some(v.to_string())),
-            None => (flag.as_str(), None),
-        };
-        let mut value = || {
-            inline
-                .clone()
-                .or_else(|| it.next().cloned())
-                .unwrap_or_else(|| usage())
-        };
-        match name {
-            "--seeds" => a.seeds = value().parse().unwrap_or_else(|_| usage()),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage()
-            }
-        }
+    let seeds = args
+        .flags(USAGE, &["--seeds"], &[])
+        .value("--seeds")
+        .unwrap_or(if opts.quick { 6 } else { 12 });
+    if seeds == 0 {
+        exit_usage(USAGE)
     }
-    if a.seeds == 0 {
-        usage()
-    }
-    a
+    FrontierArgs { seeds, opts }
 }
 
 /// One backend × shape bucket of the sweep.
@@ -157,16 +134,14 @@ fn seeds_for_shape(nodes: usize, count: u64, gen_cfg: &CampaignConfig) -> Vec<u6
     out
 }
 
-/// Cost coordinates from one clean (fault-free) run.
-fn clean_cost(point: &Point, ops_per_cpu: u64) -> FrontierCost {
-    let sc = point.scenario(0, ops_per_cpu, Vec::new());
-    let cfg = sc.experiment();
-    let label = format!("clean_{}", point.label());
-    let result = Runner::new(cfg)
-        .unwrap_or_else(|e| panic!("bad frontier config ({label}): {e}"))
-        .run()
-        .unwrap_or_else(|e| panic!("clean run failed ({label}): {e}"));
-    revive_bench::artifacts::emit(&label, &cfg, &result);
+/// The clean (fault-free) cost run of one point.
+fn clean_job(point: &Point, ops_per_cpu: u64) -> SweepJob {
+    let cfg = point.scenario(0, ops_per_cpu, Vec::new()).experiment();
+    SweepJob::new(format!("clean_{}", point.label()), cfg)
+}
+
+/// Cost coordinates from one clean run.
+fn clean_cost(result: &RunResult) -> FrontierCost {
     let par = TrafficClass::Par.index();
     FrontierCost {
         sim_time_ns: result.sim_time.0,
@@ -225,7 +200,7 @@ fn frontier_doc(seeds_per_point: u64, rows: &[Row]) -> FrontierDoc {
 fn main() {
     let args = Args::parse();
     let a = parse_args(&args);
-    revive_bench::artifacts::init("frontier");
+    let sweep = Sweep::new("frontier", &args);
     banner(
         "Redundancy cost/availability frontier",
         "ReVive (ISCA 2002) §6.2/§6.3 — what each extra survivable loss costs",
@@ -247,21 +222,21 @@ fn main() {
         a.seeds
     );
 
-    // One job per point: the clean cost run plus the live campaign slice.
-    // The same shape-filtered seeds replay under every backend, so rows
-    // differ only by what the backend could absorb.
+    // Per point: the clean cost run (through the result cache), then the
+    // live campaign slice. The same shape-filtered seeds replay under
+    // every backend, so rows differ only by what the backend could absorb.
+    let clean_jobs = points.iter().map(|p| clean_job(p, clean_ops)).collect();
+    let clean = sweep.run_all(clean_jobs);
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let gen_cfg = &gen_cfg;
-    let progress = Progress::new(points.len());
-    let progress = &progress;
-    let jobs: Vec<Job<Row, _>> = points
+    let jobs = points
         .iter()
-        .map(|&point| {
-            let label = point.label();
+        .zip(clean)
+        .map(|(&point, clean)| {
             let seeds = seeds_for_shape(point.nodes, a.seeds, gen_cfg);
-            Job::new(label.clone(), move || {
-                let clean = clean_cost(&point, clean_ops);
+            let clean = clean_cost(&clean.result);
+            (point.label(), move || {
                 let mut tally = OutcomeTally::default();
                 let mut failures = Vec::new();
                 for &seed in &seeds {
@@ -279,21 +254,16 @@ fn main() {
                         failures.push(report);
                     }
                 }
-                progress.finish(&label, false);
-                Ok(Row {
+                Row {
                     point,
                     clean,
                     tally,
                     failures,
-                })
+                }
             })
         })
         .collect();
-    let workers = args.workers(points.len());
-    let rows: Vec<Row> = run_jobs(jobs, workers)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect();
+    let rows: Vec<Row> = sweep.map(jobs);
     std::panic::set_hook(default_hook);
 
     let mut table = Table::new([
@@ -332,10 +302,8 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nfrontier artifact validates ({FRONTIER_SCHEMA} v{FRONTIER_VERSION})");
-    if revive_bench::artifacts::enabled() {
-        if let Some(path) = revive_bench::artifacts::write_document("frontier", &doc) {
-            println!("wrote {}", path.display());
-        }
+    if let Some(path) = sweep.write_document("frontier", &doc) {
+        println!("wrote {}", path.display());
     }
 
     let failures: Vec<&ScenarioReport> = rows.iter().flat_map(|r| r.failures.iter()).collect();

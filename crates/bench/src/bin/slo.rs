@@ -260,7 +260,6 @@ fn slo_doc(rows: &[Row]) -> SloDoc {
 fn main() {
     let args = Args::parse();
     let opts = Opts::from_args(&args);
-    revive_bench::artifacts::init("slo");
     banner(
         "Open-loop serving SLO sweep",
         "ReVive (ISCA 2002) §6 reframed — checkpoint stalls and recovery as request tail latency",
@@ -356,10 +355,8 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nslo artifact validates ({SLO_SCHEMA} v{SLO_VERSION})");
-    if revive_bench::artifacts::enabled() {
-        if let Some(path) = revive_bench::artifacts::write_document("slo", &doc) {
-            println!("wrote {}", path.display());
-        }
+    if let Some(path) = sweep.write_document("slo", &doc) {
+        println!("wrote {}", path.display());
     }
 
     // The reframing the sweep exists to demonstrate: live faults must

@@ -6,15 +6,19 @@
 //! interval), reproducing the headline "total memory overhead of ReVive is
 //! 14 %" (parity + logs) versus up to 62 % with mirroring.
 
-use revive_bench::{banner, run_app, FigConfig, Opts, Table, CP_INTERVAL};
+use revive_bench::{banner, fig_job, FigConfig, Opts, Table, CP_INTERVAL};
 use revive_core::parity::ParityMap;
+use revive_harness::{Args, Sweep};
+use revive_machine::WorkloadSpec;
 use revive_mem::addr::AddressMap;
 use revive_sim::time::Ns;
 use revive_workloads::AppId;
 
+const APPS: [AppId; 4] = [AppId::Radix, AppId::Fft, AppId::Ocean, AppId::WaterN2];
+
 fn main() {
-    let opts = Opts::from_env();
-    revive_bench::artifacts::init("storage_overhead");
+    let args = Args::parse();
+    let opts = Opts::from_args(&args);
     banner(
         "Storage overhead — parity + logs",
         "ReVive (ISCA 2002) Section 6.2",
@@ -37,9 +41,13 @@ fn main() {
     let scale = Ns::from_ms(100).0 as f64 / CP_INTERVAL.0 as f64;
     let node_bytes = 2.0 * 1024.0 * 1024.0 * 1024.0; // paper: 2 GB/node
     let mut worst = 0.0f64;
-    for app in [AppId::Radix, AppId::Fft, AppId::Ocean, AppId::WaterN2] {
-        let r = run_app(app, FigConfig::Cp, opts);
-        let max = r.metrics.max_log_bytes() as f64;
+    let jobs = APPS
+        .into_iter()
+        .map(|app| fig_job(WorkloadSpec::Splash(app), FigConfig::Cp, opts))
+        .collect();
+    let outcomes = Sweep::new("storage_overhead", &args).run_all(jobs);
+    for (app, outcome) in APPS.into_iter().zip(&outcomes) {
+        let max = outcome.result.metrics.max_log_bytes() as f64;
         let extrap = max * scale;
         worst = worst.max(extrap);
         table.row([
@@ -48,7 +56,6 @@ fn main() {
             format!("{:.1} MB", extrap / 1e6),
             format!("{:.2}", 100.0 * extrap / node_bytes),
         ]);
-        eprintln!("  {} done", app.name());
     }
     table.print();
     println!();

@@ -18,6 +18,7 @@ use revive_core::lbits::LBits;
 use revive_core::log::MemLog;
 use revive_core::parity::ParityMap;
 use revive_core::Redundancy;
+use revive_harness::Args;
 use revive_mem::addr::{AddressMap, LineAddr, LINES_PER_PAGE, PAGE_SIZE};
 use revive_mem::line::LineData;
 use revive_sim::types::NodeId;
@@ -43,7 +44,7 @@ fn world() -> (DirCtrl, ReviveHook, VecPort, LineAddr) {
 }
 
 fn main() {
-    let opts = Opts::from_env();
+    let opts = Opts::from_args(&Args::parse());
     banner(
         "Table 1 — events triggering parity updates and logging",
         "ReVive (ISCA 2002) Table 1",

@@ -13,7 +13,7 @@
 //! checkpoint frequency (1/4 of the standard interval) and a low one (4×
 //! the standard interval).
 
-use revive_bench::{banner, experiment_config, overhead_pct, FigConfig, Opts, Table, CP_INTERVAL};
+use revive_bench::{banner, fig_job, overhead_pct, FigConfig, Opts, Table, CP_INTERVAL};
 use revive_harness::{Args, Sweep, SweepJob};
 use revive_machine::{ExperimentConfig, ReviveConfig, WorkloadSpec};
 use revive_sim::time::Ns;
@@ -55,17 +55,13 @@ fn main() {
     }
     // Also exercise the protocol stressor so Table 2 runs double as a
     // high-contention smoke test.
-    let stress_cfg = experiment_config(
+    jobs.push(fig_job(
         WorkloadSpec::Synthetic(SyntheticKind::Uniform),
         FigConfig::Cp,
         Opts {
             quick: true,
             ..opts
         },
-    );
-    jobs.push(SweepJob::new(
-        format!("{}_{}", stress_cfg.workload.name(), FigConfig::Cp.name()),
-        stress_cfg,
     ));
     let outcomes = Sweep::new("table2_matrix", &args).run_all(jobs);
 

@@ -8,8 +8,8 @@
 //! nine, with Water at the bottom, and the resulting misses-per-1000-
 //! instructions range bracketing commercial workloads (~3, Section 5).
 
-use revive_bench::{banner, experiment_config, FigConfig, Opts, Table};
-use revive_harness::{Args, Sweep, SweepJob};
+use revive_bench::{banner, fig_job, FigConfig, Opts, Table};
+use revive_harness::{Args, Sweep};
 use revive_machine::WorkloadSpec;
 use revive_workloads::AppId;
 
@@ -23,13 +23,7 @@ fn main() {
     );
     let jobs = AppId::ALL
         .into_iter()
-        .map(|app| {
-            let cfg = experiment_config(WorkloadSpec::Splash(app), FigConfig::Baseline, opts);
-            SweepJob::new(
-                format!("{}_{}", cfg.workload.name(), FigConfig::Baseline.name()),
-                cfg,
-            )
-        })
+        .map(|app| fig_job(WorkloadSpec::Splash(app), FigConfig::Baseline, opts))
         .collect();
     let outcomes = Sweep::new("table4_apps", &args).run_all(jobs);
 

@@ -1,19 +1,20 @@
-//! Shared harness for the experiment binaries.
+//! Shared configuration and report formatting for the experiment
+//! binaries.
 //!
 //! Every table and figure of the paper's evaluation (Section 6) has a
 //! binary in `src/bin/` that regenerates it; this library holds the common
-//! configuration, run helpers, and report formatting. See EXPERIMENTS.md at
-//! the repository root for the scaling argument and the recorded results.
+//! configurations ([`FigConfig`], [`fig_job`]), the documents, and the
+//! table printer. Running the configurations and writing what they
+//! produce is `revive_harness::Sweep`'s job. See EXPERIMENTS.md at the
+//! repository root for the scaling argument and the recorded results.
 //!
 //! Quick mode (`REVIVE_QUICK=1` or `--quick`) shrinks op budgets ~4× for
 //! smoke runs; the shapes survive, the noise grows.
 
-use revive_harness::Args;
-use revive_machine::{ExperimentConfig, ReviveConfig, RunResult, Runner, WorkloadSpec};
+use revive_harness::{Args, SweepJob};
+use revive_machine::{ExperimentConfig, ReviveConfig, WorkloadSpec};
 use revive_sim::time::Ns;
-use revive_workloads::AppId;
 
-pub mod artifacts;
 pub mod documents;
 pub mod summary;
 
@@ -32,16 +33,6 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parses `--quick` from argv and `REVIVE_QUICK` from the environment.
-    /// Binaries with sweep-shaped work should prefer the shared parser
-    /// ([`Opts::from_args`] over `revive_harness::Args::parse()`), which
-    /// also understands `--jobs`, `--no-cache`, and `--seed`.
-    pub fn from_env() -> Opts {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("REVIVE_QUICK").is_ok_and(|v| v != "0");
-        Opts { quick, seed: None }
-    }
-
     /// The options carried by the shared harness arguments.
     pub fn from_args(args: &Args) -> Opts {
         Opts {
@@ -136,47 +127,15 @@ impl FigConfig {
     }
 }
 
-/// Builds the experiment configuration one `run` call would use.
-pub fn experiment_config(workload: WorkloadSpec, fig: FigConfig, opts: Opts) -> ExperimentConfig {
+/// The sweep job that runs `workload` under `fig`, labelled
+/// `<workload>_<fig>`.
+pub fn fig_job(workload: WorkloadSpec, fig: FigConfig, opts: Opts) -> SweepJob {
     let mut cfg = ExperimentConfig::experiment(workload, fig.revive());
     cfg.ops_per_cpu = opts.ops_per_cpu();
     if let Some(seed) = opts.seed {
         cfg.seed = seed;
     }
-    cfg
-}
-
-/// Runs an explicit configuration and emits its run artifact (see
-/// [`artifacts`]) under the given label.
-///
-/// # Panics
-///
-/// Panics on configuration errors — experiment configs are static and a
-/// failure is a harness bug worth a loud stop.
-pub fn run_config(cfg: ExperimentConfig, label: &str) -> RunResult {
-    let result = Runner::new(cfg)
-        .unwrap_or_else(|e| panic!("bad experiment config ({label}): {e}"))
-        .run()
-        .unwrap_or_else(|e| panic!("run failed ({label}): {e}"));
-    artifacts::emit(label, &cfg, &result);
-    result
-}
-
-/// Runs one experiment configuration for one workload.
-///
-/// # Panics
-///
-/// Panics on configuration errors — experiment configs are static and a
-/// failure is a harness bug worth a loud stop.
-pub fn run(workload: WorkloadSpec, fig: FigConfig, opts: Opts) -> RunResult {
-    let cfg = experiment_config(workload, fig, opts);
-    let label = format!("{}_{}", cfg.workload.name(), fig.name());
-    run_config(cfg, &label)
-}
-
-/// Runs one SPLASH model under one configuration.
-pub fn run_app(app: AppId, fig: FigConfig, opts: Opts) -> RunResult {
-    run(WorkloadSpec::Splash(app), fig, opts)
+    SweepJob::new(format!("{}_{}", workload.name(), fig.name()), cfg)
 }
 
 /// Percent slowdown of `t` relative to `base`.

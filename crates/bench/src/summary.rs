@@ -13,12 +13,12 @@
 //!   *slowdowns*, only beyond a generous relative tolerance, and can be
 //!   disabled entirely (`--no-wall`) for cross-host comparisons.
 
-use revive_harness::{Args, Sweep, SweepJob};
+use revive_harness::{Args, Sweep};
 use revive_machine::{json_record, Codec, Json, WorkloadSpec};
 use revive_workloads::AppId;
 
 use crate::documents::fixed;
-use crate::{experiment_config, FigConfig, Opts};
+use crate::{fig_job, FigConfig, Opts};
 
 /// Schema identifier of the summary document.
 pub const SUMMARY_SCHEMA: &str = "revive-bench-summary";
@@ -117,8 +117,7 @@ pub fn run_summary_sweep(args: &Args, opts: Opts) -> Summary {
     let mut jobs = Vec::new();
     for app in AppId::ALL {
         for fig in [FigConfig::Baseline, FigConfig::Cp] {
-            let cfg = experiment_config(WorkloadSpec::Splash(app), fig, opts);
-            jobs.push(SweepJob::new(format!("{}_{}", app.name(), fig.name()), cfg));
+            jobs.push(fig_job(WorkloadSpec::Splash(app), fig, opts));
             pairs.push((app.name(), fig.name()));
         }
     }

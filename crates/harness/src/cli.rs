@@ -12,7 +12,11 @@
 //! | `--seed S`        | —                      | override the experiment seed              |
 //!
 //! Flags the parser does not recognize land in [`Args::rest`] for the
-//! binary's own parsing (`--mirroring`, `--seeds`, positional paths, …).
+//! binary's own parsing (`--mirroring`, positional names, …); binaries
+//! with `--name value` flags of their own (`--seeds`, `--replay`, …) read
+//! them through [`Args::flags`].
+
+use std::str::FromStr;
 
 /// Parsed shared arguments plus the unconsumed remainder.
 #[derive(Clone, Debug, Default)]
@@ -107,6 +111,77 @@ impl Args {
     }
 }
 
+/// A binary's own flags, read from [`Args::rest`] by [`Args::flags`].
+pub struct Flags {
+    usage: String,
+    given: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Reads [`Args::rest`] as the binary's own flags: each name in
+    /// `valued` takes a value (`--name V` or `--name=V`), each name in
+    /// `switches` takes none.
+    ///
+    /// # Panics
+    ///
+    /// Exits the process (status 2) with `usage: {usage}` on `--help`,
+    /// an unknown flag, or a missing value.
+    pub fn flags(&self, usage: &str, valued: &[&str], switches: &[&str]) -> Flags {
+        let mut given = Vec::new();
+        let mut it = self.rest.iter();
+        while let Some(arg) = it.next() {
+            let (name, inline) = match arg.split_once('=') {
+                Some((n, v)) => (n, Some(v.to_string())),
+                None => (arg.as_str(), None),
+            };
+            if valued.contains(&name) {
+                let value = inline.or_else(|| it.next().cloned());
+                given.push((
+                    name.to_string(),
+                    Some(value.unwrap_or_else(|| exit_usage(usage))),
+                ));
+            } else if switches.contains(&name) && inline.is_none() {
+                given.push((name.to_string(), None));
+            } else {
+                if !matches!(name, "--help" | "-h") {
+                    eprintln!("unknown flag: {arg}");
+                }
+                exit_usage(usage)
+            }
+        }
+        Flags {
+            usage: usage.to_string(),
+            given,
+        }
+    }
+}
+
+impl Flags {
+    /// Whether the switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| n == name)
+    }
+
+    /// The last value given for `name`, parsed; `None` when it was not
+    /// given.
+    ///
+    /// # Panics
+    ///
+    /// Exits the process (status 2) with the usage line when the value
+    /// does not parse.
+    pub fn value<T: FromStr>(&self, name: &str) -> Option<T> {
+        let (_, value) = self.given.iter().rev().find(|(n, _)| n == name)?;
+        let value = value.as_deref()?;
+        Some(value.parse().unwrap_or_else(|_| exit_usage(&self.usage)))
+    }
+}
+
+/// Prints `usage: {usage}` and exits the process with status 2.
+pub fn exit_usage(usage: &str) -> ! {
+    eprintln!("usage: {usage}");
+    std::process::exit(2)
+}
+
 fn bad(flag: &str, value: &str) -> ! {
     eprintln!("bad value for {flag}: {value:?}");
     std::process::exit(2)
@@ -139,6 +214,24 @@ mod tests {
         let a = parse(&["--mirroring", "--quick", "out.json", "--seeds", "50"]);
         assert!(a.quick);
         assert_eq!(a.rest, vec!["--mirroring", "out.json", "--seeds", "50"]);
+    }
+
+    #[test]
+    fn bin_flags_take_values_in_both_forms_and_the_last_wins() {
+        let a = parse(&[
+            "--seeds",
+            "5",
+            "--live",
+            "--quick",
+            "--seeds=9",
+            "--replay=x.json",
+        ]);
+        let f = a.flags("t", &["--seeds", "--start-seed", "--replay"], &["--live"]);
+        assert_eq!(f.value::<u64>("--seeds"), Some(9));
+        assert_eq!(f.value::<u64>("--start-seed"), None);
+        assert_eq!(f.value::<String>("--replay").as_deref(), Some("x.json"));
+        assert!(f.switch("--live"));
+        assert!(!f.switch("--mirroring"));
     }
 
     #[test]

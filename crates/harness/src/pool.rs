@@ -11,9 +11,11 @@
 //! into a typed [`JobError::Panicked`], and the remaining jobs keep
 //! running. The pool never unwinds across threads.
 //!
-//! Progress ([`Progress`]) is reported by the jobs themselves — only the
-//! job knows whether it ran or was served from the result cache — and goes
-//! to stderr, keeping stdout reserved for the deterministic tables.
+//! Progress ([`Progress`]) is reported as each job finishes — by the
+//! `Sweep` wrapper around it, which knows whether the job ran or was
+//! served from the result cache — and goes to stderr, keeping stdout
+//! reserved for the deterministic tables. The pool is private to the
+//! harness: binaries reach it through `Sweep`.
 
 use std::io::{IsTerminal, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -114,11 +116,6 @@ impl Progress {
         let mut p = Progress::new(total);
         p.enabled = false;
         p
-    }
-
-    /// Number of jobs that completed from cache so far.
-    pub fn cache_hits(&self) -> usize {
-        self.cached.load(Ordering::Relaxed)
     }
 
     /// Records one finished job and redraws the progress line. `cached`
@@ -326,7 +323,7 @@ mod tests {
         p.finish("a", true);
         p.finish("b", false);
         p.finish("c", true);
-        assert_eq!(p.cache_hits(), 2);
+        assert_eq!(p.cached.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Sweep execution: the pool, the artifact store, and the result cache in
-//! one entry point every sweep-shaped experiment binary shares.
+//! the one driver every experiment binary shares.
 //!
 //! A [`Sweep`] takes a list of [`SweepJob`]s (label + configuration +
 //! optional injection scenario), runs them across the worker pool, and
 //! emits one validated artifact per job under the experiment's artifact
-//! directory (`results/artifacts/<experiment>/` unless redirected). Because
-//! the pool returns results by job index, the artifacts and every table
-//! printed from the outcomes are byte-identical at any `--jobs` value.
+//! directory (`results/artifacts/<experiment>/` unless redirected). Work
+//! that is not one configuration (a campaign scenario, a frontier slice)
+//! goes through [`Sweep::map`] on the same pool, and writes its run
+//! artifacts with [`Sweep::emit`] and its documents with
+//! [`Sweep::write_document`]; `REVIVE_NO_ARTIFACTS=1` turns every one of
+//! those writes off. Because the pool returns results by job index, the
+//! artifacts and every table printed from the outcomes are byte-identical
+//! at any `--jobs` value.
 //!
 //! ## The result cache
 //!
@@ -33,7 +38,7 @@ use std::path::{Path, PathBuf};
 
 use revive_machine::{
     parse_json, parse_run_meta, parse_run_result, render_artifact, validate_artifact, write_atomic,
-    ExperimentConfig, InjectionPlan, RunMeta, RunResult, Runner,
+    write_json, ExperimentConfig, InjectionPlan, Json, RunMeta, RunResult, Runner,
 };
 
 use crate::cli::Args;
@@ -90,24 +95,25 @@ pub struct SweepOutcome {
     pub artifact: Option<PathBuf>,
 }
 
-/// Whether run artifacts are written and reused: `REVIVE_NO_ARTIFACTS` set
-/// to anything but `0` turns both off.
-pub fn artifacts_enabled() -> bool {
-    !std::env::var("REVIVE_NO_ARTIFACTS").is_ok_and(|v| v != "0")
-}
-
-/// The directory `experiment`'s artifacts land in: `<root>/<experiment>`,
-/// the root being `REVIVE_ARTIFACT_DIR`, else `results/artifacts`.
-pub fn artifact_dir(experiment: &str) -> PathBuf {
-    std::env::var("REVIVE_ARTIFACT_DIR")
+/// The directory `experiment`'s artifacts land in, or `None` when
+/// `REVIVE_NO_ARTIFACTS` is set to anything but `0`. The root is
+/// `REVIVE_ARTIFACT_DIR`, else `results/artifacts`.
+fn artifact_dir(experiment: &str) -> Option<PathBuf> {
+    if std::env::var("REVIVE_NO_ARTIFACTS").is_ok_and(|v| v != "0") {
+        return None;
+    }
+    let root = std::env::var("REVIVE_ARTIFACT_DIR")
         .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results").join("artifacts"))
-        .join(experiment)
+        .unwrap_or_else(|_| PathBuf::from("results").join("artifacts"));
+    Some(root.join(experiment))
 }
 
-/// A configured sweep executor. Build with [`Sweep::new`], then call
-/// [`Sweep::run`] (typed errors) or [`Sweep::run_all`] (panic on failure,
-/// the historical behavior of the experiment binaries).
+/// The one experiment driver: the worker pool, the progress line, the
+/// result cache, and every file an experiment binary writes. Build with
+/// [`Sweep::new`], then run configurations with [`Sweep::run`] (typed
+/// errors) or [`Sweep::run_all`] (panic on failure), other work with
+/// [`Sweep::map`], and write uncached results with [`Sweep::emit`] and
+/// [`Sweep::write_document`].
 pub struct Sweep {
     dir: Option<PathBuf>,
     jobs: Option<usize>,
@@ -118,11 +124,12 @@ pub struct Sweep {
 impl Sweep {
     /// A sweep for `experiment` (the artifact subdirectory name), honoring
     /// the shared CLI flags: `--jobs` picks the worker count, `--no-cache`
-    /// disables artifact reuse. `REVIVE_NO_ARTIFACTS=1` disables both
-    /// emission and caching; `REVIVE_ARTIFACT_DIR` redirects the root.
+    /// disables artifact reuse. `REVIVE_NO_ARTIFACTS=1` disables emission,
+    /// documents and caching alike; `REVIVE_ARTIFACT_DIR` redirects the
+    /// root.
     pub fn new(experiment: &str, args: &Args) -> Sweep {
         Sweep {
-            dir: artifacts_enabled().then(|| artifact_dir(experiment)),
+            dir: artifact_dir(experiment),
             jobs: args.jobs,
             no_cache: args.no_cache,
             quiet: false,
@@ -150,9 +157,14 @@ impl Sweep {
         self
     }
 
-    /// Runs the sweep; results come back in job order regardless of the
-    /// worker count or completion order.
-    pub fn run(&self, jobs: Vec<SweepJob>) -> Vec<Result<SweepOutcome, JobError>> {
+    /// Runs labelled work across the pool under one progress line. Each
+    /// closure returns its value and whether it came from the cache;
+    /// results come back in job order regardless of the worker count.
+    fn pool<T, F>(&self, jobs: Vec<(String, F)>) -> Vec<Result<T, JobError>>
+    where
+        T: Send,
+        F: FnOnce() -> Result<(T, bool), String> + Send,
+    {
         let workers = Args {
             jobs: self.jobs,
             ..Args::default()
@@ -164,28 +176,64 @@ impl Sweep {
             Progress::new(jobs.len())
         };
         let progress = &progress;
+        let pool_jobs = jobs
+            .into_iter()
+            .map(|(label, work)| {
+                Job::new(label.clone(), move || {
+                    let (value, cached) = work()?;
+                    progress.finish(&label, cached);
+                    Ok(value)
+                })
+            })
+            .collect();
+        run_jobs(pool_jobs, workers)
+    }
+
+    /// Maps labelled closures through the pool and the progress line, for
+    /// work that is not one cached configuration (campaign scenarios,
+    /// frontier slices). Results come back in job order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first job that panicked, naming it.
+    pub fn map<T, F>(&self, jobs: Vec<(String, F)>) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        let jobs = jobs
+            .into_iter()
+            .map(|(label, work)| (label, move || Ok((work(), false))))
+            .collect();
+        self.pool(jobs)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+            .collect()
+    }
+
+    /// Runs the sweep; results come back in job order regardless of the
+    /// worker count or completion order.
+    pub fn run(&self, jobs: Vec<SweepJob>) -> Vec<Result<SweepOutcome, JobError>> {
         let no_cache = self.no_cache;
-        let pool_jobs: Vec<Job<SweepOutcome, _>> = jobs
+        let jobs = jobs
             .into_iter()
             .map(|job| {
-                let path = self
-                    .dir
-                    .as_ref()
-                    .map(|d| d.join(format!("{}.json", sanitize(&job.label))));
-                Job::new(job.label.clone(), move || {
+                let label = job.label.clone();
+                let path = self.path(&label);
+                let work = move || {
                     let meta =
                         RunMeta::from_config(&job.label, &job.cfg).with_injections(&job.plans);
                     if !no_cache {
                         if let Some(result) = path.as_deref().and_then(|p| cached_result(p, &meta))
                         {
-                            progress.finish(&job.label, true);
-                            return Ok(SweepOutcome {
+                            let outcome = SweepOutcome {
                                 label: job.label,
                                 result,
                                 cached: true,
                                 wall_ms: 0.0,
                                 artifact: path,
-                            });
+                            };
+                            return Ok((outcome, true));
                         }
                     }
                     let t0 = std::time::Instant::now();
@@ -196,18 +244,19 @@ impl Sweep {
                     if let Some(p) = &path {
                         emit_artifact(p, &meta, &result);
                     }
-                    progress.finish(&job.label, false);
-                    Ok(SweepOutcome {
+                    let outcome = SweepOutcome {
                         label: job.label,
                         result,
                         cached: false,
                         wall_ms,
                         artifact: path,
-                    })
-                })
+                    };
+                    Ok((outcome, false))
+                };
+                (label, work)
             })
             .collect();
-        run_jobs(pool_jobs, workers)
+        self.pool(jobs)
     }
 
     /// As [`Sweep::run`], but panics on the first failed job — sweeps
@@ -218,11 +267,35 @@ impl Sweep {
             .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
             .collect()
     }
+
+    /// Writes the artifact of a run made outside [`Sweep::run`] (campaign
+    /// scenarios and replays, validation cells), under `meta.label`. It is
+    /// never read back as a cache entry by the caller, so `meta` should
+    /// record every injection the run made. Returns the path, or `None`
+    /// when artifacts are off or the write failed.
+    pub fn emit(&self, meta: &RunMeta, result: &RunResult) -> Option<PathBuf> {
+        let path = self.path(&meta.label)?;
+        emit_artifact(&path, meta, result).then_some(path)
+    }
+
+    /// Writes a document as `<name>.json` through the canonical writer.
+    /// Returns the path, or `None` when artifacts are off or the write
+    /// failed.
+    pub fn write_document(&self, name: &str, doc: &Json) -> Option<PathBuf> {
+        let path = self.path(name)?;
+        write_file(&path, &write_json(doc)).then_some(path)
+    }
+
+    /// Where the artifact labelled `label` lives, when artifacts are on.
+    fn path(&self, label: &str) -> Option<PathBuf> {
+        let dir = self.dir.as_ref()?;
+        Some(dir.join(format!("{}.json", sanitize(label))))
+    }
 }
 
 /// Maps a free-form label to a safe file stem (same policy for every
 /// emitter, so cache probes and writes agree on the path).
-pub fn sanitize(label: &str) -> String {
+fn sanitize(label: &str) -> String {
     label
         .chars()
         .map(|c| {
@@ -247,23 +320,28 @@ fn cached_result(path: &Path, meta: &RunMeta) -> Option<RunResult> {
     parse_run_result(&doc).ok()
 }
 
-/// Renders, validates, and atomically writes one artifact. Failures warn
-/// and continue: the tables on stdout are the primary output, and a
-/// read-only results directory must not kill a sweep.
-pub fn emit_artifact(path: &Path, meta: &RunMeta, result: &RunResult) -> bool {
+/// Renders, validates, and writes one run artifact.
+fn emit_artifact(path: &Path, meta: &RunMeta, result: &RunResult) -> bool {
     let text = render_artifact(meta, result);
     debug_assert!(
         validate_artifact(&text).is_ok(),
         "emitted artifact failed validation: {:?}",
         validate_artifact(&text)
     );
+    write_file(path, &text)
+}
+
+/// Writes `text` atomically, creating the directory first. Failures warn
+/// and continue: the tables on stdout are the primary output, and a
+/// read-only results directory must not kill a sweep.
+fn write_file(path: &Path, text: &str) -> bool {
     if let Some(parent) = path.parent() {
         if let Err(e) = std::fs::create_dir_all(parent) {
             eprintln!("warning: cannot create {}: {e}", parent.display());
             return false;
         }
     }
-    match write_atomic(path, &text) {
+    match write_atomic(path, text) {
         Ok(()) => true,
         Err(e) => {
             eprintln!("warning: cannot write {}: {e}", path.display());

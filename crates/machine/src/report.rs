@@ -13,6 +13,7 @@
 //! [`parse_run_result`] reads and checks every measured section;
 //! [`validate_artifact`] is just the two together.
 
+use revive_core::checkpoint::CkptTimeline;
 use revive_core::dirext::CostStats;
 use revive_core::recovery::RecoveryReport;
 use revive_sim::stats::Histogram;
@@ -380,6 +381,30 @@ fn recovery_from_json(rec: &Json) -> Result<RecoveryOutcome, String> {
     })
 }
 
+/// Rebuilds a checkpoint timeline from its six contiguous phase spans,
+/// which hold all seven instants (`started` through `resumed`).
+fn ckpt_from_json(c: &Json) -> Result<CkptTimeline, String> {
+    let s = read_spans::<6>(c)?;
+    if s.windows(2).any(|w| w[0].1 != w[1].0) {
+        return Err("checkpoint phases are not contiguous".into());
+    }
+    let t = CkptTimeline {
+        id: c.read("id")?,
+        started: Ns(s[0].0),
+        flush_started: Ns(s[1].0),
+        flush_done: Ns(s[2].0),
+        barrier1_done: Ns(s[3].0),
+        marked: Ns(s[4].0),
+        committed: Ns(s[5].0),
+        resumed: Ns(s[5].1),
+        lines_flushed: c.read("lines_flushed")?,
+    };
+    if c.read::<Ns>("duration_ns")? != t.duration() {
+        return Err("checkpoint duration_ns disagrees with its phases".into());
+    }
+    Ok(t)
+}
+
 /// Reads `N` named phase spans, each with `start_ns ≤ end_ns`, as
 /// `(start, end)` pairs.
 fn read_spans<const N: usize>(entry: &Json) -> Result<[(u64, u64); N], String> {
@@ -463,14 +488,17 @@ pub fn parse_run_meta(doc: &Json) -> Result<RunMeta, String> {
 /// `config_hash` matches the configuration about to run stands in for
 /// re-executing it.
 ///
-/// Every section is checked (five traffic classes, six checkpoint and four
-/// recovery phases with `start ≤ end`, strictly increasing epochs, every
-/// trace kind), and the fields the experiment binaries consume round-trip:
-/// end-of-run scalars, the traffic/cost summary, the recovery outcomes
-/// (with phase durations rebuilt from the recorded spans), the epoch
-/// series, and the serving report when present. Latency histograms, the
-/// checkpoint timelines, and the event trace are left empty — binaries
-/// that render those (fig6/fig7, trace tooling) bypass the cache.
+/// Every section is checked (five traffic classes, six contiguous
+/// checkpoint and four recovery phases with `start ≤ end`, strictly
+/// increasing epochs, every trace kind), and the fields the experiment
+/// binaries consume round-trip: end-of-run scalars, the traffic/cost
+/// summary, the checkpoint timelines (every instant rebuilt from the
+/// recorded spans, so the cache serves Figure 6 and the frontier's
+/// checkpoint latencies), the recovery outcomes (with phase durations
+/// rebuilt from the recorded spans), the epoch series, and the serving
+/// report when present. Latency histograms and the event trace are left
+/// empty — tooling that renders those (`simulate`'s traces) does not read
+/// through the cache.
 ///
 /// # Errors
 ///
@@ -494,6 +522,10 @@ pub fn parse_run_result(doc: &Json) -> Result<RunResult, String> {
         },
         ..RunResult::default()
     };
+    out.ckpt.timelines = doc.section("checkpoints_timeline", |v| {
+        let ckpts = v.as_arr().ok_or("not an array")?;
+        ckpts.iter().map(ckpt_from_json).collect()
+    })?;
     out.ckpt.early_triggers = v.read("early_triggers")?;
     let m = &mut out.metrics;
     m.traffic.cpu_ops = v.read("cpu_ops")?;
@@ -526,15 +558,6 @@ pub fn parse_run_result(doc: &Json) -> Result<RunResult, String> {
     out.recovery = out.recoveries.last().copied();
     doc.section("latency_ns", check_class_hists)?;
     doc.section("retry_latency_ns", check_class_hists)?;
-    doc.section("checkpoints_timeline", |v| {
-        for c in v.as_arr().ok_or("not an array")? {
-            for key in ["id", "lines_flushed", "duration_ns"] {
-                c.read::<u64>(key)?;
-            }
-            read_spans::<6>(c)?;
-        }
-        Ok(())
-    })?;
     doc.section("trace", |v| {
         let counts = v.field("counts")?;
         for name in TraceEvent::KIND_NAMES {
@@ -727,6 +750,19 @@ mod tests {
             ..RunResult::default()
         };
         r.ckpt.early_triggers = 2;
+        for (id, base) in [(1, 10_000), (2, 30_000)] {
+            r.ckpt.timelines.push(CkptTimeline {
+                id,
+                started: Ns(base),
+                flush_started: Ns(base + 5),
+                flush_done: Ns(base + 400 * id),
+                barrier1_done: Ns(base + 400 * id + 10),
+                marked: Ns(base + 400 * id + 12),
+                committed: Ns(base + 400 * id + 25),
+                resumed: Ns(base + 400 * id + 40),
+                lines_flushed: 17 * id,
+            });
+        }
         r.metrics.traffic.cpu_ops = 4000;
         r.metrics.traffic.instructions = 8000;
         r.metrics.traffic.net_bytes = [1, 2, 3, 4, 5];
@@ -773,6 +809,24 @@ mod tests {
         assert_eq!(parsed.events, r.events);
         assert_eq!(parsed.checkpoints, r.checkpoints);
         assert_eq!(parsed.ckpt.early_triggers, r.ckpt.early_triggers);
+        assert_eq!(parsed.ckpt.timelines.len(), r.ckpt.timelines.len());
+        for (p, q) in parsed.ckpt.timelines.iter().zip(&r.ckpt.timelines) {
+            assert_eq!(p.id, q.id);
+            assert_eq!(p.started, q.started);
+            assert_eq!(p.flush_started, q.flush_started);
+            assert_eq!(p.flush_done, q.flush_done);
+            assert_eq!(p.barrier1_done, q.barrier1_done);
+            assert_eq!(p.marked, q.marked);
+            assert_eq!(p.committed, q.committed);
+            assert_eq!(p.resumed, q.resumed);
+            assert_eq!(p.lines_flushed, q.lines_flushed);
+        }
+        assert_eq!(parsed.ckpt.count(), r.ckpt.count());
+        assert_eq!(parsed.ckpt.mean_duration(), r.ckpt.mean_duration());
+        assert_eq!(parsed.ckpt.max_duration(), r.ckpt.max_duration());
+        // The reader checks a timeline's duration against its phases.
+        let bad = text.replacen("\"duration_ns\":440", "\"duration_ns\":441", 1);
+        assert!(validate_artifact(&bad).unwrap_err().contains("duration_ns"));
         assert_eq!(parsed.metrics.traffic.cpu_ops, r.metrics.traffic.cpu_ops);
         assert_eq!(
             parsed.metrics.traffic.net_bytes,

@@ -3,8 +3,7 @@
 //! The evaluation section of the paper reports aggregate counters (traffic
 //! breakdowns, log high-water marks) and a handful of distributions. This
 //! module provides the small set of accumulators those reports are built
-//! from: [`Counter`], [`Running`] (mean/min/max), and a power-of-two bucketed
-//! [`Histogram`].
+//! from: [`Counter`] and a power-of-two bucketed [`Histogram`].
 
 use std::fmt;
 
@@ -53,97 +52,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Running summary statistics: count, sum, mean, min, max.
-///
-/// # Example
-///
-/// ```
-/// use revive_sim::stats::Running;
-/// let mut r = Running::new();
-/// for x in [2.0, 4.0, 6.0] { r.record(x); }
-/// assert_eq!(r.count(), 3);
-/// assert_eq!(r.mean(), 4.0);
-/// assert_eq!(r.min(), 2.0);
-/// assert_eq!(r.max(), 6.0);
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Running {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Running {
-        Running {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean; zero when no samples have been recorded.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample; zero when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample; zero when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-impl fmt::Display for Running {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max()
-        )
     }
 }
 
@@ -497,14 +405,6 @@ mod tests {
         assert_eq!(c.get(), 10);
         assert_eq!(c.take(), 10);
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn running_empty_is_zeroed() {
-        let r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.min(), 0.0);
-        assert_eq!(r.max(), 0.0);
     }
 
     #[test]

@@ -42,37 +42,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifies one processor. In this machine there is exactly one processor
-/// per node, so the numbering coincides with [`NodeId`]; the distinct type
-/// keeps "which CPU issued this" and "which node homes this line" from being
-/// mixed up.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CpuId(pub u16);
-
-impl CpuId {
-    /// The CPU's position as a plain index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The node this CPU lives on (one CPU per node).
-    pub fn node(self) -> NodeId {
-        NodeId(self.0)
-    }
-}
-
-impl From<usize> for CpuId {
-    fn from(i: usize) -> CpuId {
-        CpuId(u16::try_from(i).expect("cpu index fits in u16"))
-    }
-}
-
-impl fmt::Display for CpuId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cpu{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,12 +51,6 @@ mod tests {
         let ids: Vec<NodeId> = NodeId::all(3).collect();
         assert_eq!(ids, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(NodeId::from(7).index(), 7);
-    }
-
-    #[test]
-    fn cpu_maps_to_node() {
-        assert_eq!(CpuId(5).node(), NodeId(5));
-        assert_eq!(CpuId::from(2).to_string(), "cpu2");
     }
 
     #[test]

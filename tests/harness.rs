@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use revive::core::checkpoint::{CkptStats, CkptTimeline};
 use revive::harness::{Args, Sweep, SweepJob};
 use revive::machine::{ExperimentConfig, InjectionPlan, ReviveConfig};
 use revive::sim::time::Ns;
@@ -165,5 +166,35 @@ fn cached_results_round_trip_every_consumed_metric() {
         }
         assert!(a.sim_time > Ns::ZERO);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cached_rerun_serves_checkpoint_timelines() {
+    let dir = temp_dir("ckpt");
+    let cfg = small_cfg(AppId::Lu, true, 20_000);
+    let fresh = sweep_into(&dir, 1).run_all(vec![SweepJob::new("lu", cfg)]);
+    let cached = sweep_into(&dir, 1).run_all(vec![SweepJob::new("lu", cfg)]);
+    assert!(!fresh[0].cached && cached[0].cached);
+    let (a, b) = (&fresh[0].result.ckpt, &cached[0].result.ckpt);
+    assert!(a.count() > 0, "the job must checkpoint");
+    let fields = |t: &CkptTimeline| {
+        [
+            t.id,
+            t.lines_flushed,
+            t.started.0,
+            t.flush_started.0,
+            t.flush_done.0,
+            t.barrier1_done.0,
+            t.marked.0,
+            t.committed.0,
+            t.resumed.0,
+        ]
+    };
+    let fields_of = |s: &CkptStats| s.timelines.iter().map(fields).collect::<Vec<_>>();
+    assert_eq!(fields_of(a), fields_of(b));
+    assert_eq!(a.early_triggers, b.early_triggers);
+    assert_eq!(a.mean_duration(), b.mean_duration());
+    assert_eq!(a.max_duration(), b.max_duration());
     std::fs::remove_dir_all(&dir).ok();
 }
