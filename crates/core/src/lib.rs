@@ -65,5 +65,6 @@ pub use redundancy::{
     StripeCode,
 };
 pub use validate::{
-    audit_redundancy, LogDivergence, MemoryDiff, MemoryImage, ParityAudit, ShadowLog,
+    audit_redundancy, IncrementalAudit, LogDivergence, MemoryDiff, MemoryImage, ParityAudit,
+    ShadowLog,
 };

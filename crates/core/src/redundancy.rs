@@ -108,7 +108,7 @@ pub fn gf_scale(data: LineData, c: u8) -> LineData {
 
 /// One redundancy group: the data pages it protects and the redundancy
 /// pages protecting them.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RedundancyGroup {
     /// The protected data pages, in chunk order (data member `i` is
     /// `data[i]`).
@@ -492,16 +492,25 @@ impl StripeCode {
 
     /// The full group (data and redundancy) containing `page`.
     pub fn group_of(&self, page: PageAddr) -> RedundancyGroup {
+        let mut group = RedundancyGroup::default();
+        self.group_into(page, &mut group);
+        group
+    }
+
+    /// [`StripeCode::group_of`] into `group`, reusing its buffers.
+    fn group_into(&self, page: PageAddr, group: &mut RedundancyGroup) {
         let slot = self.slot(page);
-        let data = (0..slot.chunk)
-            .filter(|&pos| slot.redundancy_at(pos).is_none())
-            .map(|pos| self.page_at(&slot, pos))
-            .collect();
-        let redundancy = slot
-            .redundancy_positions()
-            .map(|(_, pos)| self.page_at(&slot, pos))
-            .collect();
-        RedundancyGroup { data, redundancy }
+        group.data.clear();
+        group.data.extend(
+            (0..slot.chunk)
+                .filter(|&pos| slot.redundancy_at(pos).is_none())
+                .map(|pos| self.page_at(&slot, pos)),
+        );
+        group.redundancy.clear();
+        group.redundancy.extend(
+            slot.redundancy_positions()
+                .map(|(_, pos)| self.page_at(&slot, pos)),
+        );
     }
 
     /// Every chunk that `lost` (duplicates count once) leaves with more
@@ -555,15 +564,11 @@ impl StripeCode {
     pub fn check_group(
         &self,
         page: PageAddr,
-        mut read: impl FnMut(LineAddr) -> LineData,
+        read: impl FnMut(LineAddr) -> LineData,
     ) -> Option<usize> {
-        let group = self.group_of(page);
-        let terms = Terms::new(group.members(), group.redundancy.len());
-        let mut syndromes = vec![LineData::ZERO; group.redundancy.len()];
-        (0..LINES_PER_PAGE).find(|&offset| {
-            terms.fold(offset, &mut syndromes, &mut read);
-            syndromes.iter().any(|s| !s.is_zero())
-        })
+        let mut check = GroupCheck::default();
+        check.load(self, page);
+        check.check(read)
     }
 
     /// Reconstructs `page` (data or redundancy) from the surviving members
@@ -644,8 +649,43 @@ impl StripeCode {
     }
 }
 
+/// One group's equations in buffers that a sweep reuses from group to
+/// group, so checking a group allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct GroupCheck {
+    group: RedundancyGroup,
+    terms: Terms,
+    syndromes: Vec<LineData>,
+}
+
+impl GroupCheck {
+    /// Loads the group containing `page`.
+    pub(crate) fn load(&mut self, code: &StripeCode, page: PageAddr) {
+        code.group_into(page, &mut self.group);
+    }
+
+    /// The loaded group's member pages, data first.
+    pub(crate) fn pages(&self) -> impl Iterator<Item = PageAddr> + '_ {
+        self.group.members().map(|(page, _)| page)
+    }
+
+    /// The first line offset where some redundancy member of the loaded
+    /// group disagrees with its data, reading lines through `read`.
+    pub(crate) fn check(&mut self, mut read: impl FnMut(LineAddr) -> LineData) -> Option<usize> {
+        let r = self.group.redundancy.len();
+        self.terms.load(self.group.members(), r);
+        self.syndromes.clear();
+        self.syndromes.resize(r, LineData::ZERO);
+        (0..LINES_PER_PAGE).find(|&offset| {
+            self.terms.fold(offset, &mut self.syndromes, &mut read);
+            self.syndromes.iter().any(|s| !s.is_zero())
+        })
+    }
+}
+
 /// The weighted terms of a group's equations: each member's first line
-/// and its coefficients in equations `0..r`, computed once per call.
+/// and its coefficients in equations `0..r`.
+#[derive(Debug, Default)]
 struct Terms {
     lines: Vec<u64>,
     /// `lines.len()` rows of `r` coefficients.
@@ -655,18 +695,21 @@ struct Terms {
 
 impl Terms {
     fn new(members: impl Iterator<Item = (PageAddr, Member)>, r: usize) -> Terms {
-        let mut terms = Terms {
-            lines: Vec::new(),
-            coefficients: Vec::new(),
-            r,
-        };
+        let mut terms = Terms::default();
+        terms.load(members, r);
+        terms
+    }
+
+    /// Replaces the terms with `members`' over `r` equations.
+    fn load(&mut self, members: impl Iterator<Item = (PageAddr, Member)>, r: usize) {
+        self.lines.clear();
+        self.coefficients.clear();
+        self.r = r;
         for (page, member) in members {
-            terms.lines.push(page.first_line().0);
-            terms
-                .coefficients
+            self.lines.push(page.first_line().0);
+            self.coefficients
                 .extend((0..r).map(|j| member.coefficient(j)));
         }
-        terms
     }
 
     /// Sets `sums[j]` to equation `j`'s weighted sum of the terms' lines

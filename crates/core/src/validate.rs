@@ -13,9 +13,10 @@
 //!   [`MemLog::rollback_entries`](crate::log::MemLog::rollback_entries)
 //!   against it catches lost, phantom, or corrupted undo records (including
 //!   in a log that was itself reconstructed from parity after a node loss).
-//! * [`audit_redundancy`] — a full sweep of every redundancy group through
-//!   [`StripeCode::check_group`](crate::redundancy::StripeCode::check_group),
-//!   attributing each violation to its stripe and redundancy home.
+//! * [`IncrementalAudit`] — a sweep of every redundancy group's equations,
+//!   attributing each violation to its stripe and redundancy home, that
+//!   recomputes only the groups whose pages changed since its last sweep;
+//!   [`audit_redundancy`] is the same sweep with every page changed.
 //! * [`MemoryImage`] — a functional snapshot of memory keyed by *virtual*
 //!   page, with word-exact [`MemoryImage::diff`], used to compare a golden
 //!   (fault-free) run against an injected-and-recovered run.
@@ -29,7 +30,7 @@ use revive_mem::line::LineData;
 use revive_sim::types::NodeId;
 
 use crate::log::{RecordKind, ReplayEntry, ScannedRecord, RECORD_LINES};
-use crate::redundancy::Redundancy;
+use crate::redundancy::{GroupCheck, Redundancy};
 
 /// One record as the shadow believes it exists in log memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -295,7 +296,7 @@ impl fmt::Display for ParityViolation {
 }
 
 /// The result of a full parity sweep.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ParityAudit {
     /// Groups checked (one per parity page in the machine).
     pub groups_checked: u64,
@@ -316,29 +317,87 @@ impl ParityAudit {
 /// its first redundancy page (the parity page for XOR, P for P+Q, the
 /// first replica for replication); that page is reported as the
 /// violation's `parity_page`.
-pub fn audit_redundancy<F>(rdx: &Redundancy, mut read: F) -> ParityAudit
+///
+/// This is [`IncrementalAudit::sweep`] on an empty cache with every page
+/// changed: there is one audit, and this is its full form.
+pub fn audit_redundancy<F>(rdx: &Redundancy, read: F) -> ParityAudit
 where
     F: FnMut(LineAddr) -> LineData,
 {
-    let map = *rdx.address_map();
-    let mut audit = ParityAudit::default();
-    for node in NodeId::all(map.nodes()) {
-        for page in map.pages_of(node) {
-            if !rdx.is_group_anchor(page) {
-                continue;
-            }
-            audit.groups_checked += 1;
-            if let Some(offset) = rdx.check_group(page, &mut read) {
-                audit.violations.push(ParityViolation {
-                    parity_page: page,
-                    stripe: map.local_page_index(page),
-                    node,
-                    offset,
-                });
+    IncrementalAudit::default().sweep(rdx, |_| true, |_| false, read)
+}
+
+/// A redundancy audit that caches each group's verdict and recomputes
+/// only the groups whose bytes may have changed since.
+///
+/// A group's verdict (the first line offset where its equations fail) is
+/// a pure function of its member pages' bytes plus any overlay lines
+/// `read` substitutes inside it. So a sweep reuses a cached verdict
+/// exactly when all three hold:
+///
+/// * the group has one;
+/// * none of its member pages changed since that verdict was computed;
+/// * no overlay line falls in the group now.
+///
+/// A verdict computed with overlay lines in the group is never cached:
+/// the overlay is gone by the next sweep while the bytes under it may not
+/// have changed. Skipped groups still count in `groups_checked` and the
+/// sweep order is unchanged, so every [`ParityAudit`] equals the full
+/// [`audit_redundancy`] of the same reads.
+#[derive(Debug, Default)]
+pub struct IncrementalAudit {
+    /// The cached verdict of the group anchored at each global page.
+    verdicts: Vec<Option<Option<usize>>>,
+    /// Buffers reused from group to group.
+    check: GroupCheck,
+}
+
+impl IncrementalAudit {
+    /// Sweeps every group of `rdx` as [`audit_redundancy`] does.
+    /// `changed(page)` must hold for every page written since this
+    /// audit's previous sweep, which covered the same layout, and
+    /// `overlaid(page)` for every page where `read` returns anything but
+    /// the page's stored bytes.
+    pub fn sweep(
+        &mut self,
+        rdx: &Redundancy,
+        changed: impl Fn(PageAddr) -> bool,
+        overlaid: impl Fn(PageAddr) -> bool,
+        mut read: impl FnMut(LineAddr) -> LineData,
+    ) -> ParityAudit {
+        let map = *rdx.address_map();
+        self.verdicts
+            .resize(map.nodes() * map.pages_per_node() as usize, None);
+        let mut audit = ParityAudit::default();
+        for node in NodeId::all(map.nodes()) {
+            for page in map.pages_of(node) {
+                if !rdx.is_group_anchor(page) {
+                    continue;
+                }
+                audit.groups_checked += 1;
+                self.check.load(rdx, page);
+                let cached = &mut self.verdicts[page.index() as usize];
+                let in_overlay = self.check.pages().any(&overlaid);
+                let verdict = match *cached {
+                    Some(verdict) if !in_overlay && !self.check.pages().any(&changed) => verdict,
+                    _ => {
+                        let verdict = self.check.check(&mut read);
+                        *cached = (!in_overlay).then_some(verdict);
+                        verdict
+                    }
+                };
+                if let Some(offset) = verdict {
+                    audit.violations.push(ParityViolation {
+                        parity_page: page,
+                        stripe: map.local_page_index(page),
+                        node,
+                        offset,
+                    });
+                }
             }
         }
+        audit
     }
-    audit
 }
 
 /// A functional snapshot of application memory keyed by *virtual* page.
@@ -560,6 +619,70 @@ mod tests {
             parity.group_of(bad_line.page()).redundancy[0]
         );
         assert_eq!(v.stripe, map.local_page_index(bad_line.page()));
+    }
+
+    /// Memory that reads zero except where written.
+    type Sparse = std::collections::HashMap<LineAddr, LineData>;
+
+    fn reader(mem: &Sparse) -> impl Fn(LineAddr) -> LineData + '_ {
+        |l| mem.get(&l).copied().unwrap_or(LineData::ZERO)
+    }
+
+    /// 4 nodes of 4 pages under 3+1 XOR parity, and line `offset` of the
+    /// first data page on node 1.
+    fn xor_layout(offset: u64) -> (Redundancy, LineAddr) {
+        let map = AddressMap::new(4, 4 * PAGE_SIZE as u64);
+        let rdx = Redundancy::Xor(ParityMap::new(map, 3));
+        let page = map
+            .pages_of(NodeId(1))
+            .find(|&p| !rdx.is_redundancy_page(p))
+            .unwrap();
+        (rdx, LineAddr(page.first_line().0 + offset))
+    }
+
+    #[test]
+    fn incremental_audit_rereads_only_changed_groups() {
+        let (rdx, bad) = xor_layout(5);
+        let mut mem = Sparse::new();
+        let mut audit = IncrementalAudit::default();
+        assert!(audit
+            .sweep(&rdx, |_| true, |_| false, reader(&mem))
+            .is_clean());
+        mem.insert(bad, LineData::fill(1));
+        let found = audit.sweep(&rdx, |p| p == bad.page(), |_| false, reader(&mem));
+        assert_eq!(found.violations.len(), 1);
+        assert_eq!(found, audit_redundancy(&rdx, reader(&mem)));
+        // A group no one reports as changed keeps its cached verdict: the
+        // sweep never re-reads it.
+        mem.clear();
+        assert_eq!(audit.sweep(&rdx, |_| false, |_| false, reader(&mem)), found);
+    }
+
+    #[test]
+    fn overlaid_verdicts_are_never_cached() {
+        let (rdx, bad) = xor_layout(2);
+        let parity = rdx.group_of(bad.page()).redundancy[0];
+        let parity_line = LineAddr(parity.first_line().0 + 2);
+        // Memory holds a data write whose parity update is still pending:
+        // memory alone violates, memory with the update landed does not.
+        let mut mem = Sparse::new();
+        mem.insert(bad, LineData::fill(9));
+        let mut audit = IncrementalAudit::default();
+        let landed = audit.sweep(
+            &rdx,
+            |_| true,
+            |p| p == parity,
+            |l| match l == parity_line {
+                true => LineData::fill(9),
+                false => reader(&mem)(l),
+            },
+        );
+        assert!(landed.is_clean());
+        // The update never lands (say it died with a rollback): nothing
+        // was written, yet the group must be re-read and found violated.
+        let next = audit.sweep(&rdx, |_| false, |_| false, reader(&mem));
+        assert_eq!(next.violations.len(), 1);
+        assert_eq!(next, audit_redundancy(&rdx, reader(&mem)));
     }
 
     #[test]

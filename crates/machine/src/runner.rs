@@ -8,7 +8,7 @@ use revive_core::recovery::{
 };
 use revive_core::redundancy::StripeCode;
 use revive_core::validate::{audit_redundancy, LogDivergence, MemoryImage, ParityAudit};
-use revive_mem::addr::PageAddr;
+use revive_mem::addr::{LineAddr, PageAddr, LINE_SIZE};
 use revive_mem::line::LineData;
 use revive_mem::main_memory::NodeMemory;
 use revive_sim::time::Ns;
@@ -945,7 +945,7 @@ impl Runner {
         // recovered interval.
         self.sys.scrub_logs_after_rollback(target);
         self.sys
-            .audit_parity(format!("after recovery to checkpoint {target}"));
+            .audit_parity(format!("after recovery to checkpoint {target}"), None);
 
         // Rewind the CPUs to the recovered checkpoint so the discarded work
         // is re-executed — without this the resumed computation would run
@@ -1022,9 +1022,9 @@ impl Runner {
         });
     }
 
-    /// Byte-compares every application page against the memory copy taken
-    /// at the recovered checkpoint's commit, and checks the global parity
-    /// invariant.
+    /// Byte-compares every application page against the memory shadow
+    /// taken at the recovered checkpoint's commit, and checks the global
+    /// parity invariant.
     fn verify_against_shadow(&self, target: u64) -> Option<bool> {
         let sys = &self.sys;
         let Some(memories) = sys.checkpoint_memories(target) else {
@@ -1036,19 +1036,26 @@ impl Runner {
         let map = sys.map;
         for &page in sys.page_table.allocated_pages() {
             let node = map.home_of_page(page).index();
-            for line in page.lines() {
-                let got = sys.read_home(line);
-                let base = (map.local_line_index(line) * 64) as usize;
-                let want: [u8; 64] = memories[node][base..base + 64]
-                    .try_into()
-                    .expect("64-byte slice");
-                if got != LineData::from(want) {
-                    eprintln!(
-                        "verify: mismatch at {line} (page {page}, node {node}): got {got:?} want {:?}",
-                        LineData::from(want)
-                    );
-                    return Some(false);
-                }
+            let local = map.local_page_index(page);
+            let got = sys.nodes[node].mem.page(local);
+            let want = memories[node].page(local);
+            if got != want {
+                let offset = got
+                    .chunks_exact(LINE_SIZE)
+                    .zip(want.chunks_exact(LINE_SIZE))
+                    .position(|(g, w)| g != w)
+                    .expect("the pages differ");
+                let line = |bytes: &[u8]| -> LineData {
+                    let bytes = &bytes[offset * LINE_SIZE..][..LINE_SIZE];
+                    <[u8; LINE_SIZE]>::try_from(bytes).expect("one line").into()
+                };
+                eprintln!(
+                    "verify: mismatch at {} (page {page}, node {node}): got {:?} want {:?}",
+                    LineAddr(page.first_line().0 + offset as u64),
+                    line(got),
+                    line(want)
+                );
+                return Some(false);
             }
         }
         // The redundancy invariant must hold for every group after Phase 4.

@@ -31,11 +31,11 @@ use revive_core::log::MemLog;
 use revive_core::parity::{ParityAck, ParityUpdate};
 use revive_core::recovery::RecoveryError;
 use revive_core::redundancy::{Redundancy, StripeCode};
-use revive_core::validate::{audit_redundancy, MemoryImage};
-use revive_mem::addr::{AddressMap, LineAddr, PageAddr};
+use revive_core::validate::{audit_redundancy, IncrementalAudit, MemoryImage};
+use revive_mem::addr::{AddressMap, LineAddr, PageAddr, LINES_PER_PAGE};
 use revive_mem::dram::{Dram, DramOp};
 use revive_mem::line::LineData;
-use revive_mem::main_memory::NodeMemory;
+use revive_mem::main_memory::{MemShadow, NodeMemory, PageSet};
 use revive_net::fabric::Fabric;
 use revive_net::topology::{Direction, LinkId, Torus};
 use revive_sim::engine::EventQueue;
@@ -326,9 +326,9 @@ struct ExecSnapshot {
     retry: Vec<Option<revive_workloads::Op>>,
     cpu_ops: u64,
     instructions: u64,
-    /// Full per-node memory images to verify a rollback against
+    /// Copy-on-write per-node memory shadows to verify a rollback against
     /// (validation mode only; never for interval 0).
-    memories: Option<Vec<Vec<u8>>>,
+    memories: Option<Vec<MemShadow>>,
 }
 
 impl ExecSnapshot {
@@ -342,6 +342,49 @@ impl ExecSnapshot {
             instructions: 0,
             memories: None,
         }
+    }
+}
+
+/// Memory lines with every pending redundancy update landed, kept by page
+/// so that a read consults the lines only on the few pages they touch.
+struct Overlay {
+    /// The global pages holding an overlay line.
+    touched: PageSet,
+    pages: Vec<(PageAddr, [Option<LineData>; LINES_PER_PAGE])>,
+}
+
+impl Overlay {
+    fn new(map: &AddressMap) -> Overlay {
+        Overlay {
+            touched: PageSet::empty(map.nodes() as u64 * map.pages_per_node()),
+            pages: Vec::new(),
+        }
+    }
+
+    fn touches(&self, page: PageAddr) -> bool {
+        self.touched.contains(page.index())
+    }
+
+    fn get(&self, line: LineAddr) -> Option<LineData> {
+        if !self.touches(line.page()) {
+            return None;
+        }
+        let (_, lines) = self.pages.iter().find(|(p, _)| *p == line.page())?;
+        lines[line.index_in_page()]
+    }
+
+    fn set(&mut self, line: LineAddr, data: LineData) {
+        let page = line.page();
+        if !self.touches(page) {
+            self.touched.insert(page.index());
+            self.pages.push((page, [None; LINES_PER_PAGE]));
+        }
+        let (_, lines) = self
+            .pages
+            .iter_mut()
+            .find(|(p, _)| *p == page)
+            .expect("a touched page has lines");
+        lines[line.index_in_page()] = Some(data);
     }
 }
 
@@ -370,6 +413,12 @@ pub struct System {
     pub(crate) ckpt_counter: u64,
     early_pending: bool,
     exec_snaps: VecDeque<ExecSnapshot>,
+    /// Validation mode: the last memory shadow taken, per node — kept
+    /// even when a rollback drops it from `exec_snaps`, because every page
+    /// no one wrote since still equals it and the next shadow shares them.
+    shadow_base: Vec<MemShadow>,
+    /// Validation mode: the commit audit's cached group verdicts.
+    commit_audit: IncrementalAudit,
     /// Stops the event loop: set by a scripted strike and by organic
     /// detection, cleared by [`System::detect`].
     halted: bool,
@@ -566,6 +615,11 @@ impl System {
             ckpt_counter: 0,
             early_pending: false,
             exec_snaps: VecDeque::from([ExecSnapshot::initial(nodes)]),
+            shadow_base: match cfg.shadow_checkpoints {
+                true => vec![MemShadow::zeroed(m.mem_per_node as usize); nodes],
+                false => Vec::new(),
+            },
+            commit_audit: IncrementalAudit::default(),
             halted: false,
             armed: None,
             struck: None,
@@ -1841,8 +1895,19 @@ impl System {
             }
         }
         self.ck_stats.timelines.push(self.ck_timeline);
-        self.capture_exec_snapshot(new_id);
-        self.audit_parity(format!("commit of checkpoint {new_id}"));
+        // Validation mode costs what changed: the pages written since the
+        // last commit are the only ones the new shadow copies and the only
+        // ones whose groups the audit re-reads.
+        let written: Vec<PageSet> = match self.cfg.shadow_checkpoints {
+            true => self
+                .nodes
+                .iter_mut()
+                .map(|n| n.mem.take_written())
+                .collect(),
+            false => Vec::new(),
+        };
+        self.capture_exec_snapshot(new_id, &written);
+        self.audit_parity(format!("commit of checkpoint {new_id}"), Some(&written));
         if self.armed_for(Trigger::CommitEdge {
             id: new_id,
             point: CommitPoint::AfterCommit,
@@ -1879,14 +1944,20 @@ impl System {
 
     // ---------------- validation: snapshots, rollback, audits ----------------
 
-    fn capture_exec_snapshot(&mut self, interval: u64) {
+    /// Records the execution state at `interval`'s commit; in validation
+    /// mode also a memory shadow that copies the `written` pages and
+    /// shares every other page with the previous shadow.
+    fn capture_exec_snapshot(&mut self, interval: u64, written: &[PageSet]) {
+        let memories = self.cfg.shadow_checkpoints.then(|| {
+            let shadows: Vec<MemShadow> = (self.nodes.iter().zip(&self.shadow_base))
+                .zip(written)
+                .map(|((node, base), written)| node.mem.shadow(base, written))
+                .collect();
+            self.shadow_base.clone_from(&shadows);
+            shadows
+        });
         self.exec_snaps.push_back(ExecSnapshot {
-            // The large copies are allocated ahead of the small per-CPU
-            // vectors: the other order raises the campaign's peak RSS.
-            memories: self
-                .cfg
-                .shadow_checkpoints
-                .then(|| self.nodes.iter().map(|n| n.mem.snapshot()).collect()),
+            memories,
             interval,
             ops_done: self.ops_done.clone(),
             fetched: self.cpus.iter().map(|c| c.fetched).collect(),
@@ -1975,8 +2046,8 @@ impl System {
         rolled
     }
 
-    /// The memory copy captured at `target`'s commit (validation mode).
-    pub(crate) fn checkpoint_memories(&self, target: u64) -> Option<&[Vec<u8>]> {
+    /// The memory shadows captured at `target`'s commit (validation mode).
+    pub(crate) fn checkpoint_memories(&self, target: u64) -> Option<&[MemShadow]> {
         self.exec_snaps
             .iter()
             .find(|s| s.interval == target)?
@@ -2000,32 +2071,48 @@ impl System {
     /// drained, pending updates are landed on a read overlay in delivery
     /// order, and the events are rescheduled untouched. (After recovery
     /// nothing is in flight and the overlay stays empty.)
-    pub(crate) fn audit_parity(&mut self, context: String) {
+    ///
+    /// At a commit, `written` holds each node's pages written since the
+    /// previous commit, and the commit audit re-reads only the groups
+    /// they (or the overlay) touch. `None` sweeps every group afresh.
+    /// Debug builds check every commit audit against the full sweep.
+    pub(crate) fn audit_parity(&mut self, context: String, written: Option<&[PageSet]>) {
         if !self.cfg.shadow_checkpoints {
             return;
         }
         let Some(rdx) = self.redundancy else { return };
         let pending = self.queue.drain();
-        // Memory with every pending update landed, in delivery order.
-        let mut overlay: HashMap<LineAddr, LineData> = HashMap::new();
+        let mut overlay = Overlay::new(&self.map);
         for (_, ev) in &pending {
             let Some((_, update, mirror)) = ev.pending_update() else {
                 continue;
             };
             for (pline, delta) in &update.deltas {
                 let current = overlay
-                    .get(pline)
-                    .copied()
+                    .get(*pline)
                     .unwrap_or_else(|| self.read_home(*pline));
-                overlay.insert(*pline, StripeCode::apply_update(mirror, current, *delta));
+                overlay.set(*pline, StripeCode::apply_update(mirror, current, *delta));
             }
         }
-        let audit = audit_redundancy(&rdx, |line| {
-            overlay
-                .get(&line)
-                .copied()
-                .unwrap_or_else(|| self.read_home(line))
-        });
+        let mut commit_audit = std::mem::take(&mut self.commit_audit);
+        let read = |line| overlay.get(line).unwrap_or_else(|| self.read_home(line));
+        let audit = match written {
+            Some(written) => {
+                let map = self.map;
+                let changed = |page| {
+                    written[map.home_of_page(page).index()].contains(map.local_page_index(page))
+                };
+                let audit = commit_audit.sweep(&rdx, changed, |page| overlay.touches(page), &read);
+                debug_assert_eq!(
+                    audit,
+                    audit_redundancy(&rdx, &read),
+                    "the incremental audit diverged from the full sweep at the {context}"
+                );
+                audit
+            }
+            None => audit_redundancy(&rdx, &read),
+        };
+        self.commit_audit = commit_audit;
         for (at, ev) in pending {
             self.queue.schedule(at, ev);
         }
@@ -2152,5 +2239,70 @@ impl System {
 
     pub(crate) fn fabric_mean_latency(&self) -> Ns {
         self.fabric.mean_latency()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use revive_core::validate::ParityViolation;
+    use revive_workloads::AppId;
+
+    /// Runs `sys` until checkpoint `id` has committed.
+    fn run_to_commit(sys: &mut System, id: u64) {
+        let mut deadline = sys.now();
+        while sys.checkpoints() < id {
+            assert!(sys.running_cpus > 0, "the run ended before checkpoint {id}");
+            deadline += Ns::from_us(5);
+            sys.run_until(deadline);
+        }
+    }
+
+    /// The commit audit serves cached verdicts for groups no one wrote, so
+    /// a write it is not told about would go unseen. A flip made through
+    /// `NodeMemory` is flagged like any other write, and the next commit
+    /// names the group.
+    #[test]
+    fn commit_audit_finds_a_flip_in_a_group_no_one_wrote() {
+        let mut cfg = ExperimentConfig::test_small(AppId::Lu);
+        cfg.ops_per_cpu = 200_000;
+        let mut sys = System::new(cfg).unwrap();
+        run_to_commit(&mut sys, 2);
+        let rdx = sys.redundancy.expect("revive on");
+        let map = sys.map;
+        // A group of pages the workload never allocates and no log lives
+        // in: nothing writes it, so its verdict has been cached since the
+        // first commit.
+        let untouched = |page: &PageAddr| {
+            !sys.page_table.allocated_pages().contains(page)
+                && sys.nodes.iter().all(|n| !n.log_pages.contains(page))
+        };
+        let group = (0..map.nodes() as u64 * map.pages_per_node())
+            .map(|p| rdx.group_of(PageAddr(p)))
+            .find(|g| g.data.iter().chain(&g.redundancy).all(untouched))
+            .expect("some group is untouched");
+        let line = LineAddr(group.data[0].first_line().0 + 9);
+        let node = map.home_of_line(line).index();
+        let local = map.local_line_index(line);
+        let mem = &mut sys.nodes[node].mem;
+        mem.write_line(local, mem.read_line(local) ^ LineData::fill(0x5A));
+
+        run_to_commit(&mut sys, 3);
+        let audit = |id: u64| {
+            let context = format!("commit of checkpoint {id}");
+            let report = sys.audits.iter().find(|a| a.context == context);
+            report.expect("an audit at every commit").parity.clone()
+        };
+        assert!(audit(2).is_clean());
+        let anchor = group.redundancy[0];
+        assert_eq!(
+            audit(3).violations,
+            vec![ParityViolation {
+                parity_page: anchor,
+                stripe: map.local_page_index(anchor),
+                node: map.home_of_page(anchor),
+                offset: 9,
+            }]
+        );
     }
 }

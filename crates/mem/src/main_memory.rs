@@ -6,9 +6,52 @@
 //! *destroyed* (node-loss injection), after which reads panic — anything
 //! still reading it is a simulator bug; recovery must reconstruct pages from
 //! parity before touching them.
+//!
+//! Every mutator flags the pages it writes, so validation can cost what
+//! changed: [`NodeMemory::take_written`] hands out the pages written since
+//! it was last called, and [`NodeMemory::shadow`] copies only those into a
+//! copy-on-write [`MemShadow`], sharing every other page with the previous
+//! shadow.
 
-use crate::addr::{LINE_SIZE, PAGE_SIZE};
+use std::sync::Arc;
+
+use crate::addr::{LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
 use crate::line::LineData;
+
+/// A set of page indices, one bit per page.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PageSet {
+    words: Vec<u64>,
+}
+
+impl PageSet {
+    /// An empty set over the pages `0..pages`.
+    pub fn empty(pages: u64) -> PageSet {
+        PageSet {
+            words: vec![0; pages.div_ceil(64) as usize],
+        }
+    }
+
+    /// Adds `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is outside the set's range.
+    #[inline]
+    pub fn insert(&mut self, page: u64) {
+        self.words[(page / 64) as usize] |= 1 << (page % 64);
+    }
+
+    /// Whether `page` is in the set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is outside the set's range.
+    #[inline]
+    pub fn contains(&self, page: u64) -> bool {
+        self.words[(page / 64) as usize] & (1 << (page % 64)) != 0
+    }
+}
 
 /// The functional memory of one node.
 ///
@@ -28,6 +71,9 @@ use crate::line::LineData;
 #[derive(Clone)]
 pub struct NodeMemory {
     bytes: Vec<u8>,
+    /// Pages any mutator wrote since the last [`NodeMemory::take_written`].
+    /// The bytes are private, so the set is complete by construction.
+    written: PageSet,
     lost: bool,
 }
 
@@ -44,6 +90,7 @@ impl NodeMemory {
         );
         NodeMemory {
             bytes: vec![0; size_bytes],
+            written: PageSet::empty((size_bytes / PAGE_SIZE) as u64),
             lost: false,
         }
     }
@@ -106,6 +153,7 @@ impl NodeMemory {
         );
         let r = self.line_range(local_line);
         self.bytes[r].copy_from_slice(&data.0);
+        self.written.insert(local_line / LINES_PER_PAGE as u64);
     }
 
     /// XORs `delta` into a line in place (the parity-home update
@@ -125,6 +173,7 @@ impl NodeMemory {
     pub fn destroy(&mut self) {
         self.bytes.fill(0xDE);
         self.lost = true;
+        self.mark_all_written();
     }
 
     /// Replaces the destroyed contents with a zeroed memory ready for
@@ -132,9 +181,61 @@ impl NodeMemory {
     pub fn reconstruct_blank(&mut self) {
         self.bytes.fill(0);
         self.lost = false;
+        self.mark_all_written();
     }
 
-    /// A full copy of the contents, for shadow-snapshot verification.
+    fn mark_all_written(&mut self) {
+        for page in 0..self.pages() {
+            self.written.insert(page);
+        }
+    }
+
+    /// Returns the pages written since the previous call (or since
+    /// creation) and clears the flags.
+    pub fn take_written(&mut self) -> PageSet {
+        let empty = PageSet::empty(self.pages());
+        std::mem::replace(&mut self.written, empty)
+    }
+
+    /// The bytes of page `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is out of range or the memory is lost.
+    pub fn page(&self, page: u64) -> &[u8] {
+        assert!(!self.lost, "read of destroyed memory (page {page})");
+        let start = page as usize * PAGE_SIZE;
+        &self.bytes[start..start + PAGE_SIZE]
+    }
+
+    /// A copy-on-write shadow of the contents: the pages in `written` are
+    /// copied, every other page is shared with `base`. `written` must hold
+    /// every page written since `base` was equal to this memory, as
+    /// [`NodeMemory::take_written`] returns when called at that point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory is lost or `base` has a different size.
+    pub fn shadow(&self, base: &MemShadow, written: &PageSet) -> MemShadow {
+        assert!(!self.lost, "shadow of destroyed memory");
+        assert_eq!(
+            base.pages.len() as u64,
+            self.pages(),
+            "shadow base size mismatch"
+        );
+        let pages = (0..self.pages())
+            .zip(&base.pages)
+            .map(|(page, shared)| match written.contains(page) {
+                true => Arc::from(self.page(page)),
+                false => Arc::clone(shared),
+            })
+            .collect();
+        MemShadow { pages }
+    }
+
+    /// A full, flat copy of the contents. Validation takes copy-on-write
+    /// [`MemShadow`]s instead; this is the byte-for-byte reference they
+    /// are tested against.
     ///
     /// # Panics
     ///
@@ -153,6 +254,43 @@ impl NodeMemory {
         assert_eq!(snapshot.len(), self.bytes.len(), "snapshot size mismatch");
         self.bytes.copy_from_slice(snapshot);
         self.lost = false;
+        self.mark_all_written();
+    }
+}
+
+/// An immutable, copy-on-write snapshot of a [`NodeMemory`]: one shared
+/// page handle per page. Taking the next shadow with
+/// [`NodeMemory::shadow`] copies only the pages written since and shares
+/// the rest, so shadows taken in sequence cost what changed between them.
+#[derive(Clone)]
+pub struct MemShadow {
+    /// `Arc` rather than `Rc` so the machine holding shadows stays `Send`.
+    pages: Vec<Arc<[u8]>>,
+}
+
+impl MemShadow {
+    /// The shadow of a fresh `NodeMemory::new(size_bytes)`: one zero page,
+    /// shared by every page.
+    pub fn zeroed(size_bytes: usize) -> MemShadow {
+        let zero: Arc<[u8]> = Arc::from(vec![0u8; PAGE_SIZE]);
+        MemShadow {
+            pages: vec![zero; size_bytes / PAGE_SIZE],
+        }
+    }
+
+    /// The bytes of page `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is out of range.
+    pub fn page(&self, page: u64) -> &[u8] {
+        &self.pages[page as usize]
+    }
+}
+
+impl std::fmt::Debug for MemShadow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MemShadow({} pages)", self.pages.len())
     }
 }
 
@@ -218,6 +356,89 @@ mod tests {
         assert!(!m.is_lost());
         // Contents were genuinely lost.
         assert_eq!(m.read_line(0), LineData::ZERO);
+    }
+
+    #[test]
+    fn every_mutator_flags_what_it_writes() {
+        let mut m = NodeMemory::new(4 * PAGE_SIZE);
+        assert_eq!(m.take_written(), PageSet::empty(4));
+        m.write_line(LINES_PER_PAGE as u64 + 1, LineData::fill(1));
+        m.xor_line(3 * LINES_PER_PAGE as u64, LineData::fill(2));
+        let written = m.take_written();
+        assert!((0..4)
+            .map(|p| written.contains(p))
+            .eq([false, true, false, true]));
+        assert_eq!(
+            m.take_written(),
+            PageSet::empty(4),
+            "taking clears the flags"
+        );
+        let all = |m: &mut NodeMemory| {
+            let w = m.take_written();
+            (0..4).all(|p| w.contains(p))
+        };
+        m.destroy();
+        assert!(all(&mut m));
+        m.reconstruct_blank();
+        assert!(all(&mut m));
+        let snap = m.snapshot();
+        m.restore(&snap);
+        assert!(all(&mut m));
+    }
+
+    /// Copy-on-write shadows taken after random mutation sequences equal a
+    /// flat snapshot byte for byte, and shadows taken earlier never change.
+    #[test]
+    fn copy_on_write_shadows_match_flat_snapshots() {
+        use revive_sim::rng::DetRng;
+        const PAGES: u64 = 6;
+        let flatten = |s: &MemShadow| -> Vec<u8> { s.pages.concat() };
+        for seed in 0..40 {
+            let mut rng = DetRng::seed(seed);
+            let mut m = NodeMemory::new(PAGES as usize * PAGE_SIZE);
+            let mut base = MemShadow::zeroed(m.size_bytes());
+            let mut taken: Vec<(MemShadow, Vec<u8>)> = Vec::new();
+            for _ in 0..12 {
+                for _ in 0..rng.range(0, 6) {
+                    let line = rng.range(0, m.lines());
+                    let value = LineData::from_seed(rng.next_u64());
+                    match rng.range(0, 10) {
+                        0 => {
+                            m.destroy();
+                            m.reconstruct_blank();
+                        }
+                        1 => match taken.get(rng.index(taken.len().max(1))) {
+                            Some((_, flat)) => m.restore(flat),
+                            None => m.restore(&vec![7; m.size_bytes()]),
+                        },
+                        2..=5 => m.xor_line(line, value),
+                        _ => m.write_line(line, value),
+                    }
+                }
+                let written = m.take_written();
+                let shadow = m.shadow(&base, &written);
+                assert_eq!(flatten(&shadow), m.snapshot(), "seed {seed}");
+                for (earlier, flat) in &taken {
+                    assert_eq!(&flatten(earlier), flat, "seed {seed}: a shadow changed");
+                }
+                taken.push((shadow.clone(), m.snapshot()));
+                base = shadow;
+            }
+        }
+    }
+
+    #[test]
+    fn unwritten_pages_are_shared_not_copied() {
+        let mut m = NodeMemory::new(2 * PAGE_SIZE);
+        let written = m.take_written();
+        let first = m.shadow(&MemShadow::zeroed(m.size_bytes()), &written);
+        m.write_line(0, LineData::fill(3));
+        let written = m.take_written();
+        let second = m.shadow(&first, &written);
+        assert!(!Arc::ptr_eq(&first.pages[0], &second.pages[0]));
+        assert!(Arc::ptr_eq(&first.pages[1], &second.pages[1]));
+        assert_eq!(first.page(0), &[0u8; PAGE_SIZE][..]);
+        assert_eq!(&second.page(0)[..LINE_SIZE], &[3u8; LINE_SIZE][..]);
     }
 
     #[test]

@@ -331,3 +331,71 @@ fn campaign_slice_classifies_every_scenario() {
     // exercising graceful degradation under the oracle harness.
     assert!(seen_unrecoverable, "no unrecoverable scenario in 0..6");
 }
+
+/// The commit audit re-reads only the redundancy groups whose pages were
+/// written since the previous commit. Every debug build (so every
+/// `cargo test` run) checks each commit audit against a full
+/// `audit_redundancy` sweep of the same reads and panics on a difference.
+/// This drives that check through campaign scenarios (node losses, page
+/// rebuilds, rollbacks, log scrubs) under XOR, P+Q, replication and the
+/// mixed mirrored/parity layout, and requires an audit at every commit.
+#[test]
+#[cfg_attr(
+    not(debug_assertions),
+    ignore = "the full-sweep cross-check is a debug assertion"
+)]
+fn commit_audits_equal_full_sweeps_under_every_layout() {
+    let gen = CampaignConfig {
+        ops_per_cpu: 20_000,
+        ..CampaignConfig::default()
+    };
+    let scenarios: Vec<Scenario> = (0..40).map(|seed| generate(seed, &gen)).collect();
+    let mut runs: Vec<(String, ExperimentConfig, Vec<InjectionPlan>)> = Vec::new();
+    for backend in BackendChoice::ALL {
+        for sc in scenarios.iter().filter(|s| s.backend == backend).take(2) {
+            let cfg = sc.experiment();
+            let plans = sc.plans(cfg.revive.ckpt.interval);
+            runs.push((format!("{} seed {}", backend.name(), sc.seed), cfg, plans));
+        }
+    }
+    // The mixed layout needs an even node count; the campaign never draws
+    // it, so it rides the 4-node XOR scenarios.
+    let four_node_xor = scenarios
+        .iter()
+        .filter(|s| s.backend == BackendChoice::Xor && s.nodes == 4);
+    for sc in four_node_xor.take(2) {
+        let mut cfg = sc.experiment();
+        cfg.revive.mode = ReviveMode::Mixed {
+            group_data_pages: sc.group_data_pages,
+            mirrored_fraction: 0.25,
+        };
+        let plans = sc.plans(cfg.revive.ckpt.interval);
+        runs.push((format!("mixed seed {}", sc.seed), cfg, plans));
+    }
+    for (label, cfg, plans) in runs {
+        let result = match Runner::new(cfg).unwrap().run_with_injections(&plans) {
+            Ok(result) => result,
+            Err(MachineError::InjectionNeverFired { .. }) => continue,
+            Err(e) => panic!("{label}: {e}"),
+        };
+        let commit_audits = result
+            .audits
+            .iter()
+            .filter(|a| a.context.starts_with("commit of checkpoint"))
+            .count() as u64;
+        assert!(
+            result.checkpoints > 0 && commit_audits >= result.checkpoints,
+            "{label}: {commit_audits} commit audits for {} checkpoints",
+            result.checkpoints
+        );
+        for outcome in &result.outcomes {
+            if let FaultOutcome::Recovered(r) = outcome {
+                assert_ne!(r.verified, Some(false), "{label}: shadow mismatch");
+            }
+        }
+        assert!(
+            result.audits.iter().all(|a| a.is_clean()),
+            "{label}: dirty audit"
+        );
+    }
+}

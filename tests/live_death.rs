@@ -6,7 +6,7 @@
 //! checkpoint barrier hung on the dead participant, or the heartbeat
 //! backstop). Recovery must then produce memory identical to a clean run.
 
-use revive::machine::campaign::{generate, run_scenario, CampaignConfig};
+use revive::machine::campaign::{generate, run_scenario, CampaignConfig, ScenarioReport};
 use revive::machine::differential::injected_vs_golden;
 use revive::machine::{
     CommitPoint, ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan, NodeSet,
@@ -236,8 +236,11 @@ fn link_loss_requires_torus_neighbors() {
 /// panics, zero hangs, zero oracle mismatches.
 #[test]
 fn live_campaign_sweep_classifies_every_seed() {
+    // The smallest budget, in steps of 100 ops, at which every seed's
+    // plan fires: below it the run can end before the plan's checkpoint
+    // count, and a `not fired` seed tests nothing.
     let gen = CampaignConfig {
-        ops_per_cpu: 12_000,
+        ops_per_cpu: 39_900,
         live_only: true,
         ..CampaignConfig::default()
     };
@@ -247,69 +250,95 @@ fn live_campaign_sweep_classifies_every_seed() {
     let pinned: [(&str, Option<(u64, u64)>); 25] = [
         (
             "recovered (1 recoveries, 50.031ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_350_753, 942_474)),
+            Some((58_759_373, 3_249_995)),
         ),
         (
             "recovered (1 recoveries, 50.015ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_171_390, 945_383)),
+            Some((57_454_292, 3_146_566)),
         ),
-        ("not fired", None),
-        ("not fired", None),
+        (
+            "recovered (1 recoveries, 50.027ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((50_669_882, 23_034)),
+        ),
+        (
+            "recovered (2 recoveries, 100.384ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((101_047_280, 43_671)),
+        ),
         (
             "recovered (1 recoveries, 50.088ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((51_696_207, 709_103)),
+            Some((55_141_417, 2_324_565)),
         ),
-        ("not fired", None),
         (
-            "unrecoverable: losing nodes {n0, n1} exceeds the redundancy budget: the group of \
-             P0x0 has more lost members than the backend can rebuild",
+            "unrecoverable: losing nodes {n0, n1, n3} exceeds the redundancy budget: the group \
+             of P0x0 has more lost members than the backend can rebuild",
+            Some((378_960, 7_813)),
+        ),
+        (
+            "unrecoverable: losing nodes {n0, n1} exceeds the redundancy budget: the group \
+             of P0x0 has more lost members than the backend can rebuild",
             Some((282_185, 89_780)),
         ),
         (
             "recovered (1 recoveries, 50.147ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_309_771, 973_053)),
+            Some((58_622_193, 3_284_854)),
         ),
-        ("not fired", None),
-        ("not fired", None),
+        (
+            "recovered (1 recoveries, 50.131ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((50_791_529, 25_032)),
+        ),
+        (
+            "unrecoverable: losing nodes {n0, n6, n7} exceeds the redundancy budget: the group \
+             of P0x600 has more lost members than the backend can rebuild",
+            Some((364_811, 14_515)),
+        ),
         (
             "recovered (1 recoveries, 50.189ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_306_016, 426_912)),
+            Some((58_972_969, 1_500_905)),
         ),
-        ("not fired", None),
+        (
+            "recovered (2 recoveries, 100.375ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((101_027_949, 16_196)),
+        ),
         (
             "recovered (1 recoveries, 50.024ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_840_344, 986_683)),
+            Some((59_138_157, 3_289_759)),
         ),
         (
             "recovered (1 recoveries, 50.044ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_912_447, 989_084)),
+            Some((59_852_385, 3_365_947)),
         ),
-        ("not fired", None),
+        (
+            "recovered (2 recoveries, 100.288ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((100_958_055, 53_155)),
+        ),
         (
             "recovered (1 recoveries, 50.149ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_071_145, 715_306)),
+            Some((57_668_077, 2_519_930)),
         ),
         (
             "recovered (1 recoveries, 50.119ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_548_923, 987_436)),
+            Some((59_707_317, 3_384_099)),
         ),
         (
             "recovered (1 recoveries, 50.050ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((51_298_267, 686_030)),
+            Some((55_532_174, 2_395_500)),
         ),
         (
             "recovered (1 recoveries, 50.002ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((52_272_765, 942_158)),
+            Some((57_570_021, 3_150_562)),
         ),
         (
             "recovered (2 recoveries, 100.388ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((104_003_188, 560_767)),
+            Some((112_856_935, 1_886_504)),
         ),
         (
             "recovered (1 recoveries, 50.394ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((51_687_296, 340_911)),
+            Some((55_943_635, 1_091_450)),
         ),
-        ("not fired", None),
+        (
+            "recovered (2 recoveries, 100.190ms unavailable, oracle match, shadow ok, audits clean)",
+            Some((100_834_836, 19_959)),
+        ),
         (
             "unrecoverable: losing nodes {n3, n4, n5} exceeds the redundancy budget: the group \
              of P0x300 has more lost members than the backend can rebuild",
@@ -322,17 +351,35 @@ fn live_campaign_sweep_classifies_every_seed() {
         ),
         (
             "recovered (2 recoveries, 100.538ms unavailable, oracle match, shadow ok, audits clean)",
-            Some((101_886_138, 839_130)),
+            Some((106_259_696, 2_560_112)),
         ),
     ];
+    // Two workers take every other seed; the reports are checked in seed
+    // order.
+    let gen = &gen;
+    let mut reports: Vec<(u64, ScenarioReport)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2u64)
+            .map(|first| {
+                scope.spawn(move || {
+                    (first..25)
+                        .step_by(2)
+                        .map(|seed| (seed, run_scenario(&generate(seed, gen))))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("run_scenario catches panics"))
+            .collect()
+    });
+    reports.sort_by_key(|&(seed, _)| seed);
     let mut recovered = 0usize;
-    for (seed, (outcome, run)) in (0..25u64).zip(pinned) {
-        let sc = generate(seed, &gen);
+    for ((seed, report), (outcome, run)) in reports.into_iter().zip(pinned) {
         assert!(
-            sc.faults.iter().all(|f| f.kind.is_live()),
+            report.scenario.faults.iter().all(|f| f.kind.is_live()),
             "seed {seed}: non-live kind in a live-only campaign"
         );
-        let report = run_scenario(&sc);
         assert!(
             !report.is_failure(),
             "seed {seed} failed: {}",
