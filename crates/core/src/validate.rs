@@ -27,6 +27,7 @@ use std::fmt;
 
 use revive_mem::addr::{LineAddr, PageAddr};
 use revive_mem::line::LineData;
+use revive_mem::main_memory::SharedPage;
 use revive_sim::types::NodeId;
 
 use crate::log::{RecordKind, ReplayEntry, ScannedRecord, RECORD_LINES};
@@ -406,10 +407,13 @@ impl IncrementalAudit {
 /// that allocate the same virtual pages compare equal iff the application
 /// data is identical, regardless of which physical frames first-touch
 /// allocation happened to pick.
+///
+/// Pages are shared handles: an image shares every page it takes
+/// unchanged from memory, so taking and cloning images copies only the
+/// pages that were patched.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryImage {
-    /// Page contents by virtual page number.
-    pub pages: BTreeMap<u64, Vec<u8>>,
+    pages: BTreeMap<u64, SharedPage>,
 }
 
 /// One virtual page present in both images but with different contents.
@@ -460,28 +464,29 @@ impl fmt::Display for MemoryDiff {
 
 impl MemoryImage {
     /// Records the contents of one virtual page.
-    pub fn insert_page(&mut self, vpage: u64, bytes: Vec<u8>) {
-        self.pages.insert(vpage, bytes);
+    pub fn insert_page(&mut self, vpage: u64, page: SharedPage) {
+        self.pages.insert(vpage, page);
+    }
+
+    /// The contents of virtual page `vpage`, if the image holds it.
+    pub fn page(&self, vpage: u64) -> Option<&[u8]> {
+        self.pages.get(&vpage).map(|page| &page[..])
     }
 
     /// Word-exact comparison against another image.
     pub fn diff(&self, other: &MemoryImage) -> MemoryDiff {
         let mut d = MemoryDiff::default();
-        for (&vpage, bytes) in &self.pages {
+        for (&vpage, ours) in &self.pages {
             match other.pages.get(&vpage) {
                 None => d.only_in_self.push(vpage),
-                Some(theirs) => {
-                    if let Some(first_byte) =
-                        bytes.iter().zip(theirs.iter()).position(|(a, b)| a != b)
-                    {
-                        d.mismatched.push(PageMismatch { vpage, first_byte });
-                    } else if bytes.len() != theirs.len() {
-                        d.mismatched.push(PageMismatch {
-                            vpage,
-                            first_byte: bytes.len().min(theirs.len()),
-                        });
-                    }
+                Some(theirs) if ours != theirs => {
+                    let first_byte = ours.iter().zip(theirs.iter()).position(|(a, b)| a != b);
+                    d.mismatched.push(PageMismatch {
+                        vpage,
+                        first_byte: first_byte.expect("the pages differ"),
+                    });
                 }
+                Some(_) => {}
             }
         }
         for &vpage in other.pages.keys() {
@@ -687,16 +692,17 @@ mod tests {
 
     #[test]
     fn memory_image_diff_finds_first_divergence() {
+        let page = |byte: u8| SharedPage::new([byte; PAGE_SIZE]);
         let mut a = MemoryImage::default();
         let mut b = MemoryImage::default();
-        a.insert_page(1, vec![0u8; 64]);
-        b.insert_page(1, vec![0u8; 64]);
-        a.insert_page(2, vec![1u8; 64]);
-        let mut changed = vec![1u8; 64];
-        changed[17] = 9;
+        a.insert_page(1, page(0));
+        b.insert_page(1, page(0));
+        a.insert_page(2, page(1));
+        let mut changed = page(1);
+        SharedPage::make_mut(&mut changed)[17] = 9;
         b.insert_page(2, changed);
-        a.insert_page(3, vec![0u8; 64]);
-        b.insert_page(4, vec![0u8; 64]);
+        a.insert_page(3, page(0));
+        b.insert_page(4, page(0));
         let d = a.diff(&b);
         assert!(!d.is_match());
         assert_eq!(d.only_in_self, vec![3]);

@@ -1022,9 +1022,9 @@ impl Runner {
         });
     }
 
-    /// Byte-compares every application page against the memory shadow
-    /// taken at the recovered checkpoint's commit, and checks the global
-    /// parity invariant.
+    /// Compares every application page, page by page, against the clone
+    /// of its node's memory taken at the recovered checkpoint's commit, and
+    /// checks the global parity invariant.
     fn verify_against_shadow(&self, target: u64) -> Option<bool> {
         let sys = &self.sys;
         let Some(memories) = sys.checkpoint_memories(target) else {

@@ -32,10 +32,10 @@ use revive_core::parity::{ParityAck, ParityUpdate};
 use revive_core::recovery::RecoveryError;
 use revive_core::redundancy::{Redundancy, StripeCode};
 use revive_core::validate::{audit_redundancy, IncrementalAudit, MemoryImage};
-use revive_mem::addr::{AddressMap, LineAddr, PageAddr, LINES_PER_PAGE};
+use revive_mem::addr::{AddressMap, LineAddr, PageAddr, LINES_PER_PAGE, LINE_SIZE};
 use revive_mem::dram::{Dram, DramOp};
 use revive_mem::line::LineData;
-use revive_mem::main_memory::{MemShadow, NodeMemory, PageSet};
+use revive_mem::main_memory::{NodeMemory, PageSet, SharedPage};
 use revive_net::fabric::Fabric;
 use revive_net::topology::{Direction, LinkId, Torus};
 use revive_sim::engine::EventQueue;
@@ -326,9 +326,9 @@ struct ExecSnapshot {
     retry: Vec<Option<revive_workloads::Op>>,
     cpu_ops: u64,
     instructions: u64,
-    /// Copy-on-write per-node memory shadows to verify a rollback against
-    /// (validation mode only; never for interval 0).
-    memories: Option<Vec<MemShadow>>,
+    /// Per-node memory clones to verify a rollback against (validation
+    /// mode only; never for interval 0).
+    memories: Option<Vec<NodeMemory>>,
 }
 
 impl ExecSnapshot {
@@ -413,10 +413,6 @@ pub struct System {
     pub(crate) ckpt_counter: u64,
     early_pending: bool,
     exec_snaps: VecDeque<ExecSnapshot>,
-    /// Validation mode: the last memory shadow taken, per node — kept
-    /// even when a rollback drops it from `exec_snaps`, because every page
-    /// no one wrote since still equals it and the next shadow shares them.
-    shadow_base: Vec<MemShadow>,
     /// Validation mode: the commit audit's cached group verdicts.
     commit_audit: IncrementalAudit,
     /// Stops the event loop: set by a scripted strike and by organic
@@ -615,10 +611,6 @@ impl System {
             ckpt_counter: 0,
             early_pending: false,
             exec_snaps: VecDeque::from([ExecSnapshot::initial(nodes)]),
-            shadow_base: match cfg.shadow_checkpoints {
-                true => vec![MemShadow::zeroed(m.mem_per_node as usize); nodes],
-                false => Vec::new(),
-            },
             commit_audit: IncrementalAudit::default(),
             halted: false,
             armed: None,
@@ -934,10 +926,7 @@ impl System {
             Ev::Deliver(msg) => self.deliver(msg, t),
             Ev::CkptStart => self.ckpt_start(t),
             Ev::FlushStart => self.flush_start(t),
-            Ev::Inject => {
-                self.tracer.record(t, TraceEvent::Inject);
-                self.strike(t);
-            }
+            Ev::Inject => self.strike(t),
             Ev::Sample => self.take_sample(t),
             Ev::Retry {
                 msg,
@@ -1138,11 +1127,13 @@ impl System {
         self.armed.as_ref().is_some_and(|a| a.when == when)
     }
 
-    /// The armed fault strikes at `t`. The strike records the rollback
-    /// target, then halts the machine on the spot (a scripted fault) or
-    /// severs the fabric and lets it run on (a live one).
+    /// The armed fault strikes at `t`. The strike traces one `inject`
+    /// event and records the rollback target, then halts the machine on
+    /// the spot (a scripted fault) or severs the fabric and lets it run on
+    /// (a live one).
     fn strike(&mut self, t: Ns) {
         let armed = self.armed.take().expect("only an armed fault strikes");
+        self.tracer.record(t, TraceEvent::Inject);
         self.struck = Some(Strike {
             at: t,
             target: self.ckpt_counter,
@@ -1896,8 +1887,7 @@ impl System {
         }
         self.ck_stats.timelines.push(self.ck_timeline);
         // Validation mode costs what changed: the pages written since the
-        // last commit are the only ones the new shadow copies and the only
-        // ones whose groups the audit re-reads.
+        // last commit are the only ones whose groups the audit re-reads.
         let written: Vec<PageSet> = match self.cfg.shadow_checkpoints {
             true => self
                 .nodes
@@ -1906,7 +1896,7 @@ impl System {
                 .collect(),
             false => Vec::new(),
         };
-        self.capture_exec_snapshot(new_id, &written);
+        self.capture_exec_snapshot(new_id);
         self.audit_parity(format!("commit of checkpoint {new_id}"), Some(&written));
         if self.armed_for(Trigger::CommitEdge {
             id: new_id,
@@ -1945,17 +1935,12 @@ impl System {
     // ---------------- validation: snapshots, rollback, audits ----------------
 
     /// Records the execution state at `interval`'s commit; in validation
-    /// mode also a memory shadow that copies the `written` pages and
-    /// shares every other page with the previous shadow.
-    fn capture_exec_snapshot(&mut self, interval: u64, written: &[PageSet]) {
-        let memories = self.cfg.shadow_checkpoints.then(|| {
-            let shadows: Vec<MemShadow> = (self.nodes.iter().zip(&self.shadow_base))
-                .zip(written)
-                .map(|((node, base), written)| node.mem.shadow(base, written))
-                .collect();
-            self.shadow_base.clone_from(&shadows);
-            shadows
-        });
+    /// mode also a copy-on-write clone of every node's memory.
+    fn capture_exec_snapshot(&mut self, interval: u64) {
+        let memories = self
+            .cfg
+            .shadow_checkpoints
+            .then(|| self.nodes.iter().map(|n| n.mem.clone()).collect());
         self.exec_snaps.push_back(ExecSnapshot {
             memories,
             interval,
@@ -2046,8 +2031,8 @@ impl System {
         rolled
     }
 
-    /// The memory shadows captured at `target`'s commit (validation mode).
-    pub(crate) fn checkpoint_memories(&self, target: u64) -> Option<&[MemShadow]> {
+    /// The memory clones captured at `target`'s commit (validation mode).
+    pub(crate) fn checkpoint_memories(&self, target: u64) -> Option<&[NodeMemory]> {
         self.exec_snaps
             .iter()
             .find(|s| s.interval == target)?
@@ -2127,30 +2112,30 @@ impl System {
     /// every dirty L2 line overlaid. Keyed by virtual page so that two runs
     /// of the same program compare equal even when first-touch placement
     /// put their pages on different nodes (physical placement is a timing
-    /// artifact; the program-visible contents are not).
+    /// artifact; the program-visible contents are not). A page no dirty
+    /// line falls in shares its handle with home memory; only the others
+    /// are copied and patched.
     pub fn memory_image(&self) -> MemoryImage {
-        use revive_mem::addr::PAGE_SIZE;
-        let mut overlay: HashMap<LineAddr, LineData> = HashMap::new();
+        let mut dirty: Vec<(LineAddr, LineData)> = Vec::new();
         for node in &self.nodes {
             for line in node.ctrl.dirty_lines() {
                 if let Some(d) = node.ctrl.cached_data(line) {
-                    overlay.insert(line, d);
+                    dirty.push((line, d));
                 }
             }
         }
+        dirty.sort_by_key(|&(line, _)| line);
         let mut img = MemoryImage::default();
         for (vpage, page) in self.page_table.mappings() {
-            let node = self.map.home_of_page(page).index();
-            let mut bytes = Vec::with_capacity(PAGE_SIZE);
-            for line in page.lines() {
-                let data = overlay.get(&line).copied().unwrap_or_else(|| {
-                    self.nodes[node]
-                        .mem
-                        .read_line(self.map.local_line_index(line))
-                });
-                bytes.extend_from_slice(data.as_bytes());
+            let home = &self.nodes[self.map.home_of_page(page).index()].mem;
+            let mut shared = home.shared_page(self.map.local_page_index(page)).clone();
+            let from = dirty.partition_point(|&(line, _)| line < page.first_line());
+            for &(line, data) in dirty[from..].iter().take_while(|(l, _)| l.page() == page) {
+                let at = line.index_in_page() * LINE_SIZE;
+                SharedPage::make_mut(&mut shared)[at..at + LINE_SIZE]
+                    .copy_from_slice(data.as_bytes());
             }
-            img.insert_page(vpage, bytes);
+            img.insert_page(vpage, shared);
         }
         img
     }
@@ -2246,7 +2231,7 @@ impl System {
 mod tests {
     use super::*;
     use revive_core::validate::ParityViolation;
-    use revive_workloads::AppId;
+    use revive_workloads::{AppId, SyntheticKind};
 
     /// Runs `sys` until checkpoint `id` has committed.
     fn run_to_commit(sys: &mut System, id: u64) {
@@ -2303,6 +2288,52 @@ mod tests {
                 node: map.home_of_page(anchor),
                 offset: 9,
             }]
+        );
+    }
+
+    /// A memory image taken mid-interval, while L2 lines are dirty, equals
+    /// the line-by-line build (every dirty line over home memory), and the
+    /// pages no dirty line falls in share their handle with home memory.
+    #[test]
+    fn memory_image_patches_dirty_lines_and_shares_clean_pages() {
+        let mut cfg = ExperimentConfig::test_small(AppId::Lu);
+        cfg.workload = WorkloadSpec::Synthetic(SyntheticKind::WsExceedsL2);
+        cfg.ops_per_cpu = 200_000;
+        let mut sys = System::new(cfg).unwrap();
+        run_to_commit(&mut sys, 1);
+        sys.run_until(sys.now() + Ns::from_us(300));
+        let mut dirty: HashMap<LineAddr, LineData> = HashMap::new();
+        for node in &sys.nodes {
+            for line in node.ctrl.dirty_lines() {
+                if let Some(d) = node.ctrl.cached_data(line) {
+                    dirty.insert(line, d);
+                }
+            }
+        }
+        assert!(!dirty.is_empty(), "no dirty L2 lines mid-interval");
+        let image = sys.memory_image();
+        let (mut patched, mut shared) = (0, 0);
+        for (vpage, page) in sys.page_table.mappings() {
+            let mem = &sys.nodes[sys.map.home_of_page(page).index()].mem;
+            let mut want = Vec::new();
+            for line in page.lines() {
+                let home = || mem.read_line(sys.map.local_line_index(line));
+                let data = dirty.get(&line).copied().unwrap_or_else(home);
+                want.extend_from_slice(data.as_bytes());
+            }
+            assert_eq!(image.page(vpage), Some(&want[..]), "vpage {vpage}");
+            let home = mem.shared_page(sys.map.local_page_index(page));
+            let clean = page.lines().all(|line| !dirty.contains_key(&line));
+            let handle = image.page(vpage).expect("mapped").as_ptr();
+            assert_eq!(clean, std::ptr::eq(handle, home.as_ptr()), "vpage {vpage}");
+            match clean {
+                true => shared += 1,
+                false => patched += 1,
+            }
+        }
+        assert!(
+            patched > 0 && shared > 0,
+            "{patched} patched, {shared} shared"
         );
     }
 }

@@ -8,7 +8,7 @@
 //!   true-LRU replacement (the paper's L1/L2).
 //! * [`dram`] — banked DRAM timing with open-row modeling (Table 3).
 //! * [`main_memory`] — functional, destructible per-node memory contents,
-//!   with written-page tracking and copy-on-write shadows.
+//!   paged copy-on-write, with written-page tracking.
 //!
 //! # Example
 //!
@@ -36,4 +36,4 @@ pub use addr::{Addr, AddressMap, LineAddr, PageAddr, LINES_PER_PAGE, LINE_SIZE, 
 pub use cache::{Cache, CacheConfig, LineState, Victim};
 pub use dram::{Dram, DramConfig, DramOp};
 pub use line::LineData;
-pub use main_memory::{MemShadow, NodeMemory, PageSet};
+pub use main_memory::{NodeMemory, PageSet, SharedPage};

@@ -7,16 +7,25 @@
 //! still reading it is a simulator bug; recovery must reconstruct pages from
 //! parity before touching them.
 //!
-//! Every mutator flags the pages it writes, so validation can cost what
-//! changed: [`NodeMemory::take_written`] hands out the pages written since
-//! it was last called, and [`NodeMemory::shadow`] copies only those into a
-//! copy-on-write [`MemShadow`], sharing every other page with the previous
-//! shadow.
+//! Memory is paged copy-on-write: one shared handle per page, with every
+//! untouched page pointing at one zero page. Cloning a [`NodeMemory`] costs
+//! a refcount per page, and a write copies its page only if the page is
+//! still shared — the first write after a clone, just as ReVive logs a
+//! line only on its first write in an interval. A validation shadow is a
+//! clone, and a memory image shares the pages it did not patch.
+//!
+//! Every mutator also flags the pages it writes, so validation can cost
+//! what changed: [`NodeMemory::take_written`] hands out the pages written
+//! since it was last called.
 
 use std::sync::Arc;
 
 use crate::addr::{LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
 use crate::line::LineData;
+
+/// A shared, immutable page of memory contents. `Arc` rather than `Rc` so
+/// the machine holding memories and images stays `Send`.
+pub type SharedPage = Arc<[u8; PAGE_SIZE]>;
 
 /// A set of page indices, one bit per page.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,9 +79,9 @@ impl PageSet {
 /// ```
 #[derive(Clone)]
 pub struct NodeMemory {
-    bytes: Vec<u8>,
+    pages: Vec<SharedPage>,
     /// Pages any mutator wrote since the last [`NodeMemory::take_written`].
-    /// The bytes are private, so the set is complete by construction.
+    /// The pages are private, so the set is complete by construction.
     written: PageSet,
     lost: bool,
 }
@@ -88,26 +97,28 @@ impl NodeMemory {
             size_bytes > 0 && size_bytes.is_multiple_of(PAGE_SIZE),
             "node memory must be a nonzero whole number of pages"
         );
+        let pages = size_bytes / PAGE_SIZE;
+        let zero = Arc::new([0; PAGE_SIZE]);
         NodeMemory {
-            bytes: vec![0; size_bytes],
-            written: PageSet::empty((size_bytes / PAGE_SIZE) as u64),
+            pages: vec![zero; pages],
+            written: PageSet::empty(pages as u64),
             lost: false,
         }
     }
 
     /// Capacity in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.bytes.len()
+        self.pages.len() * PAGE_SIZE
     }
 
     /// Capacity in lines.
     pub fn lines(&self) -> u64 {
-        (self.bytes.len() / LINE_SIZE) as u64
+        (self.pages.len() * LINES_PER_PAGE) as u64
     }
 
     /// Capacity in pages.
     pub fn pages(&self) -> u64 {
-        (self.bytes.len() / PAGE_SIZE) as u64
+        self.pages.len() as u64
     }
 
     /// Whether this memory has been destroyed and not yet reconstructed.
@@ -115,13 +126,14 @@ impl NodeMemory {
         self.lost
     }
 
-    fn line_range(&self, local_line: u64) -> std::ops::Range<usize> {
-        let start = local_line as usize * LINE_SIZE;
+    /// The page holding `local_line` and the line's byte offset in it.
+    fn locate(&self, local_line: u64) -> (usize, usize) {
         assert!(
-            start + LINE_SIZE <= self.bytes.len(),
+            local_line < self.lines(),
             "line {local_line} outside node memory"
         );
-        start..start + LINE_SIZE
+        let line = local_line as usize;
+        (line / LINES_PER_PAGE, line % LINES_PER_PAGE * LINE_SIZE)
     }
 
     /// Reads one line.
@@ -135,13 +147,13 @@ impl NodeMemory {
             !self.lost,
             "read of destroyed memory (line {local_line}); reconstruct first"
         );
-        let r = self.line_range(local_line);
+        let (page, offset) = self.locate(local_line);
         let mut out = [0u8; LINE_SIZE];
-        out.copy_from_slice(&self.bytes[r]);
+        out.copy_from_slice(&self.pages[page][offset..offset + LINE_SIZE]);
         LineData(out)
     }
 
-    /// Writes one line.
+    /// Writes one line, copying its page first if the page is shared.
     ///
     /// # Panics
     ///
@@ -151,9 +163,9 @@ impl NodeMemory {
             !self.lost,
             "write to destroyed memory (line {local_line}); reconstruct first"
         );
-        let r = self.line_range(local_line);
-        self.bytes[r].copy_from_slice(&data.0);
-        self.written.insert(local_line / LINES_PER_PAGE as u64);
+        let (page, offset) = self.locate(local_line);
+        Arc::make_mut(&mut self.pages[page])[offset..offset + LINE_SIZE].copy_from_slice(&data.0);
+        self.written.insert(page as u64);
     }
 
     /// XORs `delta` into a line in place (the parity-home update
@@ -167,26 +179,28 @@ impl NodeMemory {
         self.write_line(local_line, cur ^ delta);
     }
 
-    /// Destroys the contents (node-loss injection): data becomes garbage
-    /// and all further access panics until [`NodeMemory::reconstruct_blank`]
-    /// resets it.
+    /// Destroys the contents (node-loss injection): every page becomes one
+    /// shared garbage page, and all further access panics until
+    /// [`NodeMemory::reconstruct_blank`] resets it.
     pub fn destroy(&mut self) {
-        self.bytes.fill(0xDE);
+        self.share_all(0xDE);
         self.lost = true;
-        self.mark_all_written();
     }
 
     /// Replaces the destroyed contents with a zeroed memory ready for
     /// reconstruction (recovery Phase 2 writes rebuilt pages into it).
     pub fn reconstruct_blank(&mut self) {
-        self.bytes.fill(0);
+        self.share_all(0);
         self.lost = false;
-        self.mark_all_written();
     }
 
-    fn mark_all_written(&mut self) {
-        for page in 0..self.pages() {
-            self.written.insert(page);
+    /// Points every page at one fresh page filled with `byte`, and flags
+    /// them all written.
+    fn share_all(&mut self, byte: u8) {
+        let page = Arc::new([byte; PAGE_SIZE]);
+        for (i, slot) in self.pages.iter_mut().enumerate() {
+            *slot = Arc::clone(&page);
+            self.written.insert(i as u64);
         }
     }
 
@@ -203,94 +217,32 @@ impl NodeMemory {
     ///
     /// Panics if the page is out of range or the memory is lost.
     pub fn page(&self, page: u64) -> &[u8] {
-        assert!(!self.lost, "read of destroyed memory (page {page})");
-        let start = page as usize * PAGE_SIZE;
-        &self.bytes[start..start + PAGE_SIZE]
+        &self.shared_page(page)[..]
     }
 
-    /// A copy-on-write shadow of the contents: the pages in `written` are
-    /// copied, every other page is shared with `base`. `written` must hold
-    /// every page written since `base` was equal to this memory, as
-    /// [`NodeMemory::take_written`] returns when called at that point.
+    /// The handle of page `page`, shared rather than copied: a later write
+    /// to this memory copies the page and leaves the handle unchanged.
     ///
     /// # Panics
     ///
-    /// Panics if the memory is lost or `base` has a different size.
-    pub fn shadow(&self, base: &MemShadow, written: &PageSet) -> MemShadow {
-        assert!(!self.lost, "shadow of destroyed memory");
-        assert_eq!(
-            base.pages.len() as u64,
-            self.pages(),
-            "shadow base size mismatch"
-        );
-        let pages = (0..self.pages())
-            .zip(&base.pages)
-            .map(|(page, shared)| match written.contains(page) {
-                true => Arc::from(self.page(page)),
-                false => Arc::clone(shared),
-            })
-            .collect();
-        MemShadow { pages }
+    /// Panics if the page is out of range or the memory is lost.
+    pub fn shared_page(&self, page: u64) -> &SharedPage {
+        assert!(!self.lost, "read of destroyed memory (page {page})");
+        &self.pages[page as usize]
     }
 
-    /// A full, flat copy of the contents. Validation takes copy-on-write
-    /// [`MemShadow`]s instead; this is the byte-for-byte reference they
-    /// are tested against.
+    /// A full, flat copy of the contents.
     ///
     /// # Panics
     ///
     /// Panics if the memory is lost.
     pub fn snapshot(&self) -> Vec<u8> {
         assert!(!self.lost, "snapshot of destroyed memory");
-        self.bytes.clone()
-    }
-
-    /// Restores contents from a snapshot taken with [`NodeMemory::snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot size does not match.
-    pub fn restore(&mut self, snapshot: &[u8]) {
-        assert_eq!(snapshot.len(), self.bytes.len(), "snapshot size mismatch");
-        self.bytes.copy_from_slice(snapshot);
-        self.lost = false;
-        self.mark_all_written();
-    }
-}
-
-/// An immutable, copy-on-write snapshot of a [`NodeMemory`]: one shared
-/// page handle per page. Taking the next shadow with
-/// [`NodeMemory::shadow`] copies only the pages written since and shares
-/// the rest, so shadows taken in sequence cost what changed between them.
-#[derive(Clone)]
-pub struct MemShadow {
-    /// `Arc` rather than `Rc` so the machine holding shadows stays `Send`.
-    pages: Vec<Arc<[u8]>>,
-}
-
-impl MemShadow {
-    /// The shadow of a fresh `NodeMemory::new(size_bytes)`: one zero page,
-    /// shared by every page.
-    pub fn zeroed(size_bytes: usize) -> MemShadow {
-        let zero: Arc<[u8]> = Arc::from(vec![0u8; PAGE_SIZE]);
-        MemShadow {
-            pages: vec![zero; size_bytes / PAGE_SIZE],
+        let mut bytes = Vec::with_capacity(self.size_bytes());
+        for page in &self.pages {
+            bytes.extend_from_slice(&page[..]);
         }
-    }
-
-    /// The bytes of page `page`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is out of range.
-    pub fn page(&self, page: u64) -> &[u8] {
-        &self.pages[page as usize]
-    }
-}
-
-impl std::fmt::Debug for MemShadow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MemShadow({} pages)", self.pages.len())
+        bytes
     }
 }
 
@@ -299,7 +251,7 @@ impl std::fmt::Debug for NodeMemory {
         write!(
             f,
             "NodeMemory({} KB{})",
-            self.bytes.len() / 1024,
+            self.size_bytes() / 1024,
             if self.lost { ", LOST" } else { "" }
         )
     }
@@ -326,16 +278,6 @@ mod tests {
         m.write_line(0, LineData::fill(0xF0));
         m.xor_line(0, LineData::fill(0x0F));
         assert_eq!(m.read_line(0), LineData::fill(0xFF));
-    }
-
-    #[test]
-    fn snapshot_restore() {
-        let mut m = NodeMemory::new(PAGE_SIZE);
-        m.write_line(3, LineData::fill(1));
-        let snap = m.snapshot();
-        m.write_line(3, LineData::fill(2));
-        m.restore(&snap);
-        assert_eq!(m.read_line(3), LineData::fill(1));
     }
 
     #[test]
@@ -381,64 +323,97 @@ mod tests {
         assert!(all(&mut m));
         m.reconstruct_blank();
         assert!(all(&mut m));
-        let snap = m.snapshot();
-        m.restore(&snap);
-        assert!(all(&mut m));
     }
 
-    /// Copy-on-write shadows taken after random mutation sequences equal a
-    /// flat snapshot byte for byte, and shadows taken earlier never change.
-    #[test]
-    fn copy_on_write_shadows_match_flat_snapshots() {
-        use revive_sim::rng::DetRng;
-        const PAGES: u64 = 6;
-        let flatten = |s: &MemShadow| -> Vec<u8> { s.pages.concat() };
-        for seed in 0..40 {
-            let mut rng = DetRng::seed(seed);
-            let mut m = NodeMemory::new(PAGES as usize * PAGE_SIZE);
-            let mut base = MemShadow::zeroed(m.size_bytes());
-            let mut taken: Vec<(MemShadow, Vec<u8>)> = Vec::new();
-            for _ in 0..12 {
-                for _ in 0..rng.range(0, 6) {
-                    let line = rng.range(0, m.lines());
-                    let value = LineData::from_seed(rng.next_u64());
-                    match rng.range(0, 10) {
-                        0 => {
-                            m.destroy();
-                            m.reconstruct_blank();
-                        }
-                        1 => match taken.get(rng.index(taken.len().max(1))) {
-                            Some((_, flat)) => m.restore(flat),
-                            None => m.restore(&vec![7; m.size_bytes()]),
-                        },
-                        2..=5 => m.xor_line(line, value),
-                        _ => m.write_line(line, value),
-                    }
+    /// One side of a clone and the flat model it must equal: `None` while
+    /// the side is destroyed.
+    struct Side {
+        mem: NodeMemory,
+        model: Option<Vec<u8>>,
+        touched: PageSet,
+    }
+
+    impl Side {
+        fn apply(&mut self, rng: &mut revive_sim::rng::DetRng) {
+            let line = rng.range(0, self.mem.lines());
+            let value = LineData::from_seed(rng.next_u64());
+            let at = line as usize * LINE_SIZE..(line as usize + 1) * LINE_SIZE;
+            let page = line / LINES_PER_PAGE as u64;
+            let all = 0..self.mem.pages();
+            let touched = match (&mut self.model, rng.range(0, 10)) {
+                (None, _) => {
+                    self.mem.reconstruct_blank();
+                    self.model = Some(vec![0; self.mem.size_bytes()]);
+                    all
                 }
-                let written = m.take_written();
-                let shadow = m.shadow(&base, &written);
-                assert_eq!(flatten(&shadow), m.snapshot(), "seed {seed}");
-                for (earlier, flat) in &taken {
-                    assert_eq!(&flatten(earlier), flat, "seed {seed}: a shadow changed");
+                (Some(_), 0) => {
+                    self.mem.destroy();
+                    self.model = None;
+                    all
                 }
-                taken.push((shadow.clone(), m.snapshot()));
-                base = shadow;
+                (Some(model), 1..=4) => {
+                    self.mem.xor_line(line, value);
+                    model[at].iter_mut().zip(value.0).for_each(|(b, v)| *b ^= v);
+                    page..page + 1
+                }
+                (Some(model), _) => {
+                    self.mem.write_line(line, value);
+                    model[at].copy_from_slice(&value.0);
+                    page..page + 1
+                }
+            };
+            touched.for_each(|p| self.touched.insert(p));
+        }
+
+        fn check(&self, seed: u64) {
+            assert_eq!(self.mem.is_lost(), self.model.is_none(), "seed {seed}");
+            if let Some(model) = &self.model {
+                assert!(self.mem.snapshot() == *model, "seed {seed}: contents");
             }
         }
     }
 
+    /// Random mutation sequences applied to either side of a `clone()`:
+    /// each side equals its own flat model, so no write shows through to
+    /// the other side, and a page neither side touched is still shared.
     #[test]
-    fn unwritten_pages_are_shared_not_copied() {
-        let mut m = NodeMemory::new(2 * PAGE_SIZE);
-        let written = m.take_written();
-        let first = m.shadow(&MemShadow::zeroed(m.size_bytes()), &written);
-        m.write_line(0, LineData::fill(3));
-        let written = m.take_written();
-        let second = m.shadow(&first, &written);
-        assert!(!Arc::ptr_eq(&first.pages[0], &second.pages[0]));
-        assert!(Arc::ptr_eq(&first.pages[1], &second.pages[1]));
-        assert_eq!(first.page(0), &[0u8; PAGE_SIZE][..]);
-        assert_eq!(&second.page(0)[..LINE_SIZE], &[3u8; LINE_SIZE][..]);
+    fn clones_are_isolated_and_share_untouched_pages() {
+        use revive_sim::rng::DetRng;
+        const PAGES: u64 = 6;
+        for seed in 0..40 {
+            let mut rng = DetRng::seed(seed);
+            let fresh = NodeMemory::new(PAGES as usize * PAGE_SIZE);
+            let mut left = Side {
+                model: Some(fresh.snapshot()),
+                mem: fresh,
+                touched: PageSet::empty(PAGES),
+            };
+            for _ in 0..8 {
+                let mut right = Side {
+                    mem: left.mem.clone(),
+                    model: left.model.clone(),
+                    touched: PageSet::empty(PAGES),
+                };
+                left.touched = PageSet::empty(PAGES);
+                for _ in 0..rng.range(0, 8) {
+                    match rng.chance(0.5) {
+                        true => left.apply(&mut rng),
+                        false => right.apply(&mut rng),
+                    }
+                }
+                left.check(seed);
+                right.check(seed);
+                for p in 0..PAGES {
+                    let untouched = !left.touched.contains(p) && !right.touched.contains(p);
+                    let shared =
+                        Arc::ptr_eq(&left.mem.pages[p as usize], &right.mem.pages[p as usize]);
+                    assert!(!untouched || shared, "seed {seed}: page {p} was copied");
+                }
+                if rng.chance(0.5) {
+                    left = right;
+                }
+            }
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub enum TraceEvent {
         /// Node whose log forced the trigger.
         node: u16,
     },
-    /// A scripted error was injected.
+    /// An armed fault struck (once per strike, commit edges included).
     Inject,
     /// A message was dropped because its path crossed a dead router or
     /// link (or an endpoint died with it in flight).

@@ -42,7 +42,7 @@ fn check_oracle(kind: SyntheticKind) {
     assert!(!expect.is_empty(), "workload issued no stores");
     let mut lost = Vec::new();
     for (&(vpage, line, q), &want) in &expect {
-        let page = image.pages.get(&vpage).expect("written page mapped");
+        let page = image.page(vpage).expect("written page mapped");
         let off = line * 64 + q * 8;
         let got = u64::from_le_bytes(page[off..off + 8].try_into().unwrap());
         if got != want {

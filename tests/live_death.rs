@@ -108,6 +108,23 @@ fn live_death_during_2pc_barrier_recovers_exactly() {
     assert!(result.audits.iter().all(|a| a.is_clean()), "dirty audit");
 }
 
+/// Every strike traces exactly one `inject` event, whether an event
+/// delivered it mid-interval or the commit edge it was armed on did.
+#[test]
+fn every_strike_traces_one_inject_event() {
+    let c = cfg();
+    let interval = c.revive.ckpt.interval;
+    for phase in [
+        InjectPhase::MidLogging,
+        InjectPhase::CommitEdge(CommitPoint::AfterMark),
+    ] {
+        let p = plan(ErrorKind::NodeLoss(NodeId(1).into()), phase, interval);
+        let result = Runner::new(c).unwrap().run_with_injections(&[p]).unwrap();
+        assert!(result.outcomes[0].recovered().is_some(), "{phase:?}");
+        assert_eq!(count(&result, "inject"), 1, "{phase:?}");
+    }
+}
+
 /// A severed link (both directions between one adjacent pair): no memory
 /// is damaged, sends reroute around the cut, watchdogs re-deliver the
 /// messages that died on it, and recovery is a pure rollback.
