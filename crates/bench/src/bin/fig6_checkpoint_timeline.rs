@@ -37,7 +37,10 @@ fn main() {
         opts,
     );
     println!("application: {}\n", app.name());
-    let job = fig_job(WorkloadSpec::Splash(app), FigConfig::Cp, opts);
+    let mut job = fig_job(WorkloadSpec::Splash(app), FigConfig::Cp, opts);
+    // Quick mode shrinks the interval with the budget, so its shorter run
+    // still commits checkpoints to show.
+    job.cfg.revive.ckpt.interval = opts.injection_interval();
     let r = Sweep::new("fig6_checkpoint_timeline", &args)
         .run_all(vec![job])
         .remove(0)

@@ -38,6 +38,8 @@
 
 use std::path::Path;
 
+use revive_harness::cli::exit_usage;
+use revive_harness::Args;
 use revive_machine::campaign::{self, CampaignConfig, Scenario};
 use revive_machine::{
     read_document, render_artifact, write_atomic, ErrorKind, ExperimentConfig, FaultOutcome,
@@ -48,8 +50,8 @@ use revive_sim::time::Ns;
 use revive_sim::types::NodeId;
 use revive_workloads::{AppId, SyntheticKind};
 
-#[derive(Debug)]
-struct Args {
+/// The parsed command line.
+struct Cli {
     workload: WorkloadSpec,
     mode: String,
     group: usize,
@@ -69,9 +71,9 @@ struct Args {
     trace_chrome: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: simulate [--app NAME|--synthetic NAME]\n\
+fn usage() -> String {
+    format!(
+        "simulate [--app NAME|--synthetic NAME]\n\
          \t[--mode parity|mirroring|mixed|double-parity|replication|off]\n\
          \t[--group N] [--replicas K] [--mirrored-frac F] [--interval-us N] [--ops N] [--nodes N]\n\
          \t[--seed N] [--inject node-loss:K|transient] [--inject-spec FILE]\n\
@@ -81,85 +83,79 @@ fn usage() -> ! {
          synthetics: {}",
         AppId::ALL.map(|a| a.name()).join(", "),
         SyntheticKind::ALL.map(|s| s.name()).join(", ")
-    );
-    std::process::exit(2)
+    )
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        workload: WorkloadSpec::Splash(AppId::Fft),
-        mode: "parity".into(),
-        group: 7,
-        replicas: 1,
-        mirrored_frac: 0.25,
-        interval_us: 2_000,
-        ops: 400_000,
-        nodes: None,
-        seed: 2002,
-        inject: None,
-        inject_spec: None,
-        inject_seed: None,
-        lbit_cache: None,
-        verbose: false,
-        json: None,
-        trace_jsonl: None,
-        trace_chrome: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = |it: &mut dyn Iterator<Item = String>| it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--app" => {
-                let name = value(&mut it);
-                let Some(app) = AppId::ALL.into_iter().find(|a| a.name() == name) else {
+/// Reads the command line through the shared parser; `--seed` is its
+/// shared flag, and the sweep flags (`--quick`, `--jobs`, `--no-cache`)
+/// have no effect on a single run.
+fn parse_args() -> Cli {
+    let args = Args::parse();
+    let usage = usage();
+    let f = args.flags(
+        &usage,
+        &[
+            "--app",
+            "--synthetic",
+            "--mode",
+            "--group",
+            "--replicas",
+            "--mirrored-frac",
+            "--interval-us",
+            "--ops",
+            "--nodes",
+            "--inject",
+            "--inject-spec",
+            "--inject-seed",
+            "--lbit-cache",
+            "--json",
+            "--trace-jsonl",
+            "--trace-chrome",
+        ],
+        &["--verbose"],
+    );
+    let workload = match (f.value::<String>("--app"), f.value::<String>("--synthetic")) {
+        (Some(_), Some(_)) => exit_usage(&usage),
+        (None, Some(name)) => match SyntheticKind::ALL.into_iter().find(|s| s.name() == name) {
+            Some(s) => WorkloadSpec::Synthetic(s),
+            None => {
+                eprintln!("unknown synthetic: {name}");
+                exit_usage(&usage)
+            }
+        },
+        (app, None) => {
+            let name = app.unwrap_or_else(|| AppId::Fft.name().to_string());
+            match AppId::ALL.into_iter().find(|a| a.name() == name) {
+                Some(app) => WorkloadSpec::Splash(app),
+                None => {
                     eprintln!("unknown app: {name}");
-                    usage()
-                };
-                args.workload = WorkloadSpec::Splash(app);
-            }
-            "--synthetic" => {
-                let name = value(&mut it);
-                let Some(s) = SyntheticKind::ALL.into_iter().find(|s| s.name() == name) else {
-                    eprintln!("unknown synthetic: {name}");
-                    usage()
-                };
-                args.workload = WorkloadSpec::Synthetic(s);
-            }
-            "--mode" => args.mode = value(&mut it),
-            "--group" => args.group = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--replicas" => args.replicas = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--mirrored-frac" => {
-                args.mirrored_frac = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
-            "--interval-us" => {
-                args.interval_us = value(&mut it).parse().unwrap_or_else(|_| usage())
-            }
-            "--ops" => args.ops = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--nodes" => args.nodes = Some(value(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--seed" => args.seed = value(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--inject" => args.inject = Some(value(&mut it)),
-            "--inject-spec" => args.inject_spec = Some(value(&mut it)),
-            "--inject-seed" => {
-                args.inject_seed = Some(value(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
-            "--lbit-cache" => {
-                args.lbit_cache = Some(value(&mut it).parse().unwrap_or_else(|_| usage()))
-            }
-            "--verbose" => args.verbose = true,
-            "--json" => args.json = Some(value(&mut it)),
-            "--trace-jsonl" => args.trace_jsonl = Some(value(&mut it)),
-            "--trace-chrome" => args.trace_chrome = Some(value(&mut it)),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage()
+                    exit_usage(&usage)
+                }
             }
         }
+    };
+    Cli {
+        workload,
+        mode: f.value("--mode").unwrap_or_else(|| "parity".into()),
+        group: f.value("--group").unwrap_or(7),
+        replicas: f.value("--replicas").unwrap_or(1),
+        mirrored_frac: f.value("--mirrored-frac").unwrap_or(0.25),
+        interval_us: f.value("--interval-us").unwrap_or(2_000),
+        ops: f.value("--ops").unwrap_or(400_000),
+        nodes: f.value("--nodes"),
+        seed: args.seed.unwrap_or(2002),
+        inject: f.value("--inject"),
+        inject_spec: f.value("--inject-spec"),
+        inject_seed: f.value("--inject-seed"),
+        lbit_cache: f.value("--lbit-cache"),
+        verbose: f.switch("--verbose"),
+        json: f.value("--json"),
+        trace_jsonl: f.value("--trace-jsonl"),
+        trace_chrome: f.value("--trace-chrome"),
     }
-    args
 }
 
-fn load_scenario(a: &Args) -> Option<Scenario> {
+fn load_scenario(a: &Cli) -> Option<Scenario> {
     if let Some(path) = a.inject_spec.as_deref() {
         return Some(read_document(Path::new(path)).unwrap_or_else(|e| {
             eprintln!("bad inject spec {path}: {e}");
@@ -200,7 +196,7 @@ fn main() {
             },
             other => {
                 eprintln!("unknown mode: {other}");
-                usage()
+                exit_usage(&usage())
             }
         };
         revive.lbit_dir_cache = a.lbit_cache;
@@ -218,10 +214,11 @@ fn main() {
                 let kind = if spec == "transient" {
                     ErrorKind::CacheWipe
                 } else if let Some(node) = spec.strip_prefix("node-loss:") {
-                    ErrorKind::NodeLoss(NodeId(node.parse().unwrap_or_else(|_| usage())).into())
+                    let node = node.parse().unwrap_or_else(|_| exit_usage(&usage()));
+                    ErrorKind::NodeLoss(NodeId(node).into())
                 } else {
                     eprintln!("unknown injection: {spec}");
-                    usage()
+                    exit_usage(&usage())
                 };
                 vec![InjectionPlan {
                     kind,

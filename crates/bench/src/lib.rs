@@ -50,7 +50,8 @@ impl Opts {
         }
     }
 
-    /// The checkpoint interval for injection experiments. Quick mode
+    /// The checkpoint interval for runs that must commit checkpoints
+    /// within their budget (injection experiments, Figure 6). Quick mode
     /// shrinks the interval with the op budget (both are 4× smaller), so a
     /// scripted error waiting for checkpoint 2 still fires before the
     /// reduced budget runs out.

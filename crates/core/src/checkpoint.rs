@@ -8,8 +8,8 @@
 //! bits are gang-cleared.
 //!
 //! The flushing itself runs through the coherence protocol in
-//! `revive-machine`; this module holds the configuration, the phase state
-//! machine, and the Figure-6 timeline record.
+//! `revive-machine`; this module holds the configuration and the Figure-6
+//! timeline record.
 
 use revive_sim::time::Ns;
 
@@ -47,27 +47,6 @@ impl Default for CheckpointConfig {
             early_trigger_utilization: 0.75,
         }
     }
-}
-
-/// The phases of one checkpoint establishment, in order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CkptPhase {
-    /// Normal execution.
-    Idle,
-    /// Interrupt delivered; processors saving contexts.
-    Interrupting,
-    /// Dirty cached data being written back to memory.
-    Flushing,
-    /// Waiting for every processor's outstanding operations to drain.
-    Draining,
-    /// First commit barrier.
-    Barrier1,
-    /// Each processor marks the checkpoint established in its local log.
-    Marking,
-    /// Second commit barrier.
-    Barrier2,
-    /// Log reclamation + L-bit gang clear; then back to Idle.
-    Reclaiming,
 }
 
 /// Timestamps of one checkpoint establishment (Figure 6's time-line).

@@ -54,7 +54,7 @@ pub mod redundancy;
 pub mod validate;
 
 pub use availability::{monte_carlo_availability, nines, AvailabilityModel, OutcomeTally};
-pub use checkpoint::{CheckpointConfig, CkptPhase, CkptStats, CkptTimeline};
+pub use checkpoint::{CheckpointConfig, CkptStats, CkptTimeline};
 pub use dirext::{CostStats, OutMsg, ReviveHook};
 pub use lbits::LBits;
 pub use log::{MemLog, ReplayEntry};

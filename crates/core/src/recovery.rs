@@ -14,8 +14,9 @@
 //!    are rebuilt on demand first. Caches and directories are reset by the
 //!    machine around this call. After this phase the machine is *available*
 //!    again.
-//! 4. **Background rebuild** — remaining lost pages and stale redundancy
-//!    groups are reconstructed while the application runs degraded.
+//! 4. **Background rebuild** — every lost page not rebuilt yet (among
+//!    them the redundancy pages replay could not maintain) is
+//!    reconstructed while the application runs degraded.
 //!
 //! The engine operates on the *functional* memory images, so tests can
 //! verify value-exact restoration; phase timings come from an explicit
@@ -237,6 +238,30 @@ fn write_global(mems: &mut [NodeMemory], map: &AddressMap, line: LineAddr, data:
     mems[map.home_of_line(line).index()].write_line(map.local_line_index(line), data);
 }
 
+/// Writes `new` to `line` and folds the write into its redundancy lines,
+/// exactly as the hardware's protected write does: every expanded update
+/// lands by value or by delta as [`StripeCode::apply_update`] says, except
+/// on the redundancy lines whose page `skip` names.
+pub fn protected_write(
+    mems: &mut [NodeMemory],
+    rdx: &Redundancy,
+    line: LineAddr,
+    new: LineData,
+    skip: impl Fn(PageAddr) -> bool,
+) {
+    let map = *rdx.address_map();
+    let old = read_global(mems, &map, line);
+    write_global(mems, &map, line, new);
+    let stores = rdx.stores_values(line.page());
+    let payload = StripeCode::apply_update(stores, old, new);
+    for (rline, rpayload) in rdx.expand_update(line, payload) {
+        if !skip(rline.page()) {
+            let landed = StripeCode::apply_update(stores, read_global(mems, &map, rline), rpayload);
+            write_global(mems, &map, rline, landed);
+        }
+    }
+}
+
 /// Reconstructs `page` (data or redundancy) from the surviving members of
 /// its group, writing the result into its home memory. Member pages that
 /// belong to a lost node and have not been rebuilt yet are reported to the
@@ -313,9 +338,6 @@ pub fn recover(
         ..RecoveryReport::default()
     };
     let mut rebuilt: HashSet<PageAddr> = HashSet::new();
-    // Redundancy pages that could not be maintained during replay (they
-    // were lost) and must be recomputed in Phase 4.
-    let mut stale_redundancy: HashSet<PageAddr> = HashSet::new();
 
     // ---- Phase 2: reconstruct the lost nodes' log pages. All lost
     // memories go blank first, so within the budget the backend always
@@ -359,23 +381,12 @@ pub fn recover(
                 report.pages_rebuilt_on_demand += 1;
                 node_time += timing.page_rebuild;
             }
-            let old = read_global(memories, &map, e.line);
-            write_global(memories, &map, e.line, e.data);
             // Maintain the redundancy across the restore write, exactly as
-            // the hardware would; skip (and mark stale) any redundancy page
-            // that died with a lost node.
-            let stores = redundancy.stores_values(page);
-            let payload = StripeCode::apply_update(stores, old, e.data);
-            for (rline, rpayload) in redundancy.expand_update(e.line, payload) {
-                let rpage = rline.page();
-                if lost.contains(&map.home_of_page(rpage)) && !rebuilt.contains(&rpage) {
-                    stale_redundancy.insert(rpage);
-                } else {
-                    let cur = read_global(memories, &map, rline);
-                    let new = StripeCode::apply_update(stores, cur, rpayload);
-                    write_global(memories, &map, rline, new);
-                }
-            }
+            // the hardware would, except on redundancy pages that died with
+            // a lost node: Phase 4 rebuilds those whole.
+            protected_write(memories, redundancy, e.line, e.data, |rpage| {
+                lost.contains(&map.home_of_page(rpage)) && !rebuilt.contains(&rpage)
+            });
             report.entries_replayed += 1;
             node_time += timing.entry_replay;
         }
@@ -391,13 +402,8 @@ pub fn recover(
             }
             rebuild_page(memories, redundancy, page, lost, &rebuilt);
             rebuilt.insert(page);
-            stale_redundancy.remove(&page);
             report.pages_rebuilt_background += 1;
         }
-    }
-    for rpage in stale_redundancy {
-        rebuild_page(memories, redundancy, rpage, lost, &rebuilt);
-        report.pages_rebuilt_background += 1;
     }
     let bg_workers = (timing.workers / 2).max(1) as u64;
     report.phase4 = timing.page_rebuild * report.pages_rebuilt_background.div_ceil(bg_workers);
@@ -507,14 +513,6 @@ mod tests {
             }
         }
 
-        /// Applies the redundancy updates of a write of `old` → `new` at
-        /// `line`.
-        fn apply_updates(&mut self, line: LineAddr, old: LineData, new: LineData) {
-            let stores = self.rdx.stores_values(line.page());
-            let payload = StripeCode::apply_update(stores, old, new);
-            self.land(line, payload, stores);
-        }
-
         /// Simulates the hardware write path: log the old value, write the
         /// new one, update the redundancy of both the data and log lines.
         fn logged_write(&mut self, interval: u64, line: LineAddr, new: LineData) {
@@ -537,8 +535,7 @@ mod tests {
                 self.land(slot, payload, log_stores);
             }
             // Write data + its redundancy.
-            write_global(&mut self.memories, &map, line, new);
-            self.apply_updates(line, old, new);
+            protected_write(&mut self.memories, &self.rdx, line, new, |_| false);
         }
 
         fn check_all_parity(&self) {
@@ -562,6 +559,15 @@ mod tests {
 
         fn timing(&self) -> RecoveryTiming {
             RecoveryTiming::derive(3, 3)
+        }
+
+        /// Recovery rebuilds every page of every lost node exactly once,
+        /// across Phases 2–4.
+        fn assert_rebuilt_once(&self, report: &RecoveryReport, lost: usize) {
+            let rebuilt = report.log_pages_rebuilt
+                + report.pages_rebuilt_on_demand
+                + report.pages_rebuilt_background;
+            assert_eq!(rebuilt, lost as u64 * self.map().pages_per_node());
         }
     }
 
@@ -651,6 +657,7 @@ mod tests {
         .unwrap();
         assert!(report.log_pages_rebuilt > 0);
         assert_eq!(report.entries_replayed, 4);
+        w.assert_rebuilt_once(&report, 1);
         assert!(report.unavailable() > report.phase1);
         let map = w.map();
         // Every node, including the lost one, is back at the checkpoint.
@@ -690,7 +697,7 @@ mod tests {
         w.logged_write(0, line, LineData::fill(0xAA));
         w.logged_write(1, line, LineData::fill(0xBB));
         w.memories[pnode.index()].destroy();
-        recover(
+        let report = recover(
             RecoveryInput {
                 memories: &mut w.memories,
                 logs: &w.logs.iter().collect::<Vec<_>>(),
@@ -701,6 +708,7 @@ mod tests {
             &RecoveryTiming::derive(3, 3),
         )
         .unwrap();
+        w.assert_rebuilt_once(&report, 1);
         assert_eq!(read_global(&w.memories, &map, line), LineData::fill(0xAA));
         w.check_all_parity();
     }
@@ -734,6 +742,7 @@ mod tests {
         )
         .unwrap();
         assert!(report.log_pages_rebuilt >= 2, "both logs rebuilt");
+        w.assert_rebuilt_once(&report, 2);
         let map = w.map();
         for (i, &l) in lines.iter().enumerate() {
             assert_eq!(
@@ -845,6 +854,7 @@ mod tests {
         .unwrap();
         assert!(report.log_pages_rebuilt >= 2, "both lost logs rebuilt");
         assert_eq!(report.entries_replayed, 4);
+        w.assert_rebuilt_once(&report, 2);
         let map = w.map();
         for (i, &l) in lines.iter().enumerate() {
             assert_eq!(
@@ -912,6 +922,7 @@ mod tests {
         .unwrap();
         assert!(report.log_pages_rebuilt >= 2);
         assert_eq!(report.entries_replayed, 9);
+        w.assert_rebuilt_once(&report, 2);
         let map = w.map();
         for (i, &l) in lines.iter().enumerate() {
             assert_eq!(

@@ -963,14 +963,19 @@ mod tests {
         fn read(&self, l: LineAddr) -> LineData {
             self.0.get(&l).copied().unwrap_or(LineData::ZERO)
         }
-        /// A protected write through the code: applies the data write and
-        /// every expanded redundancy update.
+        /// A protected write through `code`: the data write plus every
+        /// expanded redundancy update, each applied by overwrite or XOR
+        /// (spelled out here rather than through `apply_update`).
         fn protected_write(&mut self, code: &StripeCode, line: LineAddr, new: LineData) {
             let stores = code.stores_values(line.page());
-            let payload = StripeCode::apply_update(stores, self.read(line), new);
+            let payload = if stores { new } else { self.read(line) ^ new };
             self.0.insert(line, new);
             for (rline, rpayload) in code.expand_update(line, payload) {
-                let v = StripeCode::apply_update(stores, self.read(rline), rpayload);
+                let v = if stores {
+                    rpayload
+                } else {
+                    self.read(rline) ^ rpayload
+                };
                 self.0.insert(rline, v);
             }
         }
@@ -1308,23 +1313,6 @@ mod tests {
         ]
     }
 
-    /// A protected write through `rdx`: the data write plus every expanded
-    /// redundancy update, each applied by overwrite or XOR.
-    fn pinned_write(mem: &mut Mem, rdx: &Redundancy, line: LineAddr, new: LineData) {
-        let old = mem.read(line);
-        let stores = rdx.stores_values(line.page());
-        let payload = if stores { new } else { old ^ new };
-        mem.0.insert(line, new);
-        for (rline, rpayload) in rdx.expand_update(line, payload) {
-            let v = if stores {
-                rpayload
-            } else {
-                mem.read(rline) ^ rpayload
-            };
-            mem.0.insert(rline, v);
-        }
-    }
-
     #[test]
     fn every_layout_survives_every_loss_within_budget() {
         for (rdx, scheme) in pinned_layouts() {
@@ -1358,7 +1346,7 @@ mod tests {
                         );
                         for _ in 0..2 {
                             writes = writes.wrapping_add(1);
-                            pinned_write(&mut mem, &rdx, line, LineData::fill(writes));
+                            mem.protected_write(&rdx, line, LineData::fill(writes));
                             assert_eq!(
                                 rdx.check_group(page, &mut |l| mem.read(l)),
                                 None,

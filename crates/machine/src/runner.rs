@@ -1,18 +1,10 @@
 //! Experiment drivers: plain runs, error injection, recovery, verification.
 
-use std::collections::HashSet;
-
 use revive_core::checkpoint::CkptStats;
-use revive_core::recovery::{
-    recover, RecoveryError, RecoveryInput, RecoveryReport, RecoveryTiming,
-};
-use revive_core::redundancy::StripeCode;
-use revive_core::validate::{audit_redundancy, LogDivergence, MemoryImage, ParityAudit};
-use revive_mem::addr::{LineAddr, PageAddr, LINE_SIZE};
-use revive_mem::line::LineData;
-use revive_mem::main_memory::NodeMemory;
+use revive_core::recovery::{RecoveryError, RecoveryReport};
+use revive_core::validate::MemoryImage;
 use revive_sim::time::Ns;
-use revive_sim::trace::{Span, TraceBuffer, TraceEvent};
+use revive_sim::trace::{Span, TraceBuffer};
 use revive_sim::types::NodeId;
 
 use revive_net::topology::Torus;
@@ -772,7 +764,7 @@ impl Runner {
                 }
             }
         }
-        let mut outcome = self.recover_machine(target, &lost, committed, at)?;
+        let mut outcome = self.sys.recover(target, &lost, committed, at)?;
         if double {
             // Charge the abandoned first attempt's diagnosis time: the
             // machine was already in Phase 1/2 when the second fault
@@ -785,7 +777,7 @@ impl Runner {
             // already scrubbed — for a node loss it is pure parity
             // reconstruction, for the others an idempotence check.
             let lost2 = self.apply_damage(&plan.kind, target);
-            let second = self.recover_machine(target, &lost2, committed, at)?;
+            let second = self.sys.recover(target, &lost2, committed, at)?;
             outcome = RecoveryOutcome {
                 report: second.report,
                 lost_work: outcome.lost_work,
@@ -861,7 +853,7 @@ impl Runner {
             ErrorKind::NodeLoss(ref s) | ErrorKind::LiveNodeLoss(ref s) => {
                 let nodes = s.nodes();
                 for &n in &nodes {
-                    self.sys.nodes[n.index()].mem.destroy();
+                    self.sys.mems[n.index()].destroy();
                 }
                 nodes
             }
@@ -877,196 +869,6 @@ impl Runner {
                 Vec::new()
             }
         }
-    }
-
-    fn recover_machine(
-        &mut self,
-        target: u64,
-        lost: &[NodeId],
-        commit_of_target: Ns,
-        t_detect: Ns,
-    ) -> Result<RecoveryOutcome, RecoveryError> {
-        let sys = &mut self.sys;
-        let redundancy = sys.redundancy.expect("revive is on");
-        // Rolling back to `target` replays the logs of every interval after
-        // it; commits during the detection window (periodic, or forced early
-        // by log pressure — easy under value-logging backends) reclaim old
-        // logs, so a target older than `counter - retained` has lost the
-        // records the rollback needs. Refuse before touching any memory.
-        let oldest = sys
-            .ckpt_counter
-            .saturating_sub(sys.cfg.revive.ckpt.retained);
-        if target < oldest {
-            return Err(RecoveryError::TargetReclaimed { target, oldest });
-        }
-        let workers = sys.nodes.len().saturating_sub(lost.len());
-        let timing = RecoveryTiming::derive(redundancy.rebuild_fanin(), workers.max(1));
-
-        // In-flight parity updates on healthy paths complete before the
-        // reset (see `System::drain_parity_inflight`); then Phase 1 resets
-        // caches, directories, and the remaining in-flight traffic.
-        sys.drain_parity_inflight(lost);
-        sys.reset_coherence();
-
-        // Extract the memories for the recovery engine.
-        let mut memories: Vec<NodeMemory> = sys.take_memories();
-        let logs: Vec<&revive_core::log::MemLog> = sys
-            .nodes
-            .iter()
-            .map(|n| &n.hook.as_ref().expect("revive on").log)
-            .collect();
-        let recovered = recover(
-            RecoveryInput {
-                memories: &mut memories,
-                logs: &logs,
-                redundancy: &redundancy,
-                target_interval: target,
-                lost,
-            },
-            &timing,
-        );
-        drop(logs);
-        // Put the memories back even when recovery refused to run, so the
-        // halted machine stays structurally sound for post-mortem queries.
-        sys.put_memories(memories);
-        let report = recovered?;
-
-        // Round-trip every log against its software shadow while the
-        // records are still in memory: the hardware scan and the replay
-        // stream must match the shadow record-for-record. Skipped for the
-        // lost node — its log was just reconstructed from parity, which by
-        // design lacks any record whose parity update was still in flight
-        // (log-before-data makes those records unnecessary: their data
-        // updates are equally absent from the reconstruction).
-        self.audit_logs_against_shadows(target, lost);
-
-        // The replayed log space belongs to discarded intervals: scrub it
-        // (keeping parity consistent) and restart the hooks at the
-        // recovered interval.
-        self.sys.scrub_logs_after_rollback(target);
-        self.sys
-            .audit_parity(format!("after recovery to checkpoint {target}"), None);
-
-        // Rewind the CPUs to the recovered checkpoint so the discarded work
-        // is re-executed — without this the resumed computation would run
-        // against rolled-back memory it never wrote, and the final state
-        // could not match a clean run.
-        let ops_rolled_back = self.sys.rollback_execution(target);
-
-        let verified = self.verify_against_shadow(target);
-        let lost_work = t_detect.saturating_sub(commit_of_target);
-        if self.sys.tracer.is_enabled() {
-            for (i, (name, start, end)) in report.phases(t_detect).into_iter().enumerate() {
-                self.sys.tracer.record(
-                    end,
-                    TraceEvent::RecoveryPhase {
-                        phase: (i + 1) as u8,
-                        duration: end.saturating_sub(start),
-                    },
-                );
-                self.sys.spans.push(Span {
-                    name: format!("recovery/{name}"),
-                    cat: "recovery",
-                    start,
-                    end,
-                    track: 0,
-                });
-            }
-        }
-        Ok(RecoveryOutcome {
-            report,
-            lost_work,
-            unavailable: lost_work + report.unavailable(),
-            target_interval: target,
-            verified,
-            ops_rolled_back,
-        })
-    }
-
-    /// Validation mode: scan each node's log from memory and replay it to
-    /// `target`, comparing both streams against the software shadow log.
-    /// Divergences are recorded as an [`AuditReport`].
-    fn audit_logs_against_shadows(&mut self, target: u64, lost: &[NodeId]) {
-        if !self.sys.cfg.shadow_checkpoints {
-            return;
-        }
-        let map = self.sys.map;
-        let mut divergences: Vec<(NodeId, LogDivergence)> = Vec::new();
-        for n in 0..self.sys.nodes.len() {
-            let node_id = NodeId::from(n);
-            if lost.contains(&node_id) {
-                continue;
-            }
-            let node = &self.sys.nodes[n];
-            let Some(h) = node.hook.as_ref() else {
-                continue;
-            };
-            let Some(shadow) = h.shadow.as_ref() else {
-                continue;
-            };
-            let mem = &node.mem;
-            let read = |l| mem.read_line(map.local_line_index(l));
-            let scanned = h.log.scan(read);
-            for d in shadow.verify_scan(&scanned) {
-                divergences.push((node_id, d));
-            }
-            let entries = h.log.rollback_entries(target, read);
-            for d in shadow.verify_rollback(target, &entries) {
-                divergences.push((node_id, d));
-            }
-        }
-        self.sys.audits.push(AuditReport {
-            context: format!("log round-trip before rollback to checkpoint {target}"),
-            parity: ParityAudit::default(),
-            log_divergences: divergences,
-        });
-    }
-
-    /// Compares every application page, page by page, against the clone
-    /// of its node's memory taken at the recovered checkpoint's commit, and
-    /// checks the global parity invariant.
-    fn verify_against_shadow(&self, target: u64) -> Option<bool> {
-        let sys = &self.sys;
-        let Some(memories) = sys.checkpoint_memories(target) else {
-            if sys.cfg.shadow_checkpoints {
-                eprintln!("verify: no shadow for target {target}");
-            }
-            return None;
-        };
-        let map = sys.map;
-        for &page in sys.page_table.allocated_pages() {
-            let node = map.home_of_page(page).index();
-            let local = map.local_page_index(page);
-            let got = sys.nodes[node].mem.page(local);
-            let want = memories[node].page(local);
-            if got != want {
-                let offset = got
-                    .chunks_exact(LINE_SIZE)
-                    .zip(want.chunks_exact(LINE_SIZE))
-                    .position(|(g, w)| g != w)
-                    .expect("the pages differ");
-                let line = |bytes: &[u8]| -> LineData {
-                    let bytes = &bytes[offset * LINE_SIZE..][..LINE_SIZE];
-                    <[u8; LINE_SIZE]>::try_from(bytes).expect("one line").into()
-                };
-                eprintln!(
-                    "verify: mismatch at {} (page {page}, node {node}): got {:?} want {:?}",
-                    LineAddr(page.first_line().0 + offset as u64),
-                    line(got),
-                    line(want)
-                );
-                return Some(false);
-            }
-        }
-        // The redundancy invariant must hold for every group after Phase 4.
-        if let Some(rdx) = sys.redundancy.as_ref() {
-            let audit = audit_redundancy(rdx, |l| sys.read_home(l));
-            if let Some(v) = audit.violations.first() {
-                eprintln!("verify: redundancy {v}");
-                return Some(false);
-            }
-        }
-        Some(true)
     }
 
     fn collect(&mut self, outcomes: Vec<FaultOutcome>) -> RunResult {
@@ -1130,91 +932,6 @@ impl Runner {
             fabric: sys.fabric.stats(),
             serving,
         }
-    }
-}
-
-// Machine-reset plumbing the runner needs; kept on System so field access
-// stays within the crate.
-impl System {
-    /// Wipes caches, resets directories, drops in-flight messages, and
-    /// clears per-CPU transaction state (rollback Phase 1/3 side effects).
-    pub(crate) fn reset_coherence(&mut self) {
-        for node in &mut self.nodes {
-            node.ctrl.wipe();
-            node.dir.reset();
-            if let Some(h) = node.hook.as_mut() {
-                h.set_enabled(false);
-            }
-        }
-        self.clear_inflight();
-    }
-
-    pub(crate) fn clear_inflight(&mut self) {
-        self.queue_clear();
-        for c in 0..self.cpus.len() {
-            self.reset_cpu_transactions(c);
-        }
-    }
-
-    /// Zeroes the log regions (their records belong to discarded
-    /// intervals), fixing their redundancy along the way, then restarts
-    /// hooks and execution state for the recovered interval.
-    pub(crate) fn scrub_logs_after_rollback(&mut self, target: u64) {
-        let map = self.map;
-        let rdx = self.redundancy.expect("revive on");
-        let log_lines: Vec<revive_mem::addr::LineAddr> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.log_pages.iter().flat_map(|p| p.lines()))
-            .collect();
-        for line in log_lines {
-            let home = map.home_of_line(line).index();
-            let local = map.local_line_index(line);
-            let old = self.nodes[home].mem.read_line(local);
-            if old == LineData::ZERO {
-                continue;
-            }
-            self.nodes[home].mem.write_line(local, LineData::ZERO);
-            let stores = rdx.stores_values(line.page());
-            let payload = StripeCode::apply_update(stores, old, LineData::ZERO);
-            for (rline, rpayload) in rdx.expand_update(line, payload) {
-                let mem = &mut self.nodes[map.home_of_line(rline).index()].mem;
-                let rlocal = map.local_line_index(rline);
-                mem.write_line(
-                    rlocal,
-                    StripeCode::apply_update(stores, mem.read_line(rlocal), rpayload),
-                );
-            }
-        }
-        for node in &mut self.nodes {
-            if let Some(h) = node.hook.as_mut() {
-                h.reset_log();
-                h.begin_interval(target, target);
-                h.set_enabled(true);
-            }
-        }
-        self.ckpt_counter = target;
-    }
-
-    pub(crate) fn take_memories(&mut self) -> Vec<NodeMemory> {
-        self.nodes
-            .iter_mut()
-            .map(|n| std::mem::replace(&mut n.mem, NodeMemory::new(4096)))
-            .collect()
-    }
-
-    pub(crate) fn put_memories(&mut self, memories: Vec<NodeMemory>) {
-        for (node, mem) in self.nodes.iter_mut().zip(memories) {
-            node.mem = mem;
-        }
-    }
-
-    /// Pages reserved for logs, machine-wide (reporting).
-    pub fn log_pages(&self) -> HashSet<PageAddr> {
-        self.nodes
-            .iter()
-            .flat_map(|n| n.log_pages.iter().copied())
-            .collect()
     }
 }
 

@@ -29,9 +29,11 @@ use revive_core::dirext::{OutMsg, ReviveHook};
 use revive_core::lbits::LBits;
 use revive_core::log::MemLog;
 use revive_core::parity::{ParityAck, ParityUpdate};
-use revive_core::recovery::RecoveryError;
+use revive_core::recovery::{self, RecoveryError, RecoveryInput, RecoveryTiming};
 use revive_core::redundancy::{Redundancy, StripeCode};
-use revive_core::validate::{audit_redundancy, IncrementalAudit, MemoryImage};
+use revive_core::validate::{
+    audit_redundancy, IncrementalAudit, LogDivergence, MemoryImage, ParityAudit,
+};
 use revive_mem::addr::{AddressMap, LineAddr, PageAddr, LINES_PER_PAGE, LINE_SIZE};
 use revive_mem::dram::{Dram, DramOp};
 use revive_mem::line::LineData;
@@ -49,7 +51,7 @@ use crate::config::{ExperimentConfig, MachineError, ReviveMode, WorkloadSpec};
 use crate::differential::AuditReport;
 use crate::metrics::{Metrics, ServingReport, TrafficClass};
 use crate::page_table::PageTable;
-use crate::runner::CommitPoint;
+use crate::runner::{CommitPoint, RecoveryOutcome};
 use crate::sampling::{IntervalSampler, SampleInput};
 use crate::serving::ServingTracker;
 
@@ -70,7 +72,6 @@ pub(crate) struct Node {
     pub(crate) ctrl: CacheCtrl,
     pub(crate) dir: DirCtrl,
     pub(crate) hook: Option<ReviveHook>,
-    pub(crate) mem: NodeMemory,
     pub(crate) dram: Dram,
     dir_pipe: Resource,
     pub(crate) log_pages: FastHashSet<PageAddr>,
@@ -394,6 +395,8 @@ pub struct System {
     pub(crate) map: AddressMap,
     pub(crate) redundancy: Option<Redundancy>,
     pub(crate) nodes: Vec<Node>,
+    /// Every node's functional memory, indexed like `nodes`.
+    pub(crate) mems: Vec<NodeMemory>,
     pub(crate) cpus: Vec<Cpu>,
     pub(crate) fabric: Fabric,
     queue: EventQueue<Ev>,
@@ -536,7 +539,6 @@ impl System {
                     ctrl: CacheCtrl::new(n, m.l1, m.l2, m.mshrs),
                     dir: DirCtrl::new(),
                     hook,
-                    mem: NodeMemory::new(m.mem_per_node as usize),
                     dram: Dram::new(m.dram),
                     dir_pipe: Resource::new(),
                     log_pages: log_page_sets[n.index()].clone(),
@@ -594,6 +596,9 @@ impl System {
             map,
             redundancy,
             nodes: node_states,
+            mems: (0..nodes)
+                .map(|_| NodeMemory::new(m.mem_per_node as usize))
+                .collect(),
             cpus: (0..nodes).map(|_| Cpu::new()).collect(),
             fabric: Fabric::new(Torus::new(side, side), m.fabric),
             queue,
@@ -1519,13 +1524,12 @@ impl System {
                 ctrl: _,
                 dir,
                 hook,
-                mem,
                 dram,
                 dir_pipe: _,
                 log_pages,
             } = &mut self.nodes[n];
             let mut port = NodePort {
-                mem,
+                mem: &mut self.mems[n],
                 dram,
                 map: self.map,
                 redundancy: self.redundancy,
@@ -1596,7 +1600,7 @@ impl System {
     ) {
         let n = dst.index();
         let mut cursor = t;
-        for (pline, delta) in &update.deltas {
+        for (pline, _) in &update.deltas {
             debug_assert_eq!(self.map.home_of_line(*pline), dst);
             let local = self.map.local_line_index(*pline);
             // A value overwrites (one DRAM write); a delta is a
@@ -1607,12 +1611,8 @@ impl System {
             }
             cursor = self.nodes[n].dram.access(cursor, local, DramOp::Write);
             self.metrics.mem(TrafficClass::Par);
-            let mem = &mut self.nodes[n].mem;
-            mem.write_line(
-                local,
-                StripeCode::apply_update(mirror, mem.read_line(local), *delta),
-            );
         }
+        land(&mut self.mems[n], &self.map, &update, mirror);
         if let Some(line) = update.ack_to_line {
             self.send(
                 cursor,
@@ -1803,14 +1803,13 @@ impl System {
         for n in 0..self.nodes.len() {
             let Node {
                 hook,
-                mem,
                 dram,
                 log_pages,
                 ..
             } = &mut self.nodes[n];
             let Some(h) = hook.as_mut() else { continue };
             let mut port = NodePort {
-                mem,
+                mem: &mut self.mems[n],
                 dram,
                 map: self.map,
                 redundancy: self.redundancy,
@@ -1889,11 +1888,7 @@ impl System {
         // Validation mode costs what changed: the pages written since the
         // last commit are the only ones whose groups the audit re-reads.
         let written: Vec<PageSet> = match self.cfg.shadow_checkpoints {
-            true => self
-                .nodes
-                .iter_mut()
-                .map(|n| n.mem.take_written())
-                .collect(),
+            true => self.mems.iter_mut().map(NodeMemory::take_written).collect(),
             false => Vec::new(),
         };
         self.capture_exec_snapshot(new_id);
@@ -1937,10 +1932,7 @@ impl System {
     /// Records the execution state at `interval`'s commit; in validation
     /// mode also a copy-on-write clone of every node's memory.
     fn capture_exec_snapshot(&mut self, interval: u64) {
-        let memories = self
-            .cfg
-            .shadow_checkpoints
-            .then(|| self.nodes.iter().map(|n| n.mem.clone()).collect());
+        let memories = self.cfg.shadow_checkpoints.then(|| self.mems.clone());
         self.exec_snaps.push_back(ExecSnapshot {
             memories,
             interval,
@@ -2031,20 +2023,9 @@ impl System {
         rolled
     }
 
-    /// The memory clones captured at `target`'s commit (validation mode).
-    pub(crate) fn checkpoint_memories(&self, target: u64) -> Option<&[NodeMemory]> {
-        self.exec_snaps
-            .iter()
-            .find(|s| s.interval == target)?
-            .memories
-            .as_deref()
-    }
-
     /// Reads `line` from its home node's memory.
     pub(crate) fn read_home(&self, line: LineAddr) -> LineData {
-        self.nodes[self.map.home_of_line(line).index()]
-            .mem
-            .read_line(self.map.local_line_index(line))
+        self.mems[self.map.home_of_line(line).index()].read_line(self.map.local_line_index(line))
     }
 
     /// Audits every redundancy group (validation mode) and records the
@@ -2061,11 +2042,16 @@ impl System {
     /// previous commit, and the commit audit re-reads only the groups
     /// they (or the overlay) touch. `None` sweeps every group afresh.
     /// Debug builds check every commit audit against the full sweep.
-    pub(crate) fn audit_parity(&mut self, context: String, written: Option<&[PageSet]>) {
+    /// Returns the recorded audit (`None` outside validation mode).
+    pub(crate) fn audit_parity(
+        &mut self,
+        context: String,
+        written: Option<&[PageSet]>,
+    ) -> Option<&ParityAudit> {
         if !self.cfg.shadow_checkpoints {
-            return;
+            return None;
         }
-        let Some(rdx) = self.redundancy else { return };
+        let rdx = self.redundancy?;
         let pending = self.queue.drain();
         let mut overlay = Overlay::new(&self.map);
         for (_, ev) in &pending {
@@ -2106,6 +2092,7 @@ impl System {
             parity: audit,
             log_divergences: Vec::new(),
         });
+        self.audits.last().map(|a| &a.parity)
     }
 
     /// The functional memory contents by *virtual* page: node memory with
@@ -2127,7 +2114,7 @@ impl System {
         dirty.sort_by_key(|&(line, _)| line);
         let mut img = MemoryImage::default();
         for (vpage, page) in self.page_table.mappings() {
-            let home = &self.nodes[self.map.home_of_page(page).index()].mem;
+            let home = &self.mems[self.map.home_of_page(page).index()];
             let mut shared = home.shared_page(self.map.local_page_index(page)).clone();
             let from = dirty.partition_point(|&(line, _)| line < page.first_line());
             for &(line, data) in dirty[from..].iter().take_while(|(l, _)| l.page() == page) {
@@ -2140,59 +2127,243 @@ impl System {
         img
     }
 
-    // ---------------- reset plumbing (used by the runner) ----------------
+    // ---------------- recovery ----------------
 
-    pub(crate) fn queue_clear(&mut self) {
-        self.queue.clear();
-    }
+    /// Rolls the machine back to checkpoint `target`, committed at
+    /// `committed`, after an error detected at `at` that destroyed the
+    /// memories of `lost` (empty for transients): the whole Figure-7
+    /// sequence, with validation mode's checks in between.
+    ///
+    /// 1. In-flight redundancy updates not headed to a lost node land.
+    /// 2. Phase 1: caches, directories, hooks, CPU transactions and the
+    ///    checkpoint phase reset.
+    /// 3. Phases 2–4 run over the node memories ([`recovery::recover`]).
+    /// 4. Validation: each surviving log round-trips against its shadow.
+    /// 5. The logs are scrubbed and the hooks restart at `target`.
+    /// 6. Validation: one redundancy sweep.
+    /// 7. The CPUs rewind to `target`'s stream positions.
+    /// 8. Validation: the pages are compared with `target`'s clone.
+    /// 9. The recovery phases are traced.
+    ///
+    /// # Errors
+    ///
+    /// A [`RecoveryError`] when the rollback target's logs were reclaimed
+    /// (nothing is touched) or the engine refuses the damage (after the
+    /// Phase-1 reset, with every memory in place for post-mortem queries).
+    pub(crate) fn recover(
+        &mut self,
+        target: u64,
+        lost: &[NodeId],
+        committed: Ns,
+        at: Ns,
+    ) -> Result<RecoveryOutcome, RecoveryError> {
+        let rdx = self.redundancy.expect("revive is on");
+        // Rolling back to `target` replays the logs of every interval after
+        // it; commits during the detection window (periodic, or forced early
+        // by log pressure — easy under value-logging backends) reclaim old
+        // logs, so a target older than `counter - retained` has lost the
+        // records the rollback needs. Refuse before touching any memory.
+        let oldest = self
+            .ckpt_counter
+            .saturating_sub(self.cfg.revive.ckpt.retained);
+        if target < oldest {
+            return Err(RecoveryError::TargetReclaimed { target, oldest });
+        }
+        let workers = self.nodes.len().saturating_sub(lost.len());
+        let timing = RecoveryTiming::derive(rdx.rebuild_fanin(), workers.max(1));
 
-    /// At error-injection teardown, in-flight parity updates that do not
-    /// involve the lost node physically survive (they are traversing healthy
-    /// links toward healthy memory controllers) and complete before the
-    /// protocol is reset. Applying them keeps every surviving parity group
-    /// consistent with its members' memory, which is the precondition both
-    /// for on-demand page reconstruction and for the delta-maintained parity
-    /// of log replay. Updates *to* the lost node die with its memory;
-    /// updates *from* it were committed to the fabric before the write they
-    /// describe was acknowledged (Section 4.2), so they complete like any
-    /// other — mirroring the sever sweep, which preserves them for the same
-    /// reason.
-    pub(crate) fn drain_parity_inflight(&mut self, lost: &[NodeId]) {
+        // 1. In-flight redundancy updates that do not involve a lost node
+        // physically survive (they traverse healthy links toward healthy
+        // memory controllers) and complete before the protocol resets, so
+        // every surviving group is consistent with its members' memory —
+        // the precondition of on-demand rebuilds and of the delta updates
+        // of log replay. Updates *to* a lost node die with its memory;
+        // updates *from* one were committed to the fabric before the write
+        // they describe was acknowledged (Section 4.2), so they complete
+        // like any other, as the sever sweep preserves them. Everything
+        // else in flight is dropped.
         for (_, ev) in self.queue.drain() {
-            let Some((dst, update, mirror)) = ev.pending_update() else {
-                continue;
-            };
-            if lost.contains(&dst) {
-                continue;
-            }
-            let mem = &mut self.nodes[dst.index()].mem;
-            for (pline, delta) in &update.deltas {
-                let local = self.map.local_line_index(*pline);
-                mem.write_line(
-                    local,
-                    StripeCode::apply_update(mirror, mem.read_line(local), *delta),
-                );
+            match ev.pending_update() {
+                Some((dst, update, mirror)) if !lost.contains(&dst) => {
+                    land(&mut self.mems[dst.index()], &self.map, update, mirror);
+                }
+                _ => {}
             }
         }
-    }
 
-    pub(crate) fn reset_cpu_transactions(&mut self, c: usize) {
-        let cpu = &mut self.cpus[c];
-        cpu.blocked_load = None;
-        cpu.pending_stores = 0;
-        cpu.store_stalled = false;
-        cpu.retry = None;
-        cpu.at_barrier = false;
-        cpu.flush_queue.clear();
-        cpu.flush_outstanding = 0;
+        // 2. Phase 1: wipe the caches, reset the directories, stop the
+        // hooks, and drop every CPU's transactions and the commit state.
+        for node in &mut self.nodes {
+            node.ctrl.wipe();
+            node.dir.reset();
+            if let Some(h) = node.hook.as_mut() {
+                h.set_enabled(false);
+            }
+        }
+        for (c, cpu) in self.cpus.iter_mut().enumerate() {
+            cpu.blocked_load = None;
+            cpu.pending_stores = 0;
+            cpu.store_stalled = false;
+            cpu.retry = None;
+            cpu.at_barrier = false;
+            cpu.flush_queue.clear();
+            cpu.flush_outstanding = 0;
+            if let Some(tr) = self.serving.as_mut() {
+                // The squashed stores include any in-flight commit write;
+                // rollback re-execution will re-arm it.
+                tr.squash_cpu(c);
+            }
+        }
         self.ck_phase = CkPhase::Running;
         self.ck_flush_begun = false;
         self.ck_arrived = 0;
-        if let Some(tr) = self.serving.as_mut() {
-            // The squashed stores include any in-flight commit write;
-            // rollback re-execution will re-arm it.
-            tr.squash_cpu(c);
+
+        // 3. Phases 2–4.
+        let logs: Vec<&MemLog> = self
+            .nodes
+            .iter()
+            .map(|n| &n.hook.as_ref().expect("revive is on").log)
+            .collect();
+        let report = recovery::recover(
+            RecoveryInput {
+                memories: &mut self.mems,
+                logs: &logs,
+                redundancy: &rdx,
+                target_interval: target,
+                lost,
+            },
+            &timing,
+        )?;
+
+        // 4. Validation: scan each log from memory and replay it to
+        // `target` while the records are still there; both streams must
+        // match the software shadow record for record. A lost node's log
+        // is skipped: it was just rebuilt from redundancy, which by design
+        // lacks any record whose update was still in flight (log-before-
+        // data makes those records unnecessary: their data updates are
+        // equally absent from the rebuild).
+        if self.cfg.shadow_checkpoints {
+            let mut divergences: Vec<(NodeId, LogDivergence)> = Vec::new();
+            for (n, (node, mem)) in self.nodes.iter().zip(&self.mems).enumerate() {
+                let node_id = NodeId::from(n);
+                let Some(h) = node.hook.as_ref() else {
+                    continue;
+                };
+                let Some(shadow) = h.shadow.as_ref() else {
+                    continue;
+                };
+                if lost.contains(&node_id) {
+                    continue;
+                }
+                let read = |l| mem.read_line(self.map.local_line_index(l));
+                let scan = shadow.verify_scan(&h.log.scan(read));
+                let replay = shadow.verify_rollback(target, &h.log.rollback_entries(target, read));
+                divergences.extend(scan.into_iter().chain(replay).map(|d| (node_id, d)));
+            }
+            self.audits.push(AuditReport {
+                context: format!("log round-trip before rollback to checkpoint {target}"),
+                parity: ParityAudit::default(),
+                log_divergences: divergences,
+            });
         }
+
+        // 5. The replayed log space belongs to discarded intervals: zero it
+        // through the protected write, so its redundancy follows, and
+        // restart the hooks at the recovered interval.
+        for node in &self.nodes {
+            for line in node.log_pages.iter().flat_map(|p| p.lines()) {
+                if self.read_home(line) != LineData::ZERO {
+                    let zero = LineData::ZERO;
+                    recovery::protected_write(&mut self.mems, &rdx, line, zero, |_| false);
+                }
+            }
+        }
+        for node in &mut self.nodes {
+            if let Some(h) = node.hook.as_mut() {
+                h.reset_log();
+                h.begin_interval(target, target);
+                h.set_enabled(true);
+            }
+        }
+        self.ckpt_counter = target;
+
+        // 6. Validation: the redundancy invariant holds for every group.
+        // Nothing is in flight and nothing below writes memory, so this
+        // one sweep also stands for the verification in step 8.
+        let violation = self
+            .audit_parity(format!("after recovery to checkpoint {target}"), None)
+            .and_then(|audit| audit.violations.first().copied());
+
+        // 7. Rewind the CPUs to the recovered checkpoint so the discarded
+        // work is re-executed — without this the resumed computation would
+        // run against rolled-back memory it never wrote, and the final
+        // state could not match a clean run.
+        let ops_rolled_back = self.rollback_execution(target);
+
+        // 8. Validation: every application page equals its node's memory
+        // clone taken at `target`'s commit.
+        let snapshot = self.exec_snaps.iter().find(|s| s.interval == target);
+        let verified = match snapshot.and_then(|s| s.memories.as_deref()) {
+            None => {
+                if self.cfg.shadow_checkpoints {
+                    eprintln!("verify: no shadow for target {target}");
+                }
+                None
+            }
+            Some(memories) => {
+                let map = self.map;
+                let want =
+                    |l| memories[map.home_of_line(l).index()].read_line(map.local_line_index(l));
+                let mismatch = self.page_table.allocated_pages().iter().find(|&&page| {
+                    let (node, local) =
+                        (map.home_of_page(page).index(), map.local_page_index(page));
+                    self.mems[node].page(local) != memories[node].page(local)
+                });
+                if let Some(page) = mismatch {
+                    let line = (page.lines())
+                        .find(|&l| self.read_home(l) != want(l))
+                        .expect("the pages differ");
+                    eprintln!(
+                        "verify: mismatch at {line} (page {page}): got {:?} want {:?}",
+                        self.read_home(line),
+                        want(line)
+                    );
+                }
+                if let Some(v) = violation {
+                    eprintln!("verify: redundancy {v}");
+                }
+                Some(mismatch.is_none() && violation.is_none())
+            }
+        };
+
+        // 9. Trace the recovery phases.
+        if self.tracer.is_enabled() {
+            for (i, (name, start, end)) in report.phases(at).into_iter().enumerate() {
+                self.tracer.record(
+                    end,
+                    TraceEvent::RecoveryPhase {
+                        phase: (i + 1) as u8,
+                        duration: end.saturating_sub(start),
+                    },
+                );
+                self.spans.push(Span {
+                    name: format!("recovery/{name}"),
+                    cat: "recovery",
+                    start,
+                    end,
+                    track: 0,
+                });
+            }
+        }
+        let lost_work = at.saturating_sub(committed);
+        Ok(RecoveryOutcome {
+            report,
+            lost_work,
+            unavailable: lost_work + report.unavailable(),
+            target_interval: target,
+            verified,
+            ops_rolled_back,
+        })
     }
 
     /// Restarts execution after a recovery outage and ends the fault's
@@ -2224,6 +2395,18 @@ impl System {
 
     pub(crate) fn fabric_mean_latency(&self) -> Ns {
         self.fabric.mean_latency()
+    }
+}
+
+/// Lands a shipped redundancy update on its home memory: each payload
+/// overwrites its line (`mirror`) or XORs into it.
+fn land(mem: &mut NodeMemory, map: &AddressMap, update: &ParityUpdate, mirror: bool) {
+    for (pline, delta) in &update.deltas {
+        let local = map.local_line_index(*pline);
+        mem.write_line(
+            local,
+            StripeCode::apply_update(mirror, mem.read_line(local), *delta),
+        );
     }
 }
 
@@ -2269,7 +2452,7 @@ mod tests {
         let line = LineAddr(group.data[0].first_line().0 + 9);
         let node = map.home_of_line(line).index();
         let local = map.local_line_index(line);
-        let mem = &mut sys.nodes[node].mem;
+        let mem = &mut sys.mems[node];
         mem.write_line(local, mem.read_line(local) ^ LineData::fill(0x5A));
 
         run_to_commit(&mut sys, 3);
@@ -2314,7 +2497,7 @@ mod tests {
         let image = sys.memory_image();
         let (mut patched, mut shared) = (0, 0);
         for (vpage, page) in sys.page_table.mappings() {
-            let mem = &sys.nodes[sys.map.home_of_page(page).index()].mem;
+            let mem = &sys.mems[sys.map.home_of_page(page).index()];
             let mut want = Vec::new();
             for line in page.lines() {
                 let home = || mem.read_line(sys.map.local_line_index(line));

@@ -317,3 +317,31 @@ fn recovered_loss_images_the_golden_memory() {
     assert!(result.outcomes[0].recovered().is_some());
     assert_eq!(image, Some(golden));
 }
+
+/// Every recovery sweeps the redundancy once, after the log scrub, and
+/// that sweep is what its verification reports: a recurring loss recovers
+/// twice and leaves two sweeps, both clean.
+#[test]
+fn each_recovery_sweeps_the_redundancy_once() {
+    let (cfg, plan) = one_chunk(ErrorKind::NodeLoss(NodeId(1).into()));
+    assert!(cfg.shadow_checkpoints, "validation mode");
+    let recurring = InjectionPlan {
+        phase: InjectPhase::DuringRecovery,
+        ..plan.clone()
+    };
+    for (plan, recoveries) in [(plan, 1), (recurring, 2)] {
+        let result = Runner::new(cfg)
+            .expect("config")
+            .run_with_injections(&[plan])
+            .expect("the fault fires");
+        let sweeps: Vec<_> = (result.audits.iter())
+            .filter(|a| a.context.starts_with("after recovery"))
+            .collect();
+        assert_eq!(sweeps.len(), recoveries, "one sweep per recovery");
+        assert!(sweeps
+            .iter()
+            .all(|a| a.parity.groups_checked > 0 && a.is_clean()));
+        let outcome = result.recovery.expect("recovered");
+        assert_eq!(outcome.verified, Some(true));
+    }
+}

@@ -295,25 +295,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Drops every pending event, keeping the clock where it is. Used when
-    /// a machine is reset after an error: in-flight messages died with the
-    /// hardware they were traversing.
-    pub fn clear(&mut self) {
-        if self.len != 0 {
-            for w in 0..WORDS {
-                let mut bits = self.occ[w];
-                while bits != 0 {
-                    let b = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.ring[b].items.clear();
-                }
-                self.occ[w] = 0;
-            }
-            self.far.clear();
-            self.len = 0;
-        }
-    }
-
     /// Removes and returns every pending event (in time order) without
     /// advancing the clock. Used at error-injection teardown to examine
     /// in-flight messages: those that physically survive the error are
@@ -443,20 +424,6 @@ mod tests {
         assert_eq!(rest, vec![(Ns(5), "b"), (Ns(1_000_000), "far")]);
         assert!(q.is_empty());
         assert_eq!(q.now(), Ns(1));
-    }
-
-    #[test]
-    fn clear_keeps_clock_and_empties() {
-        let mut q = EventQueue::new();
-        q.schedule(Ns(3), ());
-        q.schedule(Ns(900_000), ());
-        q.pop();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.now(), Ns(3));
-        q.schedule(Ns(4), ());
-        assert_eq!(q.pop(), Some((Ns(4), ())));
     }
 
     /// An ordering oracle: the obviously-correct priority queue the
