@@ -80,7 +80,7 @@ fn main() {
             let clean = &outcomes[a * PER_APP + 1 + gi * 2].result;
             let rec = outcomes[a * PER_APP + 2 + gi * 2]
                 .result
-                .recovery
+                .recovery()
                 .expect("recovery ran");
             table.row([
                 format!("{g}+1"),

@@ -55,8 +55,8 @@ fn main() {
         recovery_job(AppId::Radix, false, opts),
     ];
     let outcomes = Sweep::new("availability", &args).run_all(jobs);
-    let loss = outcomes[0].result.recovery.expect("recovery ran");
-    let transient = outcomes[1].result.recovery.expect("recovery ran");
+    let loss = outcomes[0].result.recovery().expect("recovery ran");
+    let transient = outcomes[1].result.recovery().expect("recovery ran");
     println!(
         "measured (radix, sim scale): node-loss p2={} p3={}; transient p3={}\n",
         loss.report.phase2, loss.report.phase3, transient.report.phase3

@@ -58,7 +58,7 @@ fn main() {
     let mut worst: Option<(AppId, revive_machine::RecoveryOutcome)> = None;
     let mut sum_p23 = Ns::ZERO;
     for (app, outcome) in AppId::ALL.into_iter().zip(&outcomes) {
-        let rec = outcome.result.recovery.expect("recovery ran");
+        let rec = outcome.result.recovery().expect("recovery ran");
         let p23 = rec.report.phase2 + rec.report.phase3;
         sum_p23 += p23;
         table.row([

@@ -332,7 +332,7 @@ fn main() {
             }
         }
     }
-    if let Some(rec) = result.recovery {
+    if let Some(rec) = result.recovery() {
         println!("--- recovery ---");
         println!("rolled back to  : checkpoint {}", rec.target_interval);
         println!(

@@ -109,7 +109,7 @@ fn main() {
     ]);
     let mut failures = 0u32;
     for ((app, kind, phase, _), (result, diff)) in cells.iter().zip(runs) {
-        let rec = result.recovery.expect("recovery outcome");
+        let rec = result.recovery().expect("recovery outcome");
         let mem_ok = diff.is_match();
         let ver_ok = rec.verified == Some(true);
         let audits_ok = result.audits.iter().all(|a| a.is_clean());

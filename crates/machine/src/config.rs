@@ -400,11 +400,11 @@ impl WorkloadSpec {
     }
 
     /// Builds the generator.
-    pub fn build(self, cpus: usize, scale: Scale, seed: u64) -> Box<dyn Workload> {
+    pub fn build(self, cpus: usize, scale: Scale, seed: u64) -> Workload {
         match self {
-            WorkloadSpec::Splash(a) => Box::new(a.build(cpus, scale, seed)),
-            WorkloadSpec::Synthetic(s) => Box::new(s.build(cpus, scale, seed)),
-            WorkloadSpec::Serving(k, _) => Box::new(k.build(cpus, scale, seed)),
+            WorkloadSpec::Splash(a) => Workload::Splash(a.build(cpus, scale, seed)),
+            WorkloadSpec::Synthetic(s) => Workload::Synthetic(s.build(cpus, scale, seed)),
+            WorkloadSpec::Serving(k, _) => Workload::Serving(k.build(cpus, scale, seed)),
         }
     }
 

@@ -555,7 +555,6 @@ pub fn parse_run_result(doc: &Json) -> Result<RunResult, String> {
         .iter()
         .map(|&rec| FaultOutcome::Recovered(rec))
         .collect();
-    out.recovery = out.recoveries.last().copied();
     doc.section("latency_ns", check_class_hists)?;
     doc.section("retry_latency_ns", check_class_hists)?;
     doc.section("trace", |v| {
@@ -799,7 +798,6 @@ mod tests {
             ops_rolled_back: 77,
         };
         r.recoveries.push(rec);
-        r.recovery = Some(rec);
 
         let text = render_artifact(&test_meta(), &r);
         validate_artifact(&text).unwrap();
@@ -848,7 +846,7 @@ mod tests {
         assert_eq!(p.target_interval, q.target_interval);
         assert_eq!(p.verified, q.verified);
         assert_eq!(p.ops_rolled_back, q.ops_rolled_back);
-        assert!(parsed.recovery.is_some());
+        assert!(parsed.recovery().is_some());
         assert_eq!(parsed.outcomes.len(), 1);
     }
 

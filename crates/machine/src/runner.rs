@@ -486,9 +486,6 @@ pub struct RunResult {
     pub checkpoints: u64,
     /// Discrete events processed (simulator diagnostics).
     pub events: u64,
-    /// Recovery outcome for injection runs (the last one, when several
-    /// errors were injected).
-    pub recovery: Option<RecoveryOutcome>,
     /// Every recovery outcome, in injection order.
     pub recoveries: Vec<RecoveryOutcome>,
     /// Classified outcome of every injected fault, in injection order —
@@ -512,6 +509,13 @@ pub struct RunResult {
     /// Per-request latency and SLO accounting (`None` for batch
     /// workloads; `Some` ⇔ the workload is `WorkloadSpec::Serving`).
     pub serving: Option<crate::metrics::ServingReport>,
+}
+
+impl RunResult {
+    /// The last recovery outcome (`None` when nothing was recovered).
+    pub fn recovery(&self) -> Option<RecoveryOutcome> {
+        self.recoveries.last().copied()
+    }
 }
 
 /// No plan may name a checkpoint count, delay or time at or past this
@@ -771,13 +775,16 @@ impl Runner {
             // struck and had to start over.
             outcome.unavailable += outcome.report.phase1;
         } else if plan.phase == InjectPhase::DuringRecovery {
-            // The error recurs after recovery finished its rebuild:
-            // re-apply the damage and recover again to the same
-            // checkpoint. The second pass must hold with the logs
-            // already scrubbed — for a node loss it is pure parity
-            // reconstruction, for the others an idempotence check.
+            // The error recurs the instant the first pass made the machine
+            // available again (its rollback end), before its Phase 4
+            // background rebuild completes: re-apply the damage and
+            // recover again to the same checkpoint from there. The second
+            // pass must hold with the logs already scrubbed — for a node
+            // loss it is pure parity reconstruction, for the others an
+            // idempotence check.
             let lost2 = self.apply_damage(&plan.kind, target);
-            let second = self.sys.recover(target, &lost2, committed, at)?;
+            let again = at + outcome.report.unavailable();
+            let second = self.sys.recover(target, &lost2, committed, again)?;
             outcome = RecoveryOutcome {
                 report: second.report,
                 lost_work: outcome.lost_work,
@@ -918,7 +925,6 @@ impl Runner {
             ckpt: sys.ck_stats.clone(),
             checkpoints: sys.ckpt_counter,
             events: sys.events_processed(),
-            recovery: recoveries.last().copied(),
             recoveries,
             outcomes,
             audits: sys.audits.clone(),

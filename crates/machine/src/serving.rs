@@ -48,11 +48,12 @@ struct ReqDone {
     completed: Ns,
 }
 
-/// Whether a snapshot (per-CPU fetch positions plus parked-retry flags)
-/// makes a completion at `end_pos` on `cpu` durable: rolled back to this
-/// snapshot, the commit write would not re-execute.
-fn covered(fetched: &[u64], parked: &[bool], cpu: usize, end_pos: u64) -> bool {
-    end_pos < fetched[cpu] || (end_pos == fetched[cpu] && !parked[cpu])
+/// Whether a snapshot CPU at stream position `(fetched, parked)` — its
+/// fetch position and whether it holds a parked retry — makes a completion
+/// at `end_pos` durable: rolled back to this snapshot, the commit write
+/// would not re-execute.
+fn covered((fetched, parked): (u64, bool), end_pos: u64) -> bool {
+    end_pos < fetched || (end_pos == fetched && !parked)
 }
 
 /// Per-run request bookkeeping (see module docs).
@@ -66,6 +67,9 @@ pub struct ServingTracker {
     provisional: Vec<ReqDone>,
     admitted: u64,
     hist: TailHistogram,
+    /// Exact latency sum and maximum, kept beside the buckets.
+    sum: u128,
+    max: u64,
     good: u64,
     violations: u64,
     /// Window index → (completed, good).
@@ -85,6 +89,8 @@ impl ServingTracker {
             provisional: Vec::new(),
             admitted: 0,
             hist: TailHistogram::new(),
+            sum: 0,
+            max: 0,
             good: 0,
             violations: 0,
             windows: BTreeMap::new(),
@@ -150,20 +156,21 @@ impl ServingTracker {
         self.armed[cpu] = None;
     }
 
-    /// Re-derive `cpu`'s current-request arrival after a rollback rebuilt
-    /// the workload.
+    /// Re-derive `cpu`'s current-request arrival after a rollback restored
+    /// the workload generator.
     pub fn resync_arrival(&mut self, cpu: usize, arrival: Ns) {
         self.cur_arrival[cpu] = arrival;
     }
 
     /// Folds every provisional completion covered by the oldest retained
     /// snapshot into the durable ledger. Called after each checkpoint
-    /// commit with that snapshot's fetch positions and parked-retry flags.
-    pub fn fold_durable(&mut self, fetched: &[u64], parked: &[bool]) {
+    /// commit with that snapshot's per-CPU stream position (see
+    /// [`covered`]).
+    pub fn fold_durable(&mut self, position: impl Fn(usize) -> (u64, bool)) {
         let mut kept = Vec::with_capacity(self.provisional.len());
         let recs = std::mem::take(&mut self.provisional);
         for r in recs {
-            if covered(fetched, parked, r.cpu, r.end_pos) {
+            if covered(position(r.cpu), r.end_pos) {
                 self.fold(r);
             } else {
                 kept.push(r);
@@ -174,14 +181,16 @@ impl ServingTracker {
 
     /// Drops every provisional completion *not* covered by the rollback
     /// target: those requests will re-execute and complete again.
-    pub fn drop_uncovered(&mut self, fetched: &[u64], parked: &[bool]) {
+    pub fn drop_uncovered(&mut self, position: impl Fn(usize) -> (u64, bool)) {
         self.provisional
-            .retain(|r| covered(fetched, parked, r.cpu, r.end_pos));
+            .retain(|r| covered(position(r.cpu), r.end_pos));
     }
 
     fn fold(&mut self, r: ReqDone) {
         let latency = r.completed.0 - r.arrival.0;
         self.hist.record(latency);
+        self.sum = self.sum.saturating_add(latency as u128);
+        self.max = self.max.max(latency);
         if latency <= self.slo.target_ns {
             self.good += 1;
         } else {
@@ -222,8 +231,11 @@ impl ServingTracker {
         ServingReport {
             admitted: self.admitted,
             completed: self.hist.total(),
-            mean_ns: self.hist.mean(),
-            max_ns: self.hist.max(),
+            mean_ns: match self.hist.total() {
+                0 => 0.0,
+                n => self.sum as f64 / n as f64,
+            },
+            max_ns: self.max,
             p50_ns: self.hist.p50(),
             p90_ns: self.hist.p90(),
             p99_ns: self.hist.p99(),
@@ -254,6 +266,13 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_run_reports_zero_latency_not_nan() {
+        let r = ServingTracker::new(slo(), 4, 2).collect();
+        assert_eq!((r.completed, r.mean_ns, r.max_ns), (0, 0.0, 0));
+        assert_eq!((r.p50_ns, r.p9999_ns), (0, 0));
+    }
+
+    #[test]
     fn sync_and_async_completions_are_measured_from_arrival() {
         let mut t = ServingTracker::new(slo(), 4, 2);
         t.request_started(0, Ns(100));
@@ -266,6 +285,7 @@ mod tests {
         assert_eq!(r.admitted, 2);
         assert_eq!(r.completed, 2);
         assert_eq!(r.max_ns, 1_800);
+        assert_eq!(r.mean_ns, 1_150.0);
         assert_eq!(r.ledger.good, 1);
         assert_eq!(r.ledger.violations, 1);
         assert_eq!(r.windows.len(), 1);
@@ -282,7 +302,7 @@ mod tests {
         t.complete_now(0, 4, Ns(1_500));
         // Roll back to a snapshot at fetch position 2 (no parked retry):
         // the second request re-executes, the first does not.
-        t.drop_uncovered(&[2], &[false]);
+        t.drop_uncovered(|_| (2, false));
         t.request_started(0, Ns(1_000));
         t.complete_now(0, 4, Ns(9_000));
         let r = t.collect();
@@ -300,9 +320,9 @@ mod tests {
         // Snapshot at position 2 but with the commit write parked for MSHR
         // retry: the completion happened after the snapshot, so a rollback
         // would re-execute it — it must not fold as durable…
-        t.fold_durable(&[2], &[true]);
+        t.fold_durable(|_| (2, true));
         assert_eq!(t.completed_so_far(), 1);
-        t.drop_uncovered(&[2], &[true]);
+        t.drop_uncovered(|_| (2, true));
         // …and the rollback drops it.
         t.complete_now(0, 2, Ns(800));
         let r = t.collect();
@@ -315,8 +335,8 @@ mod tests {
         let mut t = ServingTracker::new(slo(), 2, 1);
         t.request_started(0, Ns(0));
         t.complete_now(0, 2, Ns(100));
-        t.fold_durable(&[4], &[false]);
-        t.fold_durable(&[6], &[false]);
+        t.fold_durable(|_| (4, false));
+        t.fold_durable(|_| (6, false));
         t.request_started(0, Ns(200));
         t.complete_now(0, 4, Ns(12_300));
         let r = t.collect();

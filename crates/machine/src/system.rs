@@ -77,17 +77,27 @@ pub(crate) struct Node {
     pub(crate) log_pages: FastHashSet<PageAddr>,
 }
 
+/// What a checkpoint saves of one CPU: its position in its op stream.
+/// The workload generator's state at that position is saved beside it
+/// ([`ExecSnapshot::workload`]).
+#[derive(Clone, Copy, Debug, Default)]
+struct CpuContext {
+    /// Ops completed; also the token sequence of the next op.
+    ops_done: u64,
+    /// Ops fetched from the workload stream (≥ `ops_done`: a fetched op
+    /// may still sit in `retry`).
+    fetched: u64,
+    /// A fetched-but-unissued op parked by an MshrFull retry.
+    retry: Option<revive_workloads::Op>,
+}
+
 /// One CPU's execution state.
 pub(crate) struct Cpu {
+    ctx: CpuContext,
     local_time: Ns,
     blocked_load: Option<OpToken>,
     pending_stores: usize,
     store_stalled: bool,
-    retry: Option<revive_workloads::Op>,
-    /// Ops fetched from the workload stream so far (≥ `ops_done`: a fetched
-    /// op may still sit in `retry`). Snapshotted at checkpoints so rollback
-    /// can fast-forward a rebuilt workload to the exact stream position.
-    fetched: u64,
     pub(crate) done: bool,
     at_barrier: bool,
     flush_queue: VecDeque<LineAddr>,
@@ -95,19 +105,26 @@ pub(crate) struct Cpu {
 }
 
 impl Cpu {
-    fn new() -> Cpu {
+    /// A CPU resuming at `ctx` with no transaction in flight: the run's
+    /// start from the empty context, and every rollback from the target's
+    /// saved one. Only the local clock carries over; `done` says whether
+    /// `ctx` already finished the op budget.
+    fn restore(ctx: CpuContext, local_time: Ns, done: bool) -> Cpu {
         Cpu {
-            local_time: Ns::ZERO,
+            ctx,
+            local_time,
             blocked_load: None,
             pending_stores: 0,
             store_stalled: false,
-            retry: None,
-            fetched: 0,
-            done: false,
+            done,
             at_barrier: false,
             flush_queue: VecDeque::new(),
             flush_outstanding: 0,
         }
+    }
+
+    fn new() -> Cpu {
+        Cpu::restore(CpuContext::default(), Ns::ZERO, false)
     }
 }
 
@@ -314,17 +331,18 @@ impl MemPort for NodePort<'_> {
     }
 }
 
-/// Execution-stream state captured at a checkpoint commit, so that rollback
-/// can rewind the CPUs to the checkpoint and *re-execute* the discarded work
-/// (the paper's recovery model: memory and computation both resume from the
-/// checkpoint). Cheap — a few counters per CPU — so it is always captured.
+/// The execution state saved at a checkpoint commit — the paper's context
+/// save — which rollback restores so the discarded work is *re-executed*
+/// (memory and computation both resume from the checkpoint). Always
+/// captured: a few counters per CPU and a clone of the generator.
 struct ExecSnapshot {
     /// The checkpoint interval the snapshot belongs to (0 = run start).
     interval: u64,
-    ops_done: Vec<u64>,
-    fetched: Vec<u64>,
-    /// A fetched-but-unissued op parked by an MshrFull retry.
-    retry: Vec<Option<revive_workloads::Op>>,
+    /// Each CPU's saved context.
+    cpus: Vec<CpuContext>,
+    /// The workload generator as it stood: every CPU's stream at its
+    /// context's `fetched` position.
+    workload: Workload,
     cpu_ops: u64,
     instructions: u64,
     /// Per-node memory clones to verify a rollback against (validation
@@ -333,16 +351,10 @@ struct ExecSnapshot {
 }
 
 impl ExecSnapshot {
-    fn initial(cpus: usize) -> ExecSnapshot {
-        ExecSnapshot {
-            interval: 0,
-            ops_done: vec![0; cpus],
-            fetched: vec![0; cpus],
-            retry: vec![None; cpus],
-            cpu_ops: 0,
-            instructions: 0,
-            memories: None,
-        }
+    /// CPU `c`'s fetch position and whether it has a parked retry — what
+    /// the serving tracker's coverage rule reads.
+    fn position(&self, c: usize) -> (u64, bool) {
+        (self.cpus[c].fetched, self.cpus[c].retry.is_some())
     }
 }
 
@@ -401,9 +413,8 @@ pub struct System {
     pub(crate) fabric: Fabric,
     queue: EventQueue<Ev>,
     pub(crate) page_table: PageTable,
-    workload: Box<dyn Workload>,
+    workload: Workload,
     pub(crate) metrics: Metrics,
-    pub(crate) ops_done: Vec<u64>,
     running_cpus: usize,
     pub(crate) finish_time: Option<Ns>,
     ck_phase: CkPhase,
@@ -566,6 +577,14 @@ impl System {
         });
 
         let workload = cfg.workload.build(nodes, m.scale(), cfg.seed);
+        let run_start = ExecSnapshot {
+            interval: 0,
+            cpus: vec![CpuContext::default(); nodes],
+            workload: workload.clone(),
+            cpu_ops: 0,
+            instructions: 0,
+            memories: None,
+        };
         let serving = match cfg.workload {
             WorkloadSpec::Serving(kind, slo) => {
                 Some(ServingTracker::new(slo, kind.ops_per_request, nodes))
@@ -605,7 +624,6 @@ impl System {
             page_table,
             workload,
             metrics: Metrics::default(),
-            ops_done: vec![0; nodes],
             running_cpus: nodes,
             finish_time: None,
             ck_phase: CkPhase::Running,
@@ -615,7 +633,7 @@ impl System {
             ck_stats: revive_core::checkpoint::CkptStats::default(),
             ckpt_counter: 0,
             early_pending: false,
-            exec_snaps: VecDeque::from([ExecSnapshot::initial(nodes)]),
+            exec_snaps: VecDeque::from([run_start]),
             commit_audit: IncrementalAudit::default(),
             halted: false,
             armed: None,
@@ -663,7 +681,7 @@ impl System {
         // from the token, so replay after a rollback must hand the same op
         // the same token regardless of MshrFull retries or timing. (A
         // MshrFull'd op reuses its token — nothing was issued for it.)
-        let seq = self.ops_done[cpu];
+        let seq = self.cpus[cpu].ctx.ops_done;
         let mut t = seq & 0x0000_7FFF_FFFF_FFFF;
         t |= (cpu as u64) << 47;
         if write {
@@ -892,7 +910,7 @@ impl System {
                                     c.blocked_load,
                                     c.pending_stores,
                                     c.store_stalled,
-                                    c.retry.is_some(),
+                                    c.ctx.retry.is_some(),
                                     c.at_barrier,
                                     c.flush_queue.len(),
                                     c.flush_outstanding,
@@ -915,7 +933,7 @@ impl System {
             panic!(
                             "deadlock: no events but {} CPUs unfinished (ops_done={:?}, ck_phase={:?}, arrived={})\n{}\n{}",
                             self.running_cpus,
-                            self.ops_done,
+                            self.cpus.iter().map(|c| c.ctx.ops_done).collect::<Vec<_>>(),
                             self.ck_phase,
                             self.ck_arrived,
                             states.join("\n"),
@@ -959,7 +977,7 @@ impl System {
         let deadline = t + quantum;
         let node_id = NodeId::from(c);
         loop {
-            if self.ops_done[c] >= self.cfg.ops_per_cpu {
+            if self.cpus[c].ctx.ops_done >= self.cfg.ops_per_cpu {
                 self.cpus[c].done = true;
                 self.running_cpus -= 1;
                 if self.running_cpus == 0 {
@@ -967,7 +985,7 @@ impl System {
                 }
                 return;
             }
-            let op = match self.cpus[c].retry.take() {
+            let op = match self.cpus[c].ctx.retry.take() {
                 Some(op) => op,
                 None => {
                     // Open-loop gating: a serving CPU between requests
@@ -984,10 +1002,10 @@ impl System {
                             }
                         }
                     }
-                    self.cpus[c].fetched += 1;
+                    self.cpus[c].ctx.fetched += 1;
                     let op = self.workload.next(c);
                     if let Some(tr) = self.serving.as_mut() {
-                        if tr.is_first_op(self.cpus[c].fetched) {
+                        if tr.is_first_op(self.cpus[c].ctx.fetched) {
                             let st = self
                                 .workload
                                 .request_status(c)
@@ -1012,8 +1030,8 @@ impl System {
             // The op's stream position and token sequence, captured before
             // `finish_op` advances the counters: the serving tracker keys
             // its commit write on both.
-            let pos = self.cpus[c].fetched;
-            let seq = self.ops_done[c];
+            let pos = self.cpus[c].ctx.fetched;
+            let seq = self.cpus[c].ctx.ops_done;
             let token = self.make_token(c, op.write);
             let (outcome, sends) = self.nodes[c].ctrl.cpu_access(line, access, token);
             match outcome {
@@ -1067,7 +1085,7 @@ impl System {
                     }
                 }
                 CpuOutcome::MshrFull => {
-                    self.cpus[c].retry = Some(op);
+                    self.cpus[c].ctx.retry = Some(op);
                     self.cpus[c].local_time = t;
                     self.queue
                         .schedule(t + self.cfg.machine.mshr_retry_delay, Ev::Cpu(c));
@@ -1083,7 +1101,7 @@ impl System {
     }
 
     fn finish_op(&mut self, c: usize, op: &revive_workloads::Op) {
-        self.ops_done[c] += 1;
+        self.cpus[c].ctx.ops_done += 1;
         self.metrics.cpu_ops += 1;
         self.metrics.instructions += op.instructions as u64;
     }
@@ -1936,9 +1954,8 @@ impl System {
         self.exec_snaps.push_back(ExecSnapshot {
             memories,
             interval,
-            ops_done: self.ops_done.clone(),
-            fetched: self.cpus.iter().map(|c| c.fetched).collect(),
-            retry: self.cpus.iter().map(|c| c.retry).collect(),
+            cpus: self.cpus.iter().map(|c| c.ctx).collect(),
+            workload: self.workload.clone(),
             cpu_ops: self.metrics.cpu_ops,
             instructions: self.metrics.instructions,
         });
@@ -1952,61 +1969,41 @@ impl System {
         // retained snapshot's stream positions — are durable now; fold
         // them into the SLO ledger. The rest stay provisional.
         if let Some(tr) = self.serving.as_mut() {
-            let front = self.exec_snaps.front().expect("snapshot just pushed");
-            let parked: Vec<bool> = front.retry.iter().map(|r| r.is_some()).collect();
-            tr.fold_durable(&front.fetched, &parked);
+            let oldest = self.exec_snaps.front().expect("just pushed");
+            tr.fold_durable(|c| oldest.position(c));
         }
     }
 
-    /// Rewinds the CPUs' workload streams to the state captured at `target`'s
-    /// commit, so the work discarded by a rollback is re-executed. The
-    /// workload generators are rebuilt from the experiment seed and
-    /// fast-forwarded to the snapshotted stream positions — every workload's
-    /// per-CPU stream is deterministic, so the replayed ops are bit-identical
-    /// to the discarded ones. Returns how many completed ops were rolled back.
+    /// Restores the execution state saved at `target`'s commit, so the
+    /// work discarded by a rollback is re-executed: the generator's clone,
+    /// and every CPU from its saved context with nothing in flight. Returns
+    /// how many completed ops were rolled back.
     pub(crate) fn rollback_execution(&mut self, target: u64) -> u64 {
         let snap = self
             .exec_snaps
             .iter()
             .find(|s| s.interval == target)
             .unwrap_or_else(|| panic!("no execution snapshot for interval {target}"));
-        let nodes = self.cfg.machine.nodes;
-        let mut workload = self
-            .cfg
-            .workload
-            .build(nodes, self.cfg.machine.scale(), self.cfg.seed);
-        for c in 0..nodes {
-            for _ in 0..snap.fetched[c] {
-                let _ = workload.next(c);
-            }
-        }
-        self.workload = workload;
+        self.workload = snap.workload.clone();
         let mut rolled = 0;
-        let mut running = 0;
-        for c in 0..nodes {
-            rolled += self.ops_done[c] - snap.ops_done[c];
-            self.ops_done[c] = snap.ops_done[c];
-            self.cpus[c].fetched = snap.fetched[c];
-            self.cpus[c].retry = snap.retry[c];
-            self.cpus[c].done = snap.ops_done[c] >= self.cfg.ops_per_cpu;
-            if !self.cpus[c].done {
-                running += 1;
-            }
+        for (cpu, &ctx) in self.cpus.iter_mut().zip(&snap.cpus) {
+            rolled += cpu.ctx.ops_done - ctx.ops_done;
+            let done = ctx.ops_done >= self.cfg.ops_per_cpu;
+            *cpu = Cpu::restore(ctx, cpu.local_time, done);
         }
-        self.running_cpus = running;
-        if running > 0 {
+        self.running_cpus = self.cpus.iter().filter(|c| !c.done).count();
+        if self.running_cpus > 0 {
             self.finish_time = None;
         }
         self.metrics.cpu_ops = snap.cpu_ops;
         self.metrics.instructions = snap.instructions;
         if let Some(tr) = self.serving.as_mut() {
             // Completions past the rollback target will re-execute and
-            // complete again — drop them, squash in-flight commit writes,
-            // and re-derive each CPU's current-request arrival from the
-            // rebuilt (deterministic) workload stream.
-            let parked: Vec<bool> = snap.retry.iter().map(|r| r.is_some()).collect();
-            tr.drop_uncovered(&snap.fetched, &parked);
-            for c in 0..nodes {
+            // complete again — drop them, squash in-flight commit writes
+            // (re-execution re-arms them), and take each CPU's
+            // current-request arrival from the restored generator.
+            tr.drop_uncovered(|c| snap.position(c));
+            for c in 0..self.cpus.len() {
                 tr.squash_cpu(c);
                 if let Some(st) = self.workload.request_status(c) {
                     tr.resync_arrival(c, Ns(st.arrival));
@@ -2135,13 +2132,14 @@ impl System {
     /// sequence, with validation mode's checks in between.
     ///
     /// 1. In-flight redundancy updates not headed to a lost node land.
-    /// 2. Phase 1: caches, directories, hooks, CPU transactions and the
-    ///    checkpoint phase reset.
+    /// 2. Phase 1: caches, directories, hooks and the checkpoint phase
+    ///    reset.
     /// 3. Phases 2–4 run over the node memories ([`recovery::recover`]).
     /// 4. Validation: each surviving log round-trips against its shadow.
     /// 5. The logs are scrubbed and the hooks restart at `target`.
     /// 6. Validation: one redundancy sweep.
-    /// 7. The CPUs rewind to `target`'s stream positions.
+    /// 7. The generator and every CPU are restored from `target`'s saved
+    ///    execution state, with nothing in flight.
     /// 8. Validation: the pages are compared with `target`'s clone.
     /// 9. The recovery phases are traced.
     ///
@@ -2192,26 +2190,13 @@ impl System {
         }
 
         // 2. Phase 1: wipe the caches, reset the directories, stop the
-        // hooks, and drop every CPU's transactions and the commit state.
+        // hooks, and drop the commit state. The CPUs' transactions go with
+        // their restore in step 7.
         for node in &mut self.nodes {
             node.ctrl.wipe();
             node.dir.reset();
             if let Some(h) = node.hook.as_mut() {
                 h.set_enabled(false);
-            }
-        }
-        for (c, cpu) in self.cpus.iter_mut().enumerate() {
-            cpu.blocked_load = None;
-            cpu.pending_stores = 0;
-            cpu.store_stalled = false;
-            cpu.retry = None;
-            cpu.at_barrier = false;
-            cpu.flush_queue.clear();
-            cpu.flush_outstanding = 0;
-            if let Some(tr) = self.serving.as_mut() {
-                // The squashed stores include any in-flight commit write;
-                // rollback re-execution will re-arm it.
-                tr.squash_cpu(c);
             }
         }
         self.ck_phase = CkPhase::Running;
@@ -2294,10 +2279,10 @@ impl System {
             .audit_parity(format!("after recovery to checkpoint {target}"), None)
             .and_then(|audit| audit.violations.first().copied());
 
-        // 7. Rewind the CPUs to the recovered checkpoint so the discarded
-        // work is re-executed — without this the resumed computation would
-        // run against rolled-back memory it never wrote, and the final
-        // state could not match a clean run.
+        // 7. Restore the execution state saved at the recovered checkpoint
+        // so the discarded work is re-executed — without this the resumed
+        // computation would run against rolled-back memory it never wrote,
+        // and the final state could not match a clean run.
         let ops_rolled_back = self.rollback_execution(target);
 
         // 8. Validation: every application page equals its node's memory

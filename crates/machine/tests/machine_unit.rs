@@ -4,7 +4,8 @@
 use revive_core::recovery::RecoveryError;
 use revive_machine::{
     ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan, MachineConfig,
-    MachineError, NodeSet, ReviveConfig, ReviveMode, Runner, System, TrafficClass, WorkloadSpec,
+    MachineError, NodeSet, ObsConfig, ReviveConfig, ReviveMode, Runner, System, TrafficClass,
+    WorkloadSpec,
 };
 use revive_sim::time::Ns;
 use revive_sim::types::NodeId;
@@ -341,7 +342,40 @@ fn each_recovery_sweeps_the_redundancy_once() {
         assert!(sweeps
             .iter()
             .all(|a| a.parity.groups_checked > 0 && a.is_clean()));
-        let outcome = result.recovery.expect("recovered");
+        let outcome = result.recovery().expect("recovered");
         assert_eq!(outcome.verified, Some(true));
     }
+}
+
+/// A recurring fault's second recovery pass starts the instant the first
+/// pass made the machine available, so the trace lays the two passes end
+/// to end — the same back-to-back sum `unavailable` reports.
+#[test]
+fn a_recurring_fault_traces_its_second_recovery_after_the_first() {
+    let (mut cfg, plan) = one_chunk(ErrorKind::NodeLoss(NodeId(1).into()));
+    cfg.obs = ObsConfig::full();
+    let recurring = InjectionPlan {
+        phase: InjectPhase::DuringRecovery,
+        ..plan
+    };
+    let result = Runner::new(cfg)
+        .expect("config")
+        .run_with_injections(&[recurring])
+        .expect("the fault fires");
+    let span = |name: &str| -> Vec<(Ns, Ns)> {
+        (result.spans.iter())
+            .filter(|s| s.name == format!("recovery/{name}"))
+            .map(|s| (s.start, s.end))
+            .collect()
+    };
+    let (hw, rollback, bg) = (span("hw_recovery"), span("rollback"), span("bg_rebuild"));
+    assert_eq!([hw.len(), rollback.len(), bg.len()], [2; 3], "two passes");
+    assert_eq!(hw[1].0, rollback[0].1, "pass 2 starts as pass 1 ends");
+    assert_eq!(hw[1].0, bg[0].0, "pass 2 overlaps pass 1's rebuild");
+    let outcome = result.recovery().expect("recovered");
+    assert_eq!(
+        rollback[1].1 - hw[0].0,
+        outcome.unavailable - outcome.lost_work,
+        "the passes span the reported outage"
+    );
 }

@@ -3,7 +3,7 @@
 //! The evaluation section of the paper reports aggregate counters (traffic
 //! breakdowns, log high-water marks) and a handful of distributions. This
 //! module provides the small set of accumulators those reports are built
-//! from: [`Counter`] and a power-of-two bucketed [`Histogram`].
+//! from: [`Counter`] and the log-bucketed [`LogHistogram`].
 
 use std::fmt;
 
@@ -55,37 +55,95 @@ impl fmt::Display for Counter {
     }
 }
 
-/// A histogram with power-of-two buckets: bucket `i` holds samples in
-/// `[2^(i-1), 2^i)` (bucket 0 holds the value 0).
+/// A log-bucketed histogram: values below `2·SUB` are exact, and every
+/// power-of-two octave `[2^k, 2^(k+1))` above that is split into `SUB`
+/// linear sub-buckets, so a quantile's relative error is at most `1/SUB`.
+///
+/// Two resolutions are in use. [`Histogram`] (`SUB = 1`) has one bucket
+/// per octave — bucket `i` holds `[2^(i-1), 2^i)`, bucket 0 the value 0 —
+/// which is enough for traffic breakdowns. [`TailHistogram`]
+/// (`SUB = `[`TAIL_SUB_BUCKETS`]) keeps SLO-grade tails apart: one-bucket
+/// octaves collapse p99/p99.9/p99.99 whenever the tail spans less than a
+/// factor of two, which request latencies routinely do.
 ///
 /// # Example
 ///
 /// ```
-/// use revive_sim::stats::Histogram;
+/// use revive_sim::stats::{Histogram, TailHistogram};
 /// let mut h = Histogram::new();
 /// h.record(0);
 /// h.record(1);
 /// h.record(5); // falls in [4, 8) => bucket 3
 /// assert_eq!(h.total(), 3);
 /// assert_eq!(h.bucket_count(3), 1);
+///
+/// let mut t = TailHistogram::new();
+/// for x in [100u64, 200, 400, 800] { t.record(x); }
+/// assert!(t.quantile_upper_bound(0.5) < t.quantile_upper_bound(1.0));
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct Histogram {
+pub struct LogHistogram<const SUB: u64> {
     buckets: Vec<u64>,
     total: u64,
 }
 
-impl Histogram {
+/// One bucket per power-of-two octave.
+pub type Histogram = LogHistogram<1>;
+
+/// Sub-bucket resolution of [`TailHistogram`]: each power-of-two octave is
+/// split into this many linear sub-buckets, bounding the relative error of
+/// any quantile to `1/TAIL_SUB_BUCKETS` (6.25%).
+pub const TAIL_SUB_BUCKETS: u64 = 16;
+
+/// The log-linear (HDR-style) resolution for SLO-grade tail quantiles.
+pub type TailHistogram = LogHistogram<TAIL_SUB_BUCKETS>;
+
+impl<const SUB: u64> LogHistogram<SUB> {
+    /// log2(SUB); `SUB` must be a power of two.
+    const SUB_SHIFT: u32 = {
+        assert!(SUB.is_power_of_two(), "SUB must be a power of two");
+        SUB.trailing_zeros()
+    };
+
     /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn bucket_of(x: u64) -> usize {
-        if x == 0 {
-            0
-        } else {
-            (64 - x.leading_zeros()) as usize
+        if x < 2 * SUB {
+            return x as usize;
+        }
+        // 2^k <= x < 2^(k+1) with k > SUB_SHIFT: shift x down so the
+        // mantissa lands in [SUB, 2·SUB), giving SUB linear sub-buckets per
+        // octave, contiguous with the exact range below. The index is
+        // (shift << SUB_SHIFT) + mantissa, written with the mantissa's top
+        // bit as the `+ 1` so that for `SUB = 1` it is just `k + 1`.
+        let k = 63 - x.leading_zeros();
+        let shift = k - Self::SUB_SHIFT;
+        (((shift as u64 + 1) << Self::SUB_SHIFT) + ((x >> shift) & (SUB - 1))) as usize
+    }
+
+    /// The inclusive upper bound of bucket `i` (saturating at `u64::MAX`
+    /// for the topmost octaves).
+    fn bucket_upper_bound(i: usize) -> u64 {
+        let i = i as u64;
+        if i < 2 * SUB {
+            return i;
+        }
+        // Inverse of `bucket_of`: index = (shift << SUB_SHIFT) + mantissa
+        // with mantissa in [SUB, 2·SUB), so index >> SUB_SHIFT = shift + 1.
+        let shift = (i >> Self::SUB_SHIFT) - 1;
+        let mantissa = (i & (SUB - 1)) + SUB;
+        let hi = (mantissa as u128 + 1) << shift;
+        u128::min(hi - 1, u64::MAX as u128) as u64
+    }
+
+    /// The inclusive lower bound of bucket `i`.
+    pub fn bucket_lower_bound(i: usize) -> u64 {
+        match i {
+            0 => 0,
+            _ => Self::bucket_upper_bound(i - 1) + 1,
         }
     }
 
@@ -109,23 +167,14 @@ impl Histogram {
         self.buckets.get(i).copied().unwrap_or(0)
     }
 
-    /// The raw bucket counts (index `i` covers `[2^(i-1), 2^i)`; index 0 is
-    /// the value 0). Exposed for report serialization.
+    /// The raw bucket counts, indexed like [`LogHistogram::bucket_lower_bound`].
+    /// Exposed for report serialization.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 
-    /// The inclusive lower bound of bucket `i`.
-    pub fn bucket_lower_bound(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
-        }
-    }
-
-    /// The smallest value `v` such that at least `q` (in `[0,1]`) of the
-    /// samples are `<= v`, reported at bucket-boundary granularity.
+    /// The smallest bucket bound `v` such that at least `q` (in `[0,1]`) of
+    /// the samples are `<= v`, reported at bucket-boundary granularity.
     ///
     /// # Panics
     ///
@@ -136,34 +185,37 @@ impl Histogram {
             return 0;
         }
         let target = quantile_target(self.total, q);
-        let upper = |i: usize| -> u64 {
-            if i == 0 {
-                0
-            } else if i >= 64 {
-                u64::MAX // the top bucket's bound saturates
-            } else {
-                (1u64 << i) - 1
-            }
-        };
         let mut seen = 0;
         for (i, &c) in self.buckets.iter().enumerate() {
             seen += c;
             if seen >= target {
-                return upper(i);
+                return Self::bucket_upper_bound(i);
             }
         }
-        upper(self.buckets.len())
+        Self::bucket_upper_bound(self.buckets.len().saturating_sub(1))
     }
 
-    /// The p99.9 upper bound — see [`Histogram::quantile_upper_bound`] for
-    /// the granularity caveat: with power-of-two buckets, tail quantiles a
-    /// factor <2 apart collapse onto the same bucket boundary. SLO-grade
-    /// tails should use [`TailHistogram`].
+    /// The median upper bound.
+    pub fn p50(&self) -> u64 {
+        self.quantile_upper_bound(0.5)
+    }
+
+    /// The p90 upper bound.
+    pub fn p90(&self) -> u64 {
+        self.quantile_upper_bound(0.9)
+    }
+
+    /// The p99 upper bound.
+    pub fn p99(&self) -> u64 {
+        self.quantile_upper_bound(0.99)
+    }
+
+    /// The p99.9 upper bound.
     pub fn p999(&self) -> u64 {
         self.quantile_upper_bound(0.999)
     }
 
-    /// The p99.99 upper bound (same granularity caveat as [`Histogram::p999`]).
+    /// The p99.99 upper bound.
     pub fn p9999(&self) -> u64 {
         self.quantile_upper_bound(0.9999)
     }
@@ -216,180 +268,15 @@ fn quantile_target(total: u64, q: f64) -> u64 {
     }
 }
 
-impl fmt::Display for Histogram {
+impl<const SUB: u64> fmt::Display for LogHistogram<SUB> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "hist(n={})", self.total)?;
         for (i, &c) in self.buckets.iter().enumerate() {
             if c > 0 {
-                let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
-                write!(f, " [{lo}..):{c}")?;
+                write!(f, " [{}..):{c}", Self::bucket_lower_bound(i))?;
             }
         }
         Ok(())
-    }
-}
-
-/// Sub-bucket resolution of [`TailHistogram`]: each power-of-two octave is
-/// split into this many linear sub-buckets, bounding the relative error of
-/// any quantile to `1/TAIL_SUB_BUCKETS` (6.25%) instead of the factor-of-two
-/// granularity of [`Histogram`].
-pub const TAIL_SUB_BUCKETS: u64 = 16;
-
-/// A log-linear (HDR-style) histogram for SLO-grade tail quantiles.
-///
-/// [`Histogram`]'s power-of-two buckets are fine for traffic breakdowns but
-/// collapse p99/p99.9/p99.99 of a latency distribution into one bucket
-/// whenever the tail spans less than a factor of two — which request
-/// latencies routinely do. Here values below 2·[`TAIL_SUB_BUCKETS`] are
-/// exact and every octave `[2^k, 2^(k+1))` above that is split into
-/// [`TAIL_SUB_BUCKETS`] linear sub-buckets, so adjacent tail quantiles stay
-/// distinguishable at ≤ 6.25% relative error across the full `u64` range.
-///
-/// # Example
-///
-/// ```
-/// use revive_sim::stats::TailHistogram;
-/// let mut h = TailHistogram::new();
-/// for x in [100u64, 200, 400, 800] { h.record(x); }
-/// assert_eq!(h.total(), 4);
-/// assert!(h.quantile_upper_bound(0.5) < h.quantile_upper_bound(1.0));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct TailHistogram {
-    buckets: Vec<u64>,
-    total: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl TailHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> TailHistogram {
-        TailHistogram::default()
-    }
-
-    /// log2(TAIL_SUB_BUCKETS).
-    const SUB_SHIFT: u32 = TAIL_SUB_BUCKETS.trailing_zeros();
-
-    fn bucket_of(x: u64) -> usize {
-        if x < 2 * TAIL_SUB_BUCKETS {
-            return x as usize;
-        }
-        // 2^k <= x < 2^(k+1) with k > SUB_SHIFT: shift x down so the
-        // mantissa lands in [SUB, 2·SUB), giving SUB linear sub-buckets per
-        // octave, contiguous with the exact range below.
-        let k = 63 - x.leading_zeros();
-        let shift = k - Self::SUB_SHIFT;
-        (((shift as u64) << Self::SUB_SHIFT) + (x >> shift)) as usize
-    }
-
-    /// The inclusive upper bound of bucket `i` (saturating at `u64::MAX`
-    /// for the topmost octaves).
-    fn bucket_upper_bound(i: usize) -> u64 {
-        let i = i as u64;
-        if i < 2 * TAIL_SUB_BUCKETS {
-            return i;
-        }
-        // Inverse of `bucket_of`: index = (shift << SUB_SHIFT) + mantissa
-        // with mantissa in [SUB, 2·SUB), so index >> SUB_SHIFT = shift + 1.
-        let shift = (i >> Self::SUB_SHIFT) - 1;
-        let mantissa = (i & (TAIL_SUB_BUCKETS - 1)) + TAIL_SUB_BUCKETS;
-        let hi = (mantissa as u128 + 1) << shift;
-        u128::min(hi - 1, u64::MAX as u128) as u64
-    }
-
-    /// Records one sample. Counts saturate at `u64::MAX`.
-    pub fn record(&mut self, x: u64) {
-        let b = Self::bucket_of(x);
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
-        }
-        self.buckets[b] = self.buckets[b].saturating_add(1);
-        self.total = self.total.saturating_add(1);
-        self.sum = self.sum.saturating_add(x as u128);
-        self.max = self.max.max(x);
-    }
-
-    /// Total number of samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Exact arithmetic mean of the recorded samples (the sum is kept
-    /// alongside the buckets); zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// The exact largest sample recorded; zero when empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The smallest bucket bound `v` such that at least `q` (in `[0,1]`) of
-    /// the samples are `<= v` — same exact-rank arithmetic as
-    /// [`Histogram::quantile_upper_bound`], at log-linear resolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile_upper_bound(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of [0,1]");
-        if self.total == 0 {
-            return 0;
-        }
-        let target = quantile_target(self.total, q);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Self::bucket_upper_bound(i);
-            }
-        }
-        Self::bucket_upper_bound(self.buckets.len().saturating_sub(1))
-    }
-
-    /// The median upper bound.
-    pub fn p50(&self) -> u64 {
-        self.quantile_upper_bound(0.5)
-    }
-
-    /// The p90 upper bound.
-    pub fn p90(&self) -> u64 {
-        self.quantile_upper_bound(0.9)
-    }
-
-    /// The p99 upper bound.
-    pub fn p99(&self) -> u64 {
-        self.quantile_upper_bound(0.99)
-    }
-
-    /// The p99.9 upper bound.
-    pub fn p999(&self) -> u64 {
-        self.quantile_upper_bound(0.999)
-    }
-
-    /// The p99.99 upper bound.
-    pub fn p9999(&self) -> u64 {
-        self.quantile_upper_bound(0.9999)
-    }
-}
-
-impl fmt::Display for TailHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tail(n={} p50={} p99={} p999={} max={})",
-            self.total,
-            self.p50(),
-            self.p99(),
-            self.p999(),
-            self.max
-        )
     }
 }
 
@@ -599,16 +486,34 @@ mod tests {
     }
 
     #[test]
-    fn tail_histogram_mean_and_max() {
-        let mut a = TailHistogram::new();
-        a.record(100);
-        a.record(300);
-        a.record(200);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.mean(), 200.0);
-        assert_eq!(a.max(), 300);
-        assert_eq!(TailHistogram::new().quantile_upper_bound(0.5), 0);
-        assert_eq!(TailHistogram::new().mean(), 0.0);
+    fn one_sub_bucket_is_one_bucket_per_octave() {
+        // The reference power-of-two rule: index 0 holds the value 0 and
+        // index i covers [2^(i-1), 2^i).
+        let index = |x: u64| {
+            if x == 0 {
+                0
+            } else {
+                (64 - x.leading_zeros()) as usize
+            }
+        };
+        let upper = |i: usize| match i {
+            0 => 0,
+            64.. => u64::MAX,
+            _ => (1u64 << i) - 1,
+        };
+        let lower = |i: usize| if i == 0 { 0 } else { 1u64 << (i - 1) };
+        for i in 0..=64 {
+            assert_eq!(Histogram::bucket_upper_bound(i), upper(i), "i={i}");
+            assert_eq!(Histogram::bucket_lower_bound(i), lower(i), "i={i}");
+        }
+        for k in 0..64 {
+            let lo = 1u64 << k;
+            for x in [lo, lo + 1, lo + lo / 2, lo | (lo - 1)] {
+                assert_eq!(Histogram::bucket_of(x), index(x), "x={x}");
+            }
+        }
+        assert_eq!(Histogram::bucket_of(0), 0);
+        assert_eq!(Histogram::bucket_of(u64::MAX), 64);
     }
 
     #[test]
@@ -616,6 +521,5 @@ mod tests {
         let mut h = TailHistogram::new();
         h.record(u64::MAX);
         assert_eq!(h.quantile_upper_bound(1.0), u64::MAX);
-        assert_eq!(h.max(), u64::MAX);
     }
 }

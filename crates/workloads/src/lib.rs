@@ -15,13 +15,16 @@
 //!   rates reproduce Table 4's ordering (Radix > Ocean > FFT ≫ Water).
 //! * [`synthetic`] — the three Table 2 microbenchmarks (working set vs L2 ×
 //!   dirtiness) plus uniform-random traffic for protocol stress tests.
+//! * [`serving`] — open-loop request streams measured against an SLO.
+//!
+//! [`Workload`] is the built generator of any of the three.
 //!
 //! # Example
 //!
 //! ```
 //! use revive_workloads::{AppId, Scale, Workload};
 //!
-//! let mut app = AppId::Radix.build(4, Scale { l2_bytes: 16 * 1024 }, 42);
+//! let mut app = Workload::Splash(AppId::Radix.build(4, Scale { l2_bytes: 16 * 1024 }, 42));
 //! let op = app.next(0);
 //! assert!(op.vaddr < app.footprint_bytes());
 //! ```
@@ -31,9 +34,9 @@ pub mod serving;
 pub mod splash;
 pub mod synthetic;
 
-pub use serving::{Arrival, ServingKind};
-pub use splash::AppId;
-pub use synthetic::SyntheticKind;
+pub use serving::{Arrival, Serving, ServingKind};
+pub use splash::{AppId, SplashApp};
+pub use synthetic::{Synthetic, SyntheticKind};
 
 /// One memory operation emitted by a workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,24 +67,61 @@ pub struct RequestStatus {
     pub next_arrival: u64,
 }
 
-/// A multiprocessor workload: one deterministic op stream per CPU.
+/// A built multiprocessor workload: one deterministic op stream per CPU,
+/// from one of the three model families.
 ///
-/// `Send` is a supertrait so a machine holding a boxed workload can be
-/// built on one thread and driven on another (the parallel harness moves
-/// whole experiments onto worker threads).
-pub trait Workload: Send {
+/// `Clone` is what rollback needs: a checkpoint keeps a copy of the
+/// generator as it stood, so recovery restores every CPU's stream position
+/// (and a serving CPU's arrival schedule) by value instead of re-deriving
+/// it.
+#[derive(Clone)]
+pub enum Workload {
+    /// A SPLASH-2 application model.
+    Splash(SplashApp),
+    /// A synthetic corner.
+    Synthetic(Synthetic),
+    /// An open-loop request serving stream.
+    Serving(Serving),
+}
+
+impl Workload {
     /// Short name (e.g. `"radix"`).
-    fn name(&self) -> &str;
+    pub fn name(&self) -> &'static str {
+        match self {
+            Workload::Splash(w) => w.name(),
+            Workload::Synthetic(w) => w.name(),
+            Workload::Serving(w) => w.name(),
+        }
+    }
+
     /// The next operation for `cpu`. Streams are infinite; the machine
     /// decides the op budget.
-    fn next(&mut self, cpu: usize) -> Op;
+    #[inline]
+    pub fn next(&mut self, cpu: usize) -> Op {
+        match self {
+            Workload::Splash(w) => w.next(cpu),
+            Workload::Synthetic(w) => w.next(cpu),
+            Workload::Serving(w) => w.next(cpu),
+        }
+    }
+
     /// Upper bound of the virtual address space touched.
-    fn footprint_bytes(&self) -> u64;
+    pub fn footprint_bytes(&self) -> u64 {
+        match self {
+            Workload::Splash(w) => w.footprint_bytes(),
+            Workload::Synthetic(w) => w.footprint_bytes(),
+            Workload::Serving(w) => w.footprint_bytes(),
+        }
+    }
+
     /// Open-loop request bookkeeping for `cpu`, if this workload serves
-    /// requests. Batch workloads (the default) return `None` and the
-    /// machine runs them closed-loop, exactly as before.
-    fn request_status(&self, _cpu: usize) -> Option<RequestStatus> {
-        None
+    /// requests. Batch workloads return `None` and the machine runs them
+    /// closed-loop.
+    pub fn request_status(&self, cpu: usize) -> Option<RequestStatus> {
+        match self {
+            Workload::Serving(w) => Some(w.request_status(cpu)),
+            _ => None,
+        }
     }
 }
 
@@ -125,6 +165,67 @@ mod tests {
         let mut b = AppId::Radix.build(1, scale, 2);
         let same = (0..200).filter(|_| a.next(0) == b.next(0)).count();
         assert!(same < 200, "seeds produce identical streams");
+    }
+
+    /// The reference a clone must match: rebuild from the seed, then
+    /// replay `next()` up to each CPU's stream position.
+    fn rebuilt(build: &dyn Fn() -> Workload, positions: &[u64]) -> Workload {
+        let mut w = build();
+        for (cpu, &n) in positions.iter().enumerate() {
+            for _ in 0..n {
+                w.next(cpu);
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn a_clone_resumes_where_rebuild_and_replay_would() {
+        let scale = Scale { l2_bytes: 8192 };
+        let serving = ServingKind {
+            arrival: Arrival::Bursty {
+                mean_ns: 2_500,
+                on_ns: 40_000,
+                off_ns: 40_000,
+            },
+            ops_per_request: 4,
+        };
+        let builds: [Box<dyn Fn() -> Workload>; 3] = [
+            Box::new(|| Workload::Splash(AppId::Ocean.build(3, scale, 5))),
+            Box::new(|| Workload::Synthetic(SyntheticKind::Uniform.build(3, scale, 5))),
+            Box::new(|| Workload::Serving(serving.build(3, scale, 5))),
+        ];
+        for build in &builds {
+            let mut live = build();
+            let mut positions = [0u64; 3];
+            let mut mid_request = false;
+            // Uneven per-CPU positions; for serving, any position not a
+            // multiple of 4 sits inside a request.
+            for step in [0u64, 1, 6, 250, 1_337] {
+                for (cpu, pos) in positions.iter_mut().enumerate() {
+                    for _ in 0..step + cpu as u64 {
+                        live.next(cpu);
+                        *pos += 1;
+                    }
+                    mid_request |= live.request_status(cpu).is_some_and(|s| s.ops_left > 0);
+                }
+                let mut clone = live.clone();
+                let mut reference = rebuilt(build, &positions);
+                for _ in 0..50 {
+                    for cpu in 0..3 {
+                        let at = (live.name(), cpu, positions);
+                        assert_eq!(
+                            clone.request_status(cpu),
+                            reference.request_status(cpu),
+                            "{at:?}"
+                        );
+                        assert_eq!(clone.next(cpu), reference.next(cpu), "{at:?}");
+                    }
+                }
+            }
+            let serves = matches!(live, Workload::Serving(_));
+            assert_eq!(mid_request, serves, "{}", live.name());
+        }
     }
 
     #[test]

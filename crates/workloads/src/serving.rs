@@ -12,18 +12,18 @@
 //! the same [`crate::patterns`] machinery as the batch models so it
 //! exercises identical directory paths — ending in a commit write.
 //!
-//! Arrival times live in the workload (not the machine) so they are a pure
-//! function of the seeded RNG stream: rebuilding the workload and replaying
-//! `next()` calls reproduces both the ops *and* the arrival schedule, which
-//! is what lets rollback recovery re-derive in-flight request state
+//! Arrival times live in the workload (not the machine), so the generator
+//! holds a CPU's whole request schedule: the clone a checkpoint keeps
+//! restores both the op stream *and* the in-flight request on rollback
 //! (DESIGN.md §16). The machine reads the schedule through
-//! [`Workload::request_status`] and stalls a CPU whose next request has not
-//! arrived yet — that stall time is exactly the open-loop queueing delay.
+//! [`crate::Workload::request_status`] and stalls a CPU whose next request
+//! has not arrived yet — that stall time is exactly the open-loop queueing
+//! delay.
 
 use revive_sim::rng::{DetRng, FastRange};
 
 use crate::patterns::{Cursor, Pattern, Region};
-use crate::{Op, RequestStatus, Scale, Workload};
+use crate::{Op, RequestStatus, Scale};
 
 /// A request arrival process, parameterized in integer nanoseconds so the
 /// containing config stays `Eq`/hashable.
@@ -126,6 +126,7 @@ fn next_arrival(arrival: Arrival, rng: &mut DetRng, from: u64) -> u64 {
     }
 }
 
+#[derive(Clone)]
 struct CpuState {
     rng: DetRng,
     cursor: Cursor,
@@ -138,6 +139,7 @@ struct CpuState {
 }
 
 /// A built open-loop serving workload.
+#[derive(Clone)]
 pub struct Serving {
     kind: ServingKind,
     write_frac: f64,
@@ -195,14 +197,14 @@ impl Serving {
     pub fn kind(&self) -> ServingKind {
         self.kind
     }
-}
 
-impl Workload for Serving {
-    fn name(&self) -> &str {
+    /// The shape's short name.
+    pub fn name(&self) -> &'static str {
         self.kind.name()
     }
 
-    fn next(&mut self, cpu: usize) -> Op {
+    /// The next operation for `cpu`.
+    pub fn next(&mut self, cpu: usize) -> Op {
         let st = &mut self.cpus[cpu];
         if st.ops_left == 0 {
             st.cur_arrival = st.next_arrival;
@@ -226,17 +228,19 @@ impl Workload for Serving {
         }
     }
 
-    fn footprint_bytes(&self) -> u64 {
+    /// Upper bound of the virtual address space touched.
+    pub fn footprint_bytes(&self) -> u64 {
         self.footprint
     }
 
-    fn request_status(&self, cpu: usize) -> Option<RequestStatus> {
+    /// Where `cpu` stands in its request stream.
+    pub fn request_status(&self, cpu: usize) -> RequestStatus {
         let st = &self.cpus[cpu];
-        Some(RequestStatus {
+        RequestStatus {
             ops_left: st.ops_left,
             arrival: st.cur_arrival,
             next_arrival: st.next_arrival,
-        })
+        }
     }
 }
 
@@ -255,7 +259,7 @@ mod tests {
             for i in 0..kind.ops_per_request {
                 let op = w.next(0);
                 if i == 0 {
-                    out.push(w.request_status(0).unwrap().arrival);
+                    out.push(w.request_status(0).arrival);
                 }
                 if i == kind.ops_per_request - 1 {
                     assert!(op.write, "last op of a request must be the commit write");
@@ -328,32 +332,6 @@ mod tests {
         let mut c = kind.build(2, SCALE, 12);
         let same = (0..500).filter(|_| a.next(0) == c.next(0)).count();
         assert!(same < 500, "seeds produce identical streams");
-    }
-
-    #[test]
-    fn rebuild_and_replay_reproduces_midstream_state() {
-        // Rollback recovery rebuilds the workload and fast-forwards
-        // `next()`; the arrival schedule must come back identically.
-        let kind = ServingKind {
-            arrival: Arrival::Bursty {
-                mean_ns: 2_500,
-                on_ns: 40_000,
-                off_ns: 40_000,
-            },
-            ops_per_request: 4,
-        };
-        let mut a = kind.build(2, SCALE, 9);
-        let mut trace = Vec::new();
-        for i in 0..1_337 {
-            let cpu = i % 2;
-            trace.push((cpu, a.next(cpu)));
-        }
-        let mut b = kind.build(2, SCALE, 9);
-        for &(cpu, op) in &trace {
-            assert_eq!(b.next(cpu), op);
-        }
-        assert_eq!(a.request_status(0), b.request_status(0));
-        assert_eq!(a.request_status(1), b.request_status(1));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use revive_sim::rng::{DetRng, FastRange};
 
 use crate::patterns::{Cursor, Pattern, Region};
-use crate::{Op, Scale, Workload};
+use crate::{Op, Scale};
 
 /// The 12 SPLASH-2 applications of the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -509,6 +509,7 @@ struct PhaseSpec {
     locality: f64,
 }
 
+#[derive(Clone)]
 struct CpuPhase {
     cursor: Cursor,
     /// Full shared arena for remote accesses (partitioned phases).
@@ -519,6 +520,7 @@ struct CpuPhase {
     line_offset: u64,
 }
 
+#[derive(Clone)]
 struct CpuState {
     rng: DetRng,
     phases: Vec<CpuPhase>,
@@ -527,6 +529,7 @@ struct CpuState {
 }
 
 /// A built application model (see module docs).
+#[derive(Clone)]
 pub struct SplashApp {
     id: AppId,
     specs: Vec<PhaseSpec>,
@@ -621,14 +624,14 @@ impl SplashApp {
     pub fn id(&self) -> AppId {
         self.id
     }
-}
 
-impl Workload for SplashApp {
-    fn name(&self) -> &str {
+    /// The application's short name.
+    pub fn name(&self) -> &'static str {
         self.id.name()
     }
 
-    fn next(&mut self, cpu: usize) -> Op {
+    /// The next operation for `cpu`.
+    pub fn next(&mut self, cpu: usize) -> Op {
         let st = &mut self.cpus[cpu];
         if st.left == 0 {
             st.phase = (st.phase + 1) % self.specs.len();
@@ -667,7 +670,8 @@ impl Workload for SplashApp {
         }
     }
 
-    fn footprint_bytes(&self) -> u64 {
+    /// Upper bound of the virtual address space touched.
+    pub fn footprint_bytes(&self) -> u64 {
         self.footprint
     }
 }

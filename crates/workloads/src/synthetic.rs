@@ -9,7 +9,7 @@
 use revive_sim::rng::{DetRng, FastRange};
 
 use crate::patterns::{Cursor, Pattern, Region};
-use crate::{Op, Scale, Workload};
+use crate::{Op, Scale};
 
 /// The synthetic workload corners.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -60,12 +60,14 @@ impl std::fmt::Display for SyntheticKind {
     }
 }
 
+#[derive(Clone)]
 struct CpuState {
     rng: DetRng,
     cursor: Cursor,
 }
 
 /// A built synthetic workload.
+#[derive(Clone)]
 pub struct Synthetic {
     kind: SyntheticKind,
     write_frac: f64,
@@ -123,14 +125,14 @@ impl Synthetic {
     pub fn kind(&self) -> SyntheticKind {
         self.kind
     }
-}
 
-impl Workload for Synthetic {
-    fn name(&self) -> &str {
+    /// The corner's short name.
+    pub fn name(&self) -> &'static str {
         self.kind.name()
     }
 
-    fn next(&mut self, cpu: usize) -> Op {
+    /// The next operation for `cpu`.
+    pub fn next(&mut self, cpu: usize) -> Op {
         let st = &mut self.cpus[cpu];
         let vaddr = st.cursor.next(&mut st.rng);
         let write = st.rng.chance(self.write_frac);
@@ -143,7 +145,8 @@ impl Workload for Synthetic {
         }
     }
 
-    fn footprint_bytes(&self) -> u64 {
+    /// Upper bound of the virtual address space touched.
+    pub fn footprint_bytes(&self) -> u64 {
         self.footprint
     }
 }

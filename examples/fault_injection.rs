@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..InjectionPlan::paper_worst_case(interval, NodeId(5))
         };
         let result = Runner::new(cfg)?.run_with_injections(&[plan])?;
-        let rec = result.recovery.expect("recovery ran");
+        let rec = result.recovery().expect("recovery ran");
         println!("rolled back to checkpoint : {}", rec.target_interval);
         println!("phase 1 (hw recovery)     : {}", rec.report.phase1);
         println!(

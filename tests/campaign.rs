@@ -58,7 +58,7 @@ fn faults_on_every_commit_boundary_recover_exactly() {
             let p = plan(kind, InjectPhase::CommitEdge(point), interval);
             let (result, diff) = injected_vs_golden(c, &[p], &golden).unwrap();
             assert!(diff.is_match(), "{label}: memory diverged: {diff}");
-            let rec = result.recovery.expect("recovered");
+            let rec = result.recovery().expect("recovered");
             // A fault before barrier 2 aborts the in-flight checkpoint 3:
             // the machine must fall back to checkpoint 2. After the
             // commit completes, checkpoint 3 is established and is itself
@@ -136,7 +136,7 @@ fn double_fault_in_one_chunk_is_classified_unrecoverable() {
     // No recovery completed, so the recovery lists stay empty and the
     // sim never resumed past the fault.
     assert!(result.recoveries.is_empty());
-    assert!(result.recovery.is_none());
+    assert!(result.recovery().is_none());
 }
 
 /// A simultaneous multi-node loss beyond the budget is equally typed.

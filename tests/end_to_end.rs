@@ -90,7 +90,7 @@ fn node_loss_recovery_is_value_exact() {
         .unwrap()
         .run_with_injections(&[plan])
         .unwrap();
-    let rec = result.recovery.expect("recovery ran");
+    let rec = result.recovery().expect("recovery ran");
     assert_eq!(rec.verified, Some(true), "memory mismatch after recovery");
     assert!(rec.report.log_pages_rebuilt > 0);
     assert!(rec.report.entries_replayed > 0);
@@ -109,7 +109,7 @@ fn transient_error_recovery_is_value_exact() {
         .unwrap()
         .run_with_injections(&[plan])
         .unwrap();
-    let rec = result.recovery.expect("recovery ran");
+    let rec = result.recovery().expect("recovery ran");
     assert_eq!(rec.verified, Some(true));
     // No memory lost: phase 2 is skipped entirely.
     assert_eq!(rec.report.phase2, Ns::ZERO);
@@ -140,7 +140,7 @@ fn mirroring_mode_recovers_too() {
         .unwrap()
         .run_with_injections(&[plan])
         .unwrap();
-    assert_eq!(result.recovery.unwrap().verified, Some(true));
+    assert_eq!(result.recovery().unwrap().verified, Some(true));
 }
 
 #[test]
@@ -198,7 +198,7 @@ fn lossy_lbits_machine_still_recovers_exactly() {
         .unwrap()
         .run_with_injections(&[plan])
         .unwrap();
-    let rec = result.recovery.expect("recovery ran");
+    let rec = result.recovery().expect("recovery ran");
     assert_eq!(rec.verified, Some(true));
 }
 
@@ -243,7 +243,7 @@ fn larger_parity_groups_use_less_memory_but_same_protection() {
             .run_with_injections(&[plan])
             .unwrap();
         assert_eq!(
-            result.recovery.unwrap().verified,
+            result.recovery().unwrap().verified,
             Some(true),
             "group size {group}"
         );
@@ -267,7 +267,7 @@ fn mixed_mode_recovers_exactly() {
         .unwrap()
         .run_with_injections(&[plan])
         .unwrap();
-    assert_eq!(result.recovery.unwrap().verified, Some(true));
+    assert_eq!(result.recovery().unwrap().verified, Some(true));
 }
 
 #[test]

@@ -25,7 +25,7 @@ fn check_oracle(kind: SyntheticKind) {
 
     // Offline replay: last write token per (vpage, line, quadword). Tokens
     // mirror System::make_token / CacheCtrl::apply_write.
-    let mut w = WorkloadSpec::Synthetic(kind).build(cpus, cfg.machine.scale(), cfg.seed);
+    let mut w = kind.build(cpus, cfg.machine.scale(), cfg.seed);
     let mut expect: HashMap<(u64, usize, usize), u64> = HashMap::new();
     for c in 0..cpus {
         for p in 0..cfg.ops_per_cpu {

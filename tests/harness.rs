@@ -81,7 +81,7 @@ fn parallel_sweep_is_byte_identical_to_serial() {
         assert_eq!(s.result.events, p.result.events, "{}", s.label);
         assert!(!s.cached && !p.cached);
     }
-    assert!(serial[5].result.recovery.is_some(), "injection ran");
+    assert!(serial[5].result.recovery().is_some(), "injection ran");
 
     // And the artifacts on disk are byte-for-byte the same.
     let a = read_artifacts(&serial_dir);
@@ -109,8 +109,8 @@ fn cached_rerun_skips_runs_and_preserves_artifacts() {
         assert_eq!(f.result.events, c.result.events);
         assert_eq!(f.result.checkpoints, c.result.checkpoints);
         assert_eq!(
-            f.result.recovery.map(|r| r.unavailable),
-            c.result.recovery.map(|r| r.unavailable)
+            f.result.recovery().map(|r| r.unavailable),
+            c.result.recovery().map(|r| r.unavailable)
         );
     }
     assert_eq!(before, read_artifacts(&dir), "cache hits rewrote artifacts");

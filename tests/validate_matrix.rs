@@ -60,7 +60,7 @@ fn run_matrix_phase(phase: InjectPhase) {
             let (result, diff) =
                 injected_vs_golden(c, &[plan(kind, phase, interval)], &golden_image).unwrap();
             let rec = result
-                .recovery
+                .recovery()
                 .unwrap_or_else(|| panic!("{label}: no recovery"));
             assert!(
                 diff.is_match(),
