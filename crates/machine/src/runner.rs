@@ -503,8 +503,9 @@ pub struct RunResult {
     pub trace: TraceBuffer,
     /// Checkpoint and recovery phase spans (empty unless tracing is on).
     pub spans: Vec<Span>,
-    /// End-of-run fabric delivery counters (reset by recovery Phase 1, so
-    /// for injection runs this covers only the post-recovery epoch).
+    /// End-of-run fabric delivery counters. Recovery does not reset them,
+    /// so for injection runs they cover the whole run, rolled-back work
+    /// included.
     pub fabric: revive_net::FabricStats,
     /// Per-request latency and SLO accounting (`None` for batch
     /// workloads; `Some` ⇔ the workload is `WorkloadSpec::Serving`).

@@ -230,10 +230,14 @@ mod tests {
 
     #[test]
     fn counter_resets_do_not_underflow() {
-        // Recovery resets the fabric counters; deltas must clamp at zero.
+        // Rollback rewinds `cpu_ops` (and retracts provisional serving
+        // completions), so a reading can fall below the previous one;
+        // every delta clamps at zero.
         let mut s = IntervalSampler::new(Ns(100));
-        s.push(input(100, 1_000, 10));
+        s.push(input(100, 1_000, 50));
         s.push(input(200, 100, 20));
+        assert_eq!(s.samples()[1].ops, 0);
+        assert_eq!(s.samples()[1].requests, 0);
         assert_eq!(s.samples()[1].net_bytes[0], 0);
         assert_eq!(s.samples()[1].link_busy, Ns::ZERO);
     }

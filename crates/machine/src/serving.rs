@@ -165,7 +165,7 @@ impl ServingTracker {
     /// Folds every provisional completion covered by the oldest retained
     /// snapshot into the durable ledger. Called after each checkpoint
     /// commit with that snapshot's per-CPU stream position (see
-    /// [`covered`]).
+    /// `covered`).
     pub fn fold_durable(&mut self, position: impl Fn(usize) -> (u64, bool)) {
         let mut kept = Vec::with_capacity(self.provisional.len());
         let recs = std::mem::take(&mut self.provisional);

@@ -34,10 +34,10 @@ use revive_core::redundancy::{Redundancy, StripeCode};
 use revive_core::validate::{
     audit_redundancy, IncrementalAudit, LogDivergence, MemoryImage, ParityAudit,
 };
-use revive_mem::addr::{AddressMap, LineAddr, PageAddr, LINES_PER_PAGE, LINE_SIZE};
+use revive_mem::addr::{AddressMap, LineAddr, PageAddr};
 use revive_mem::dram::{Dram, DramOp};
 use revive_mem::line::LineData;
-use revive_mem::main_memory::{NodeMemory, PageSet, SharedPage};
+use revive_mem::main_memory::{NodeMemory, PageSet};
 use revive_net::fabric::Fabric;
 use revive_net::topology::{Direction, LinkId, Torus};
 use revive_sim::engine::EventQueue;
@@ -358,49 +358,6 @@ impl ExecSnapshot {
     }
 }
 
-/// Memory lines with every pending redundancy update landed, kept by page
-/// so that a read consults the lines only on the few pages they touch.
-struct Overlay {
-    /// The global pages holding an overlay line.
-    touched: PageSet,
-    pages: Vec<(PageAddr, [Option<LineData>; LINES_PER_PAGE])>,
-}
-
-impl Overlay {
-    fn new(map: &AddressMap) -> Overlay {
-        Overlay {
-            touched: PageSet::empty(map.nodes() as u64 * map.pages_per_node()),
-            pages: Vec::new(),
-        }
-    }
-
-    fn touches(&self, page: PageAddr) -> bool {
-        self.touched.contains(page.index())
-    }
-
-    fn get(&self, line: LineAddr) -> Option<LineData> {
-        if !self.touches(line.page()) {
-            return None;
-        }
-        let (_, lines) = self.pages.iter().find(|(p, _)| *p == line.page())?;
-        lines[line.index_in_page()]
-    }
-
-    fn set(&mut self, line: LineAddr, data: LineData) {
-        let page = line.page();
-        if !self.touches(page) {
-            self.touched.insert(page.index());
-            self.pages.push((page, [None; LINES_PER_PAGE]));
-        }
-        let (_, lines) = self
-            .pages
-            .iter_mut()
-            .find(|(p, _)| *p == page)
-            .expect("a touched page has lines");
-        lines[line.index_in_page()] = Some(data);
-    }
-}
-
 /// The assembled machine (see module docs).
 pub struct System {
     pub(crate) cfg: ExperimentConfig,
@@ -427,7 +384,7 @@ pub struct System {
     pub(crate) ckpt_counter: u64,
     early_pending: bool,
     exec_snaps: VecDeque<ExecSnapshot>,
-    /// Validation mode: the commit audit's cached group verdicts.
+    /// Validation mode: the parity audit's cached group verdicts.
     commit_audit: IncrementalAudit,
     /// Stops the event loop: set by a scripted strike and by organic
     /// detection, cleared by [`System::detect`].
@@ -1903,14 +1860,8 @@ impl System {
             }
         }
         self.ck_stats.timelines.push(self.ck_timeline);
-        // Validation mode costs what changed: the pages written since the
-        // last commit are the only ones whose groups the audit re-reads.
-        let written: Vec<PageSet> = match self.cfg.shadow_checkpoints {
-            true => self.mems.iter_mut().map(NodeMemory::take_written).collect(),
-            false => Vec::new(),
-        };
         self.capture_exec_snapshot(new_id);
-        self.audit_parity(format!("commit of checkpoint {new_id}"), Some(&written));
+        self.audit_parity(format!("commit of checkpoint {new_id}"));
         if self.armed_for(Trigger::CommitEdge {
             id: new_id,
             point: CommitPoint::AfterCommit,
@@ -2030,60 +1981,51 @@ impl System {
     ///
     /// Parity traffic for the flushed write-backs and the just-shipped
     /// checkpoint markers may still be in flight at a commit, so the
-    /// invariant audited is memory ⊕ pending updates: the queue is
-    /// drained, pending updates are landed on a read overlay in delivery
-    /// order, and the events are rescheduled untouched. (After recovery
-    /// nothing is in flight and the overlay stays empty.)
+    /// invariant audited is memory ⊕ pending updates. The audit reads a
+    /// copy-on-write clone of the memories on which every pending update
+    /// has landed, in delivery order; the queue is drained and rescheduled
+    /// untouched, so the machine is left as it was. (After recovery
+    /// nothing is in flight and the clone is the memory.)
     ///
-    /// At a commit, `written` holds each node's pages written since the
-    /// previous commit, and the commit audit re-reads only the groups
-    /// they (or the overlay) touch. `None` sweeps every group afresh.
-    /// Debug builds check every commit audit against the full sweep.
-    /// Returns the recorded audit (`None` outside validation mode).
-    pub(crate) fn audit_parity(
-        &mut self,
-        context: String,
-        written: Option<&[PageSet]>,
-    ) -> Option<&ParityAudit> {
+    /// Validation costs what changed: each audit takes the pages written
+    /// since the previous one, and re-reads only the groups they or a
+    /// landed update touch. Debug builds check every audit against the
+    /// full sweep. Returns the recorded audit (`None` outside validation
+    /// mode).
+    pub(crate) fn audit_parity(&mut self, context: String) -> Option<&ParityAudit> {
         if !self.cfg.shadow_checkpoints {
             return None;
         }
         let rdx = self.redundancy?;
+        let written: Vec<PageSet> = self.mems.iter_mut().map(NodeMemory::take_written).collect();
+        let mut view = self.mems.clone();
         let pending = self.queue.drain();
-        let mut overlay = Overlay::new(&self.map);
         for (_, ev) in &pending {
-            let Some((_, update, mirror)) = ev.pending_update() else {
-                continue;
-            };
-            for (pline, delta) in &update.deltas {
-                let current = overlay
-                    .get(*pline)
-                    .unwrap_or_else(|| self.read_home(*pline));
-                overlay.set(*pline, StripeCode::apply_update(mirror, current, *delta));
+            if let Some((dst, update, mirror)) = ev.pending_update() {
+                land(&mut view[dst.index()], &self.map, update, mirror);
             }
         }
-        let mut commit_audit = std::mem::take(&mut self.commit_audit);
-        let read = |line| overlay.get(line).unwrap_or_else(|| self.read_home(line));
-        let audit = match written {
-            Some(written) => {
-                let map = self.map;
-                let changed = |page| {
-                    written[map.home_of_page(page).index()].contains(map.local_page_index(page))
-                };
-                let audit = commit_audit.sweep(&rdx, changed, |page| overlay.touches(page), &read);
-                debug_assert_eq!(
-                    audit,
-                    audit_redundancy(&rdx, &read),
-                    "the incremental audit diverged from the full sweep at the {context}"
-                );
-                audit
-            }
-            None => audit_redundancy(&rdx, &read),
-        };
-        self.commit_audit = commit_audit;
         for (at, ev) in pending {
             self.queue.schedule(at, ev);
         }
+        let landed: Vec<PageSet> = view.iter_mut().map(NodeMemory::take_written).collect();
+        let map = self.map;
+        let holds = |pages: &[PageSet], page: PageAddr| {
+            pages[map.home_of_page(page).index()].contains(map.local_page_index(page))
+        };
+        let read =
+            |line| view[map.home_of_line(line).index()].read_line(map.local_line_index(line));
+        let audit = self.commit_audit.sweep(
+            &rdx,
+            |page| holds(&written, page),
+            |page| holds(&landed, page),
+            read,
+        );
+        debug_assert_eq!(
+            audit,
+            audit_redundancy(&rdx, read),
+            "the incremental audit diverged from the full sweep at the {context}"
+        );
         self.audits.push(AuditReport {
             context,
             parity: audit,
@@ -2092,34 +2034,30 @@ impl System {
         self.audits.last().map(|a| &a.parity)
     }
 
-    /// The functional memory contents by *virtual* page: node memory with
-    /// every dirty L2 line overlaid. Keyed by virtual page so that two runs
-    /// of the same program compare equal even when first-touch placement
-    /// put their pages on different nodes (physical placement is a timing
-    /// artifact; the program-visible contents are not). A page no dirty
-    /// line falls in shares its handle with home memory; only the others
-    /// are copied and patched.
+    /// The functional memory contents by *virtual* page: a copy-on-write
+    /// clone of node memory with every dirty L2 line written over it.
+    /// Keyed by virtual page so that two runs of the same program compare
+    /// equal even when first-touch placement put their pages on different
+    /// nodes (physical placement is a timing artifact; the program-visible
+    /// contents are not). A page no dirty line falls in shares its handle
+    /// with home memory; only the others are copied.
     pub fn memory_image(&self) -> MemoryImage {
-        let mut dirty: Vec<(LineAddr, LineData)> = Vec::new();
+        let mut view = self.mems.clone();
         for node in &self.nodes {
             for line in node.ctrl.dirty_lines() {
-                if let Some(d) = node.ctrl.cached_data(line) {
-                    dirty.push((line, d));
+                if let Some(data) = node.ctrl.cached_data(line) {
+                    let home = &mut view[self.map.home_of_line(line).index()];
+                    home.write_line(self.map.local_line_index(line), data);
                 }
             }
         }
-        dirty.sort_by_key(|&(line, _)| line);
         let mut img = MemoryImage::default();
         for (vpage, page) in self.page_table.mappings() {
-            let home = &self.mems[self.map.home_of_page(page).index()];
-            let mut shared = home.shared_page(self.map.local_page_index(page)).clone();
-            let from = dirty.partition_point(|&(line, _)| line < page.first_line());
-            for &(line, data) in dirty[from..].iter().take_while(|(l, _)| l.page() == page) {
-                let at = line.index_in_page() * LINE_SIZE;
-                SharedPage::make_mut(&mut shared)[at..at + LINE_SIZE]
-                    .copy_from_slice(data.as_bytes());
-            }
-            img.insert_page(vpage, shared);
+            let home = &view[self.map.home_of_page(page).index()];
+            img.insert_page(
+                vpage,
+                home.shared_page(self.map.local_page_index(page)).clone(),
+            );
         }
         img
     }
@@ -2273,10 +2211,12 @@ impl System {
         self.ckpt_counter = target;
 
         // 6. Validation: the redundancy invariant holds for every group.
-        // Nothing is in flight and nothing below writes memory, so this
-        // one sweep also stands for the verification in step 8.
+        // Loss, rebuild, replay and scrub flagged every page they wrote,
+        // so the audit re-reads just those groups. Nothing is in flight
+        // and nothing below writes memory, so this one sweep also stands
+        // for the verification in step 8.
         let violation = self
-            .audit_parity(format!("after recovery to checkpoint {target}"), None)
+            .audit_parity(format!("after recovery to checkpoint {target}"))
             .and_then(|audit| audit.violations.first().copied());
 
         // 7. Restore the execution state saved at the recovered checkpoint
@@ -2457,6 +2397,46 @@ mod tests {
                 offset: 9,
             }]
         );
+    }
+
+    /// The audit reads a view: pending redundancy updates land on a clone,
+    /// so memory ⊕ updates audits clean while raw memory does not, and the
+    /// machine is left as it was — its pages, its queue and the rest of
+    /// its run.
+    #[test]
+    fn audit_view_never_touches_the_machine() {
+        let mut cfg = ExperimentConfig::test_small(AppId::Lu);
+        cfg.workload = WorkloadSpec::Synthetic(SyntheticKind::WsExceedsL2);
+        cfg.ops_per_cpu = 20_000;
+        let mut sys = System::new(cfg).unwrap();
+        run_to_commit(&mut sys, 1);
+        let rdx = sys.redundancy.expect("revive on");
+        // Stop while a written line's redundancy update is in flight.
+        let raw = |sys: &System| audit_redundancy(&rdx, |line| sys.read_home(line));
+        while raw(&sys).is_clean() {
+            assert!(sys.running_cpus > 0, "no update was caught in flight");
+            sys.run_until(sys.now() + Ns(20));
+        }
+        let handles = |sys: &System| -> Vec<*const u8> {
+            let mems = sys.mems.iter();
+            mems.flat_map(|m| (0..m.pages()).map(move |p| m.shared_page(p).as_ptr()))
+                .collect()
+        };
+        let (before, queued) = (handles(&sys), sys.queue.len());
+        let audit = sys.audit_parity("probe".into()).expect("validation mode");
+        assert!(audit.is_clean(), "{:?}", audit.violations);
+        let after = handles(&sys);
+        assert!(before.iter().zip(&after).all(|(a, b)| std::ptr::eq(*a, *b)));
+        assert_eq!(sys.queue.len(), queued);
+
+        sys.run();
+        let mut twin = System::new(cfg).unwrap();
+        twin.run();
+        assert_eq!(
+            (sys.now(), sys.events_processed()),
+            (twin.now(), twin.events_processed())
+        );
+        assert!(sys.memory_image() == twin.memory_image());
     }
 
     /// A memory image taken mid-interval, while L2 lines are dirty, equals

@@ -8,7 +8,7 @@
 //! sequential manner … can be performed very efficiently in modern DRAMs"
 //! shows up: sequential log/parity traffic is nearly all row hits.
 
-use revive_sim::resource::ResourceBank;
+use revive_sim::resource::Resource;
 use revive_sim::time::Ns;
 
 /// DRAM timing parameters.
@@ -93,7 +93,7 @@ impl DramStats {
 #[derive(Clone, Debug)]
 pub struct Dram {
     config: DramConfig,
-    banks: ResourceBank,
+    banks: Vec<Resource>,
     open_rows: Vec<Option<u64>>,
     stats: DramStats,
 }
@@ -105,9 +105,10 @@ impl Dram {
     ///
     /// Panics if the configuration has zero banks or zero lines per row.
     pub fn new(config: DramConfig) -> Dram {
+        assert!(config.banks > 0, "DRAM needs at least one bank");
         assert!(config.lines_per_row > 0, "rows must hold at least one line");
         Dram {
-            banks: ResourceBank::new(config.banks),
+            banks: vec![Resource::new(); config.banks],
             open_rows: vec![None; config.banks],
             config,
             stats: DramStats::default(),
@@ -153,17 +154,12 @@ impl Dram {
             DramOp::Read => self.stats.reads += 1,
             DramOp::Write => self.stats.writes += 1,
         }
-        self.banks.acquire(bank, now, service)
+        self.banks[bank].acquire(now, service)
     }
 
     /// Total busy time across banks (for utilization reports).
     pub fn busy_total(&self) -> Ns {
-        self.banks.busy_total()
-    }
-
-    /// Total queueing delay across banks.
-    pub fn wait_total(&self) -> Ns {
-        self.banks.wait_total()
+        self.banks.iter().map(Resource::busy_total).sum()
     }
 }
 
@@ -230,5 +226,15 @@ mod tests {
         assert_eq!(d.stats().writes, 1);
         assert_eq!(d.stats().total(), 2);
         assert!(d.stats().row_hit_rate() > 0.0);
+        assert_eq!(d.busy_total(), Ns(60 + 20)); // a row miss, then a hit
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bank")]
+    fn zero_banks_rejected() {
+        let _ = Dram::new(DramConfig {
+            banks: 0,
+            ..DramConfig::default()
+        });
     }
 }

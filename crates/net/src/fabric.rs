@@ -205,25 +205,15 @@ impl Fabric {
             link_busy: self.link_busy_total(),
         }
     }
-
-    /// Resets all link reservations and statistics (post-error recovery
-    /// Phase 1 reinitializes the network).
-    pub fn reset(&mut self) {
-        for l in &mut self.links {
-            l.reset();
-        }
-        self.messages = Counter::new();
-        self.bytes = Counter::new();
-        self.latency_sum = Ns::ZERO;
-    }
 }
 
-/// A point-in-time snapshot of fabric delivery counters.
+/// A point-in-time snapshot of fabric delivery counters. Nothing resets
+/// them, recovery included: they span the whole run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FabricStats {
-    /// Messages delivered since the last reset.
+    /// Messages delivered so far.
     pub messages: u64,
-    /// Bytes delivered since the last reset.
+    /// Bytes delivered so far.
     pub bytes: u64,
     /// Sum of end-to-end message latencies.
     pub latency_sum: Ns,
@@ -294,15 +284,5 @@ mod tests {
             let t = f.send(Ns(100), src, dst, 72);
             assert!(t >= Ns(100) + f.uncontended(src, dst));
         }
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut f = fabric();
-        f.send(Ns(0), NodeId(0), NodeId(1), 100);
-        f.reset();
-        assert_eq!(f.messages(), 0);
-        assert_eq!(f.bytes(), 0);
-        assert_eq!(f.link_busy_total(), Ns::ZERO);
     }
 }

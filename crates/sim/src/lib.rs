@@ -4,8 +4,8 @@
 //!
 //! * [`time::Ns`] — simulation time in integer nanoseconds.
 //! * [`engine::EventQueue`] — a deterministic discrete-event scheduler.
-//! * [`resource::Resource`] / [`resource::ResourceBank`] — "busy-until"
-//!   contention models for pipelines, DRAM banks, and network links.
+//! * [`resource::Resource`] — the "busy-until" contention model for
+//!   pipelines, DRAM banks, and network links.
 //! * [`stats`] — counters, histograms, and running statistics used by the
 //!   metrics layer.
 //! * [`rng::DetRng`] — a seedable, reproducible random-number generator so
@@ -35,7 +35,7 @@ pub mod trace;
 pub mod types;
 
 pub use engine::EventQueue;
-pub use resource::{Resource, ResourceBank};
+pub use resource::Resource;
 pub use rng::DetRng;
 pub use time::Ns;
 pub use trace::{Span, TraceBuffer, TraceEvent, TraceSummary};

@@ -388,11 +388,22 @@ fn commit_audits_equal_full_sweeps_under_every_layout() {
             "{label}: {commit_audits} commit audits for {} checkpoints",
             result.checkpoints
         );
-        for outcome in &result.outcomes {
+        // One incremental audit after each recovery pass; a fault that
+        // recurs during recovery takes two passes.
+        let mut passes = 0;
+        for (plan, outcome) in plans.iter().zip(&result.outcomes) {
             if let FaultOutcome::Recovered(r) = outcome {
                 assert_ne!(r.verified, Some(false), "{label}: shadow mismatch");
+                let recurs = plan.phase == InjectPhase::DuringRecovery && plan.second.is_none();
+                passes += if recurs { 2 } else { 1 };
             }
         }
+        let after_recovery = result
+            .audits
+            .iter()
+            .filter(|a| a.context.starts_with("after recovery to checkpoint"))
+            .count();
+        assert_eq!(after_recovery, passes, "{label}: after-recovery audits");
         assert!(
             result.audits.iter().all(|a| a.is_clean()),
             "{label}: dirty audit"

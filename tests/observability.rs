@@ -3,10 +3,11 @@
 //! simulation they observe.
 
 use revive::machine::{
-    parse_json, render_artifact, validate_artifact, ExperimentConfig, ObsConfig, RunMeta, Runner,
-    TrafficClass, WorkloadSpec,
+    parse_json, render_artifact, validate_artifact, ExperimentConfig, InjectionPlan, ObsConfig,
+    RunMeta, Runner, TrafficClass, WorkloadSpec,
 };
 use revive::sim::time::Ns;
+use revive::sim::types::NodeId;
 use revive::workloads::{AppId, SyntheticKind};
 
 fn observed_cfg(app: AppId) -> ExperimentConfig {
@@ -88,21 +89,44 @@ fn observability_does_not_perturb_the_simulation() {
 
 /// Conservation: the per-class byte/message counters must account for
 /// exactly what the fabric delivered, and class splits must sum to the
-/// totals, across the injection-matrix apps and a SPLASH baseline.
+/// totals, across the injection-matrix apps and a SPLASH baseline, clean
+/// and with a recovered node loss or transient.
 #[test]
 fn traffic_counters_conserve_fabric_deliveries() {
-    let mut cfgs = Vec::new();
-    for kind in [SyntheticKind::WsExceedsL2, SyntheticKind::WsFitsDirty] {
+    let synthetic = |kind| {
         let mut cfg = ExperimentConfig::test_small(AppId::Lu);
         cfg.workload = WorkloadSpec::Synthetic(kind);
         cfg.ops_per_cpu = 30_000;
-        cfgs.push(cfg);
-    }
-    cfgs.push(ExperimentConfig::test_small(AppId::Radix));
-    for cfg in cfgs {
-        let r = Runner::new(cfg).unwrap().run().unwrap();
-        let t = &r.metrics.traffic;
+        cfg
+    };
+    let (exceeds, fits) = (
+        synthetic(SyntheticKind::WsExceedsL2),
+        synthetic(SyntheticKind::WsFitsDirty),
+    );
+    let interval = exceeds.revive.ckpt.interval;
+    // The counters span the whole run: recovery resets none of them, so
+    // the rolled-back and re-executed traffic both count on both sides.
+    let runs = [
+        (exceeds, None),
+        (fits, None),
+        (ExperimentConfig::test_small(AppId::Radix), None),
+        (
+            exceeds,
+            Some(InjectionPlan::paper_worst_case(interval, NodeId(2))),
+        ),
+        (fits, Some(InjectionPlan::paper_transient(interval))),
+    ];
+    for (cfg, plan) in runs {
+        let r = Runner::new(cfg)
+            .unwrap()
+            .run_with_injections(plan.as_slice())
+            .unwrap();
         let name = cfg.workload.name();
+        if plan.is_some() {
+            let recovery = r.recovery().expect("recovery ran");
+            assert_eq!(recovery.verified, Some(true), "{name}: inexact recovery");
+        }
+        let t = &r.metrics.traffic;
         assert!(t.net_bytes_total() > 0, "{name}: no traffic at all");
         assert_eq!(
             t.net_bytes_total(),
