@@ -560,12 +560,6 @@ impl CacheCtrl {
         self.l2.dirty_lines()
     }
 
-    /// All valid L2 lines with their states (diagnostics and invariant
-    /// checks).
-    pub fn valid_lines_snapshot(&self) -> Vec<(LineAddr, LineState)> {
-        self.l2.valid_lines()
-    }
-
     /// Writes one dirty line back while keeping it cached (Exclusive,
     /// clean). Returns the write-back message, or `None` if the line is no
     /// longer dirty (e.g. it was fetched away since the flush list was

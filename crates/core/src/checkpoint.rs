@@ -49,6 +49,18 @@ impl Default for CheckpointConfig {
     }
 }
 
+impl CheckpointConfig {
+    /// The oldest checkpoint a rollback can reach once checkpoint `counter`
+    /// has committed: the newest `retained` checkpoints, down to the run
+    /// start (interval 0). A rollback to checkpoint `t` replays the log
+    /// records of interval `t` and later, so the commit of `counter` frees
+    /// the records of every older interval, and the machine keeps the
+    /// execution state of this checkpoint and the newer ones.
+    pub fn oldest_recoverable(&self, counter: u64) -> u64 {
+        (counter + 1).saturating_sub(self.retained)
+    }
+}
+
 /// Timestamps of one checkpoint establishment (Figure 6's time-line).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CkptTimeline {
@@ -189,5 +201,14 @@ mod tests {
         assert_eq!(c.interrupt_latency, Ns::from_us(5));
         assert_eq!(c.barrier_latency, Ns::from_us(10));
         assert_eq!(c.retained, 2);
+    }
+
+    #[test]
+    fn the_window_holds_the_newest_retained_checkpoints() {
+        let c = CheckpointConfig::default();
+        assert_eq!(c.oldest_recoverable(0), 0);
+        assert_eq!(c.oldest_recoverable(1), 0);
+        assert_eq!(c.oldest_recoverable(2), 1);
+        assert_eq!(c.oldest_recoverable(9), 8);
     }
 }

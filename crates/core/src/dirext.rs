@@ -129,8 +129,8 @@ pub struct ReviveHook {
     outbox: Vec<OutMsg>,
     /// Table 1 event accounting.
     pub costs: CostStats,
-    /// Optional software replica of the log, fed every append, marker,
-    /// reclaim, and reset — the validation harness's scan/replay oracle.
+    /// Optional software replica of the log, fed every append, marker and
+    /// reset — the validation harness's scan/replay oracle.
     pub shadow: Option<ShadowLog>,
 }
 
@@ -142,16 +142,14 @@ impl ReviveHook {
     /// Panics if the log region straddles the mirrored/parity boundary of a
     /// mixed layout (log records must use one update mode).
     pub fn new(rdx: Redundancy, log: MemLog, lbits: LBits) -> ReviveHook {
-        let modes: std::collections::HashSet<bool> = log
-            .slot_lines()
-            .iter()
-            .map(|l| rdx.stores_values(l.page()))
-            .collect();
+        let pages = log.pages();
+        let log_stores_values = rdx.stores_values(pages[0]);
         assert!(
-            modes.len() == 1,
+            pages
+                .iter()
+                .all(|&p| rdx.stores_values(p) == log_stores_values),
             "log region straddles the mirrored/parity boundary"
         );
-        let log_stores_values = modes.into_iter().next().expect("nonempty log");
         ReviveHook {
             map: *rdx.address_map(),
             rdx,
@@ -223,18 +221,12 @@ impl ReviveHook {
         self.interval = interval;
         self.lbits.gang_clear();
         self.log.reclaim_before(reclaim_before);
-        if let Some(s) = self.shadow.as_mut() {
-            s.reclaim_before(reclaim_before);
-        }
     }
 
     /// Drops the oldest half of the live records (the CpInf measurement
-    /// configurations' pressure valve), keeping the shadow in step.
+    /// configurations' pressure valve).
     pub fn recycle_oldest_half(&mut self) {
         self.log.reclaim_oldest_half();
-        if let Some(s) = self.shadow.as_mut() {
-            s.reclaim_oldest_half();
-        }
     }
 
     /// Forgets all log bookkeeping (after a rollback's log scrub), keeping

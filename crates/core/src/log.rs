@@ -23,11 +23,21 @@
 //! Replaying in reverse sequence order makes redundant log entries (possible
 //! when L bits are kept in a lossy directory cache, Section 4.1.2) harmless:
 //! the oldest entry — the true checkpoint value — is applied last.
+//!
+//! ## Placement
+//!
+//! [`log_regions`] is the one place that decides which pages hold each
+//! node's log: the top of the node's non-redundancy pages. Everything else
+//! derives from its result — the log's own slots and
+//! [`MemLog::pages`], and the machine's per-node boundary below which
+//! pages are allocatable.
 
 use revive_coherence::port::MemPort;
-use revive_mem::addr::{LineAddr, LINE_SIZE};
+use revive_mem::addr::{LineAddr, PageAddr, LINE_SIZE};
 use revive_mem::line::LineData;
 use revive_sim::types::NodeId;
+
+use crate::redundancy::StripeCode;
 
 /// Lines per log record (data line + metadata line).
 pub const RECORD_LINES: usize = 2;
@@ -84,6 +94,27 @@ pub struct LogStats {
     pub high_water_bytes: u64,
     /// Records dropped by reclamation.
     pub reclaimed: u64,
+}
+
+/// Chooses every node's log region: the top `⌈protected × log_fraction⌉`
+/// (at least one) non-redundancy pages of each node, where `protected`
+/// counts node 0's non-redundancy pages. Returns each node's slot lines in
+/// ascending order, ready for [`MemLog::new`]; `None` when the log would
+/// leave no allocatable page.
+pub fn log_regions(rdx: &StripeCode, log_fraction: f64) -> Option<Vec<Vec<LineAddr>>> {
+    let map = rdx.address_map();
+    let data_pages = |n| map.pages_of(n).filter(|&p| !rdx.is_redundancy_page(p));
+    let protected = data_pages(NodeId(0)).count();
+    let size = ((protected as f64 * log_fraction).ceil() as usize).max(1);
+    if size >= protected {
+        return None;
+    }
+    let regions = NodeId::all(map.nodes()).map(|n| {
+        let pages: Vec<PageAddr> = data_pages(n).collect();
+        let top = &pages[pages.len().saturating_sub(size)..];
+        top.iter().flat_map(|p| p.lines()).collect()
+    });
+    Some(regions.collect())
 }
 
 /// The per-node memory log (see module docs).
@@ -160,6 +191,14 @@ impl MemLog {
     /// The memory lines backing the log (for parity-group bookkeeping).
     pub fn slot_lines(&self) -> &[LineAddr] {
         &self.slots
+    }
+
+    /// The pages holding the log, ascending and without repeats.
+    pub fn pages(&self) -> Vec<PageAddr> {
+        let mut pages: Vec<PageAddr> = self.slots.iter().map(|l| l.page()).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
     }
 
     /// How many records fit (used to size validation shadows).
@@ -506,6 +545,44 @@ mod tests {
         // Idempotent.
         log.reclaim_before(2);
         assert_eq!(log.stats().reclaimed, 4);
+    }
+
+    /// The rollback window at its edge: the commit of checkpoint `c` frees
+    /// exactly the records that only targets older than the oldest
+    /// recoverable checkpoint need. Once the tail wraps over every freed
+    /// slot, a rollback to the oldest recoverable checkpoint still
+    /// restores its values, while the target one interval older — the
+    /// error detected after exactly `retained` commits — has lost them.
+    #[test]
+    fn oldest_recoverable_checkpoint_survives_a_wrap_over_freed_slots() {
+        let ckpt = crate::checkpoint::CheckpointConfig::default();
+        let (mut log, mut mem) = setup(6);
+        let x = LineAddr(1);
+        let commit = |log: &mut MemLog, mem: &mut VecPort, c: u64| {
+            log.mark_checkpoint(c, true, mem);
+            log.reclaim_before(ckpt.oldest_recoverable(c));
+        };
+        // The error struck in interval 1 and was detected after
+        // `retained` more commits. Line `x` holds `fill(c)` at checkpoint
+        // `c`; each interval's first write logs that value.
+        let (target, counter) = (1, 1 + ckpt.retained);
+        log.append(0, x, LineData::fill(0), true, &mut mem);
+        for c in 1..counter {
+            commit(&mut log, &mut mem, c);
+            log.append(c, x, LineData::fill(c as u8), true, &mut mem);
+        }
+        commit(&mut log, &mut mem, counter);
+        while log.utilization() < 1.0 {
+            log.append(counter, LineAddr(9), LineData::ZERO, true, &mut mem);
+        }
+        let oldest = ckpt.oldest_recoverable(counter);
+        assert_eq!(oldest, target + 1, "the target sits just past the edge");
+        let restored = |t: u64| {
+            let entries = log.rollback_entries(t, |l| mem.peek(l));
+            entries.iter().rev().find(|e| e.line == x).map(|e| e.data)
+        };
+        assert_eq!(restored(oldest), Some(LineData::fill(oldest as u8)));
+        assert_ne!(restored(target), Some(LineData::fill(target as u8)));
     }
 
     #[test]

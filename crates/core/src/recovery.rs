@@ -347,12 +347,7 @@ pub fn recover(
         memories[l.index()].reconstruct_blank();
     }
     for &l in lost {
-        let log_pages: HashSet<PageAddr> = logs[l.index()]
-            .slot_lines()
-            .iter()
-            .map(|s| s.page())
-            .collect();
-        for page in log_pages {
+        for page in logs[l.index()].pages() {
             rebuild_page(memories, redundancy, page, lost, &rebuilt);
             rebuilt.insert(page);
             report.log_pages_rebuilt += 1;
@@ -490,11 +485,7 @@ mod tests {
         /// pages.
         fn app_line(&self, node: u16) -> LineAddr {
             let map = self.map();
-            let log_pages: HashSet<PageAddr> = self.logs[node as usize]
-                .slot_lines()
-                .iter()
-                .map(|l| l.page())
-                .collect();
+            let log_pages = self.logs[node as usize].pages();
             let page = map
                 .pages_of(NodeId(node))
                 .find(|&p| !self.rdx.is_redundancy_page(p) && !log_pages.contains(&p))
@@ -605,11 +596,7 @@ mod tests {
         // Full-memory comparison: every non-log page equals the reference.
         // (Log pages accumulated interval-1 records; they are reclaimed by
         // the next interval, not rolled back.)
-        let log_pages: HashSet<PageAddr> = w
-            .logs
-            .iter()
-            .flat_map(|l| l.slot_lines().iter().map(|s| s.page()))
-            .collect();
+        let log_pages: Vec<PageAddr> = w.logs.iter().flat_map(MemLog::pages).collect();
         #[allow(clippy::needless_range_loop)] // node names both memories and reference
         for node in 0..4usize {
             for page in map.pages_of(NodeId::from(node)) {
@@ -669,8 +656,7 @@ mod tests {
             );
         }
         // Full lost-node reconstruction: compare non-log pages byte-exact.
-        let log_pages: HashSet<PageAddr> =
-            w.logs[2].slot_lines().iter().map(|s| s.page()).collect();
+        let log_pages = w.logs[2].pages();
         for page in map.pages_of(NodeId(2)) {
             if log_pages.contains(&page) || w.rdx.is_redundancy_page(page) {
                 continue;
@@ -753,8 +739,7 @@ mod tests {
         }
         // Both lost nodes restored byte-exact (outside their log pages).
         for lost in [1usize, 5] {
-            let log_pages: HashSet<PageAddr> =
-                w.logs[lost].slot_lines().iter().map(|s| s.page()).collect();
+            let log_pages = w.logs[lost].pages();
             for page in map.pages_of(NodeId::from(lost)) {
                 if log_pages.contains(&page) || w.rdx.is_redundancy_page(page) {
                     continue;
@@ -807,8 +792,7 @@ mod tests {
     fn assert_restored(w: &World, reference: &[Vec<u8>], nodes_to_check: &[usize]) {
         let map = w.map();
         for &n in nodes_to_check {
-            let log_pages: HashSet<PageAddr> =
-                w.logs[n].slot_lines().iter().map(|s| s.page()).collect();
+            let log_pages = w.logs[n].pages();
             for page in map.pages_of(NodeId::from(n)) {
                 if log_pages.contains(&page) || w.rdx.is_redundancy_page(page) {
                     continue;

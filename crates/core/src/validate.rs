@@ -7,8 +7,8 @@
 //! against:
 //!
 //! * [`ShadowLog`] — a software replica of one node's
-//!   [`MemLog`](crate::log::MemLog) bookkeeping *and contents*, fed the
-//!   same appends/markers/reclaims. Round-tripping
+//!   [`MemLog`](crate::log::MemLog) contents, fed the same appends,
+//!   markers and resets. Round-tripping
 //!   [`MemLog::scan`](crate::log::MemLog::scan) and
 //!   [`MemLog::rollback_entries`](crate::log::MemLog::rollback_entries)
 //!   against it catches lost, phantom, or corrupted undo records (including
@@ -22,7 +22,6 @@
 //!   (fault-free) run against an injected-and-recovered run.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::fmt;
 
 use revive_mem::addr::{LineAddr, PageAddr};
@@ -83,17 +82,15 @@ impl fmt::Display for LogDivergence {
 /// A software replica of one node's [`MemLog`](crate::log::MemLog).
 ///
 /// The shadow mirrors the *physical* behavior of the memory log: a slot
-/// array indexed by record position, where reclamation only moves pointers
-/// (a reclaimed record stays scannable until its slot is overwritten) and
-/// [`reset`](ShadowLog::reset) models the post-rollback scrub that zeroes
-/// the log region.
+/// array indexed by record position. Reclamation only moves the log's
+/// pointers, so the shadow needs no record of it: a reclaimed record stays
+/// scannable until its slot is overwritten. [`reset`](ShadowLog::reset)
+/// models the post-rollback scrub that zeroes the log region.
 #[derive(Clone, Debug)]
 pub struct ShadowLog {
     capacity: usize,
     /// Physical record slots; `None` until first written (or after reset).
     slots: Vec<Option<ShadowRecord>>,
-    /// `(seq, interval)` of live records, oldest first.
-    records: VecDeque<(u64, u64)>,
     tail: usize,
     seq: u64,
 }
@@ -104,7 +101,6 @@ impl ShadowLog {
         ShadowLog {
             capacity: capacity_records,
             slots: vec![None; capacity_records],
-            records: VecDeque::new(),
             tail: 0,
             seq: 0,
         }
@@ -117,7 +113,6 @@ impl ShadowLog {
             seq: self.seq,
             data,
         });
-        self.records.push_back((self.seq, interval));
         self.seq += 1;
         self.tail = (self.tail + 1) % self.capacity;
     }
@@ -132,30 +127,10 @@ impl ShadowLog {
         self.push(RecordKind::CheckpointMarker, interval, LineData::ZERO);
     }
 
-    /// Mirrors [`MemLog::reclaim_before`](crate::log::MemLog::reclaim_before):
-    /// pointers move, slots keep their contents.
-    pub fn reclaim_before(&mut self, interval: u64) {
-        while let Some(&(_, rec_interval)) = self.records.front() {
-            if rec_interval >= interval {
-                break;
-            }
-            self.records.pop_front();
-        }
-    }
-
-    /// Mirrors [`MemLog::reclaim_oldest_half`](crate::log::MemLog::reclaim_oldest_half).
-    pub fn reclaim_oldest_half(&mut self) {
-        let drop = self.records.len() / 2;
-        for _ in 0..drop {
-            self.records.pop_front();
-        }
-    }
-
     /// Models the post-rollback scrub + [`MemLog::reset`](crate::log::MemLog::reset):
     /// the machine zeroes the log region, so nothing remains scannable.
     pub fn reset(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
-        self.records.clear();
         self.tail = 0;
     }
 
@@ -543,7 +518,6 @@ mod tests {
             shadow.record_append(i / 2, LineAddr(i), LineData::from_seed(i));
         }
         log.reclaim_before(1);
-        shadow.reclaim_before(1);
         // Wrap: the freed slots are overwritten.
         for i in 4..6u64 {
             log.append(2, LineAddr(i), LineData::from_seed(i), true, &mut mem);

@@ -77,8 +77,7 @@ impl MiniWorld {
         let mut out = Vec::new();
         for n in 0..4 {
             let node = NodeId::from(n);
-            let log_pages: std::collections::HashSet<PageAddr> =
-                self.logs[n].slot_lines().iter().map(|l| l.page()).collect();
+            let log_pages = self.logs[n].pages();
             for page in self.map.pages_of(node) {
                 if self.parity.is_redundancy_page(page) || log_pages.contains(&page) {
                     continue;
@@ -252,11 +251,7 @@ fn rollback_is_value_exact() {
         w.rollback(target);
         // Compare every non-log page (log pages legitimately accumulated
         // the `after` records).
-        let log_pages: std::collections::HashSet<PageAddr> = w
-            .logs
-            .iter()
-            .flat_map(|l| l.slot_lines().iter().map(|s| s.page()))
-            .collect();
+        let log_pages: Vec<PageAddr> = w.logs.iter().flat_map(MemLog::pages).collect();
         for n in 0..4 {
             for page in w.map.pages_of(NodeId::from(n)) {
                 if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
@@ -304,8 +299,7 @@ fn lossy_lbits_never_break_rollback() {
         }
         w.rollback(target);
         for (n, memory) in w.memories.iter().enumerate() {
-            let log_pages: std::collections::HashSet<PageAddr> =
-                w.logs[n].slot_lines().iter().map(|s| s.page()).collect();
+            let log_pages = w.logs[n].pages();
             for page in w.map.pages_of(NodeId::from(n)) {
                 if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
                     continue;
@@ -347,11 +341,7 @@ fn recovery_engine_is_exact_for_any_lost_node() {
             w.logged_write(lines[i % lines.len()], LineData::from_seed(seed));
         }
         w.recover_engine(target, lost);
-        let log_pages: std::collections::HashSet<PageAddr> = w
-            .logs
-            .iter()
-            .flat_map(|l| l.slot_lines().iter().map(|s| s.page()))
-            .collect();
+        let log_pages: Vec<PageAddr> = w.logs.iter().flat_map(MemLog::pages).collect();
         for (n, memory) in w.memories.iter().enumerate() {
             for page in w.map.pages_of(NodeId::from(n)) {
                 if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
@@ -411,8 +401,7 @@ fn torn_tail_record_is_skipped() {
         // data write it guarded never happened.)
         w.rollback(target);
         for n in 1..4 {
-            let log_pages: std::collections::HashSet<PageAddr> =
-                w.logs[n].slot_lines().iter().map(|s| s.page()).collect();
+            let log_pages = w.logs[n].pages();
             for page in w.map.pages_of(NodeId::from(n)) {
                 if log_pages.contains(&page) || w.parity.is_redundancy_page(page) {
                     continue;

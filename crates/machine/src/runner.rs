@@ -559,11 +559,6 @@ impl Runner {
         })
     }
 
-    /// Read-only access to the machine (diagnostics, examples).
-    pub fn system(&self) -> &System {
-        &self.sys
-    }
-
     /// Runs the experiment to budget completion.
     ///
     /// # Errors

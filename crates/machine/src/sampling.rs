@@ -55,20 +55,6 @@ impl EpochSample {
     }
 }
 
-/// Cumulative counter values at the previous sample, so each epoch reports
-/// deltas.
-#[derive(Clone, Debug, Default)]
-struct Baseline {
-    net_bytes: [u64; 5],
-    net_msgs: [u64; 5],
-    retries: [u64; 5],
-    mem_accesses: [u64; 5],
-    ops: u64,
-    requests: u64,
-    dram_busy: Ns,
-    fabric: FabricStats,
-}
-
 /// Accumulates [`EpochSample`]s at a fixed cadence. The machine drives it:
 /// a `Sample` event fires every `epoch`, the system gathers the raw
 /// cumulative counters, and [`IntervalSampler::push`] turns them into
@@ -76,7 +62,8 @@ struct Baseline {
 #[derive(Clone, Debug)]
 pub struct IntervalSampler {
     epoch: Ns,
-    prev: Baseline,
+    /// The previous reading, so each epoch reports deltas.
+    prev: SampleInput,
     samples: Vec<EpochSample>,
 }
 
@@ -123,7 +110,7 @@ impl IntervalSampler {
         assert!(epoch > Ns::ZERO, "sampling epoch must be positive");
         IntervalSampler {
             epoch,
-            prev: Baseline::default(),
+            prev: SampleInput::default(),
             samples: Vec::new(),
         }
     }
@@ -149,7 +136,7 @@ impl IntervalSampler {
             retries: delta(&input.retries, &self.prev.retries),
             mem_accesses: delta(&input.mem_accesses, &self.prev.mem_accesses),
             ops: input.ops.saturating_sub(self.prev.ops),
-            log_bytes: input.log_bytes,
+            log_bytes: input.log_bytes.clone(),
             log_utilization_max: input.log_utilization_max,
             outstanding_misses: input.outstanding_misses,
             dir_busy: input.dir_busy,
@@ -161,16 +148,7 @@ impl IntervalSampler {
             checkpoints: input.checkpoints,
             requests: input.requests.saturating_sub(self.prev.requests),
         });
-        self.prev = Baseline {
-            net_bytes: input.net_bytes,
-            net_msgs: input.net_msgs,
-            retries: input.retries,
-            mem_accesses: input.mem_accesses,
-            ops: input.ops,
-            requests: input.requests,
-            dram_busy: input.dram_busy,
-            fabric: input.fabric,
-        };
+        self.prev = input;
     }
 
     /// The recorded time series.

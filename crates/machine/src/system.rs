@@ -17,8 +17,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use revive_sim::hashing::FastHashSet;
-
 use revive_coherence::cache_ctrl::{Access, CacheCtrl, CpuOutcome, OpToken};
 use revive_coherence::directory::{DirCtrl, DirIn, Send as CohSend};
 use revive_coherence::hook::NullHook;
@@ -27,7 +25,7 @@ use revive_coherence::port::MemPort;
 use revive_core::checkpoint::CkptTimeline;
 use revive_core::dirext::{OutMsg, ReviveHook};
 use revive_core::lbits::LBits;
-use revive_core::log::MemLog;
+use revive_core::log::{log_regions, MemLog};
 use revive_core::parity::{ParityAck, ParityUpdate};
 use revive_core::recovery::{self, RecoveryError, RecoveryInput, RecoveryTiming};
 use revive_core::redundancy::{Redundancy, StripeCode};
@@ -74,7 +72,10 @@ pub(crate) struct Node {
     pub(crate) hook: Option<ReviveHook>,
     pub(crate) dram: Dram,
     dir_pipe: Resource,
-    pub(crate) log_pages: FastHashSet<PageAddr>,
+    /// Local index of the node's lowest log page. The log is the top of
+    /// the node's non-redundancy pages, so a page is a log page iff it is
+    /// not a redundancy page and its local index is at least this.
+    log_from: u64,
 }
 
 /// What a checkpoint saves of one CPU: its position in its op stream.
@@ -288,7 +289,7 @@ struct NodePort<'a> {
     dram: &'a mut Dram,
     map: AddressMap,
     redundancy: Option<Redundancy>,
-    log_pages: &'a FastHashSet<PageAddr>,
+    log_from: u64,
     metrics: &'a mut Metrics,
     node: NodeId,
     cursor: Ns,
@@ -299,10 +300,10 @@ struct NodePort<'a> {
 impl NodePort<'_> {
     fn classify(&self, line: LineAddr) -> TrafficClass {
         let page = line.page();
-        if self.log_pages.contains(&page) {
-            TrafficClass::Log
-        } else if self.redundancy.is_some_and(|r| r.is_redundancy_page(page)) {
+        if self.redundancy.is_some_and(|r| r.is_redundancy_page(page)) {
             TrafficClass::Par
+        } else if self.map.local_page_index(page) >= self.log_from {
+            TrafficClass::Log
         } else {
             self.ctx_class
         }
@@ -462,46 +463,31 @@ impl System {
             }
         };
 
-        // Reserve log pages: the highest non-redundancy pages of each node.
-        let mut log_page_sets: Vec<FastHashSet<PageAddr>> = vec![FastHashSet::default(); nodes];
-        if let Some(pm) = redundancy.as_ref() {
-            let protected_per_node: u64 = map.pages_per_node()
-                - map
-                    .pages_of(NodeId(0))
-                    .filter(|&p| pm.is_redundancy_page(p))
-                    .count() as u64;
-            let log_pages =
-                ((protected_per_node as f64 * cfg.revive.log_fraction).ceil() as u64).max(1);
-            if log_pages >= protected_per_node {
-                return Err(MachineError::BadConfig(
-                    "log fraction leaves no allocatable memory".into(),
-                ));
-            }
-            for n in NodeId::all(nodes) {
-                let mut candidates: Vec<PageAddr> = map
-                    .pages_of(n)
-                    .filter(|&p| !pm.is_redundancy_page(p))
-                    .collect();
-                candidates.reverse(); // logs take the highest stripes
-                log_page_sets[n.index()] =
-                    candidates.into_iter().take(log_pages as usize).collect();
-            }
-        }
+        // The log takes the top of each node's non-redundancy pages; the
+        // chooser's slot lists are the only record of where.
+        let regions = match redundancy.as_ref() {
+            None => vec![Vec::new(); nodes],
+            Some(rdx) => log_regions(rdx, cfg.revive.log_fraction).ok_or_else(|| {
+                MachineError::BadConfig("log fraction leaves no allocatable memory".into())
+            })?,
+        };
+        let log_from: Vec<u64> = (regions.iter())
+            .map(|slots| {
+                slots
+                    .first()
+                    .map_or(map.pages_per_node(), |l| map.local_page_index(l.page()))
+            })
+            .collect();
 
         let mut node_states: Vec<Node> = NodeId::all(nodes)
-            .map(|n| {
+            .zip(regions)
+            .map(|(n, slots)| {
                 let hook = redundancy.map(|rdx| {
-                    let mut slots: Vec<LineAddr> = log_page_sets[n.index()]
-                        .iter()
-                        .flat_map(|p| p.lines())
-                        .collect();
-                    slots.sort_unstable();
-                    let log = MemLog::new(n, slots);
                     let lbits = match cfg.revive.lbit_dir_cache {
                         Some(cap) => LBits::dir_cache(map.lines_per_node(), cap),
                         None => LBits::full(map.lines_per_node()),
                     };
-                    ReviveHook::new(rdx, log, lbits)
+                    ReviveHook::new(rdx, MemLog::new(n, slots), lbits)
                 });
                 Node {
                     ctrl: CacheCtrl::new(n, m.l1, m.l2, m.mshrs),
@@ -509,7 +495,7 @@ impl System {
                     hook,
                     dram: Dram::new(m.dram),
                     dir_pipe: Resource::new(),
-                    log_pages: log_page_sets[n.index()].clone(),
+                    log_from: log_from[n.index()],
                 }
             })
             .collect();
@@ -523,15 +509,19 @@ impl System {
             }
         }
 
-        let reserved: Vec<FastHashSet<PageAddr>> = log_page_sets;
-        let redundancy_copy = redundancy;
+        let is_rdx = |p| redundancy.is_some_and(|r| r.is_redundancy_page(p));
         let page_table = PageTable::new(map, |p| {
-            let n = map.home_of_page(p);
-            if reserved[n.index()].contains(&p) {
-                return false;
-            }
-            !redundancy_copy.is_some_and(|r| r.is_redundancy_page(p))
+            !is_rdx(p) && map.local_page_index(p) < log_from[map.home_of_page(p).index()]
         });
+        #[cfg(debug_assertions)]
+        for (n, node) in node_states.iter().enumerate() {
+            let derived: Vec<PageAddr> = map
+                .pages_of(NodeId::from(n))
+                .filter(|&p| !is_rdx(p) && map.local_page_index(p) >= node.log_from)
+                .collect();
+            let pages = node.hook.as_ref().map(|h| h.log.pages());
+            debug_assert_eq!(derived, pages.unwrap_or_default(), "node {n}'s log");
+        }
 
         let workload = cfg.workload.build(nodes, m.scale(), cfg.seed);
         let run_start = ExecSnapshot {
@@ -1501,14 +1491,14 @@ impl System {
                 hook,
                 dram,
                 dir_pipe: _,
-                log_pages,
+                log_from,
             } = &mut self.nodes[n];
             let mut port = NodePort {
                 mem: &mut self.mems[n],
                 dram,
                 map: self.map,
                 redundancy: self.redundancy,
-                log_pages,
+                log_from: *log_from,
                 metrics: &mut self.metrics,
                 node,
                 cursor: t1,
@@ -1779,7 +1769,7 @@ impl System {
             let Node {
                 hook,
                 dram,
-                log_pages,
+                log_from,
                 ..
             } = &mut self.nodes[n];
             let Some(h) = hook.as_mut() else { continue };
@@ -1788,7 +1778,7 @@ impl System {
                 dram,
                 map: self.map,
                 redundancy: self.redundancy,
-                log_pages,
+                log_from: *log_from,
                 metrics: &mut self.metrics,
                 node: NodeId::from(n),
                 cursor: t_b1,
@@ -1835,7 +1825,7 @@ impl System {
         self.ck_timeline.resumed = t_commit;
         self.ckpt_counter = new_id;
         // Reclaim logs for checkpoints no longer needed and clear L bits.
-        let reclaim_before = new_id.saturating_sub(self.cfg.revive.ckpt.retained - 1);
+        let reclaim_before = self.cfg.revive.ckpt.oldest_recoverable(new_id);
         for node in &mut self.nodes {
             if let Some(h) = node.hook.as_mut() {
                 h.begin_interval(new_id, reclaim_before);
@@ -1910,10 +1900,9 @@ impl System {
             cpu_ops: self.metrics.cpu_ops,
             instructions: self.metrics.instructions,
         });
-        // Window: retained + 1 — the oldest legal rollback target is
-        // `counter - retained`, one interval older than the newest
-        // `retained` commits (interval 0 until that many commits).
-        while self.exec_snaps.len() > self.cfg.revive.ckpt.retained as usize + 1 {
+        // Window: the snapshots a rollback can still reach.
+        let oldest = self.cfg.revive.ckpt.oldest_recoverable(interval);
+        while self.exec_snaps.front().is_some_and(|s| s.interval < oldest) {
             self.exec_snaps.pop_front();
         }
         // Completions no rollback can reach — at or before the *oldest*
@@ -2094,14 +2083,13 @@ impl System {
         at: Ns,
     ) -> Result<RecoveryOutcome, RecoveryError> {
         let rdx = self.redundancy.expect("revive is on");
-        // Rolling back to `target` replays the logs of every interval after
-        // it; commits during the detection window (periodic, or forced early
-        // by log pressure — easy under value-logging backends) reclaim old
-        // logs, so a target older than `counter - retained` has lost the
-        // records the rollback needs. Refuse before touching any memory.
-        let oldest = self
-            .ckpt_counter
-            .saturating_sub(self.cfg.revive.ckpt.retained);
+        // Rolling back to `target` replays the logs of `target`'s interval
+        // and later; commits during the detection window (periodic, or
+        // forced early by log pressure — easy under value-logging
+        // backends) reclaim old logs, so a target older than the oldest
+        // recoverable checkpoint has lost the records the rollback needs.
+        // Refuse before touching any memory.
+        let oldest = self.cfg.revive.ckpt.oldest_recoverable(self.ckpt_counter);
         if target < oldest {
             return Err(RecoveryError::TargetReclaimed { target, oldest });
         }
@@ -2194,7 +2182,8 @@ impl System {
         // through the protected write, so its redundancy follows, and
         // restart the hooks at the recovered interval.
         for node in &self.nodes {
-            for line in node.log_pages.iter().flat_map(|p| p.lines()) {
+            let log = &node.hook.as_ref().expect("revive is on").log;
+            for line in log.pages().iter().flat_map(|p| p.lines()) {
                 if self.read_home(line) != LineData::ZERO {
                     let zero = LineData::ZERO;
                     recovery::protected_write(&mut self.mems, &rdx, line, zero, |_| false);
@@ -2336,9 +2325,34 @@ fn land(mem: &mut NodeMemory, map: &AddressMap, update: &ParityUpdate, mirror: b
 }
 
 #[cfg(test)]
+impl System {
+    /// The class a [`NodePort`] on `line`'s home charges for an access to
+    /// `line` made on behalf of `ctx_class`.
+    fn traffic_class(&mut self, line: LineAddr, ctx_class: TrafficClass) -> TrafficClass {
+        let n = self.map.home_of_line(line).index();
+        let Node { dram, log_from, .. } = &mut self.nodes[n];
+        let port = NodePort {
+            mem: &mut self.mems[n],
+            dram,
+            map: self.map,
+            redundancy: self.redundancy,
+            log_from: *log_from,
+            metrics: &mut self.metrics,
+            node: NodeId::from(n),
+            cursor: Ns::ZERO,
+            reply_at: None,
+            ctx_class,
+        };
+        port.classify(line)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ReviveConfig;
     use revive_core::validate::ParityViolation;
+    use revive_mem::addr::PAGE_SIZE;
     use revive_workloads::{AppId, SyntheticKind};
 
     /// Runs `sys` until checkpoint `id` has committed.
@@ -2366,9 +2380,11 @@ mod tests {
         // A group of pages the workload never allocates and no log lives
         // in: nothing writes it, so its verdict has been cached since the
         // first commit.
+        let logs: Vec<PageAddr> = (sys.nodes.iter())
+            .flat_map(|n| n.hook.as_ref().expect("revive on").log.pages())
+            .collect();
         let untouched = |page: &PageAddr| {
-            !sys.page_table.allocated_pages().contains(page)
-                && sys.nodes.iter().all(|n| !n.log_pages.contains(page))
+            !sys.page_table.allocated_pages().contains(page) && !logs.contains(page)
         };
         let group = (0..map.nodes() as u64 * map.pages_per_node())
             .map(|p| rdx.group_of(PageAddr(p)))
@@ -2483,5 +2499,91 @@ mod tests {
             patched > 0 && shared > 0,
             "{patched} patched, {shared} shared"
         );
+    }
+
+    /// Pins where the machine puts each node's log and what every other
+    /// view derives from it, layout by layout: the log is the top
+    /// `ceil(protected * log_fraction)` non-redundancy pages of each node
+    /// (`protected` counted on node 0), its slots are those pages' lines in
+    /// ascending order, the page table hands out every other
+    /// non-redundancy page lowest first, and the DRAM port charges log
+    /// pages to `Log`, redundancy pages to `Par` and the rest to the
+    /// access's own class.
+    #[test]
+    fn log_region_page_roles_and_traffic_classes_follow_the_placement_rule() {
+        let scaled = |mode| {
+            let mut revive = ReviveConfig::parity(Ns::from_ms(1));
+            revive.mode = mode;
+            ExperimentConfig::experiment(WorkloadSpec::Splash(AppId::Fft), revive)
+        };
+        let layouts = [
+            scaled(ReviveMode::Parity {
+                group_data_pages: 7,
+            }),
+            scaled(ReviveMode::Mixed {
+                group_data_pages: 7,
+                mirrored_fraction: 0.1,
+            }),
+            scaled(ReviveMode::DoubleParity {
+                group_data_pages: 6,
+            }),
+            scaled(ReviveMode::Replication { replicas: 1 }),
+            scaled(ReviveMode::Replication { replicas: 3 }),
+            ExperimentConfig::test_small(AppId::Lu),
+        ];
+        for cfg in layouts {
+            let mode = cfg.revive.mode.name();
+            let fraction = cfg.revive.log_fraction;
+            let mut sys = System::new(cfg).unwrap();
+            let (map, rdx) = (sys.map, sys.redundancy.expect("revive on"));
+            let data_pages = |n| -> Vec<PageAddr> {
+                map.pages_of(n)
+                    .filter(|&p| !rdx.is_redundancy_page(p))
+                    .collect()
+            };
+            let protected = data_pages(NodeId(0)).len();
+            let size = ((protected as f64 * fraction).ceil() as usize).max(1);
+            let mut vpage = 0u64;
+            for n in NodeId::all(map.nodes()) {
+                let data = data_pages(n);
+                let (free, log) = data.split_at(data.len() - size);
+                let slots: Vec<LineAddr> = log.iter().flat_map(|p| p.lines()).collect();
+                let hook = sys.nodes[n.index()].hook.as_ref().expect("revive on");
+                assert_eq!(hook.log.slot_lines(), &slots[..], "{mode}: {n} slots");
+                for page in map.pages_of(n) {
+                    let want = if rdx.is_redundancy_page(page) {
+                        TrafficClass::Par
+                    } else if log.contains(&page) {
+                        TrafficClass::Log
+                    } else {
+                        TrafficClass::ExeWb
+                    };
+                    for line in [page.first_line(), page.lines().last().unwrap()] {
+                        let got = sys.traffic_class(line, TrafficClass::ExeWb);
+                        assert_eq!(got, want, "{mode}: {page} class");
+                    }
+                }
+                // Exactly `free.len()` first touches by `n` drain its free
+                // list, lowest page first, without stealing.
+                let start = sys.page_table.allocated_pages().len();
+                for _ in free {
+                    sys.page_table
+                        .translate(vpage * PAGE_SIZE as u64, n)
+                        .unwrap();
+                    vpage += 1;
+                }
+                assert_eq!(
+                    &sys.page_table.allocated_pages()[start..],
+                    free,
+                    "{mode}: {n} free pages"
+                );
+            }
+            assert!(
+                sys.page_table
+                    .translate(vpage * PAGE_SIZE as u64, NodeId(0))
+                    .is_err(),
+                "{mode}: no page beyond the free lists is allocatable"
+            );
+        }
     }
 }

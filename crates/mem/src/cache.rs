@@ -315,14 +315,6 @@ impl Cache {
             .collect()
     }
 
-    /// All valid lines, with their states, in set-major way order.
-    pub fn valid_lines(&self) -> Vec<(LineAddr, LineState)> {
-        (0..self.tags.len())
-            .filter(|&i| self.states[i].is_valid())
-            .map(|i| (LineAddr(self.tags[i]), self.states[i]))
-            .collect()
-    }
-
     /// Number of Modified lines.
     pub fn dirty_count(&self) -> usize {
         self.states.iter().filter(|s| s.is_dirty()).count()

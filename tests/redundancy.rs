@@ -9,6 +9,7 @@
 //! backends. Losses beyond each backend's budget must still classify as
 //! typed unrecoverable outcomes, never panics.
 
+use revive::core::RecoveryError;
 use revive::machine::differential::injected_vs_golden;
 use revive::machine::{
     ErrorKind, ExperimentConfig, FaultOutcome, InjectPhase, InjectionPlan, NodeSet, ReviveMode,
@@ -190,6 +191,43 @@ fn late_detection_past_the_retention_window_is_unrecoverable() {
         other => panic!("expected an unrecoverable classification, got {other:?}"),
     }
     assert!(result.recoveries.is_empty());
+}
+
+/// The retention window at its edge: a fault detected after `retained - 1`
+/// commits rolls back exactly, and one detected after exactly `retained`
+/// commits is refused — the commit that completes the window frees the
+/// target interval's log records, and the tail may overwrite them before
+/// detection.
+#[test]
+fn detection_after_exactly_retained_commits_is_refused() {
+    let mut c = cfg(ReviveMode::Parity {
+        group_data_pages: 2,
+    });
+    c.revive.ckpt.retained = 2;
+    let interval = c.revive.ckpt.interval;
+    let run = |commits: u64| {
+        let p = InjectionPlan {
+            after_checkpoint: 2,
+            interval_fraction: 0.4,
+            detection_delay: Ns(interval.0 * commits),
+            kind: ErrorKind::NodeLoss(NodeId(1).into()),
+            phase: InjectPhase::MidLogging,
+            second: None,
+        };
+        let result = Runner::new(c).unwrap().run_with_injections(&[p]);
+        result.unwrap().outcomes.remove(0)
+    };
+    match run(c.revive.ckpt.retained - 1) {
+        FaultOutcome::Recovered(rec) => assert_eq!(rec.verified, Some(true)),
+        other => panic!("inside the window: expected recovery, got {other:?}"),
+    }
+    match run(c.revive.ckpt.retained) {
+        FaultOutcome::Unrecoverable {
+            error: RecoveryError::TargetReclaimed { target, oldest },
+            ..
+        } => assert_eq!(oldest, target + 1, "detected exactly at the edge"),
+        other => panic!("at the edge: expected a refusal, got {other:?}"),
+    }
 }
 
 /// Regression: the richer backends must not have loosened XOR parity —
